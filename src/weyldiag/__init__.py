@@ -28,9 +28,6 @@ from .roots import (
     element_of_word,
     identity_element,
     invert,
-    is_negative_root,
-    is_positive_root,
-    length,
     reflect,
     root_system,
     simple_reflection,

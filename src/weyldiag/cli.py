@@ -1,8 +1,8 @@
 """Command line front end with stable text formats and exit codes.
 
-Exit codes: 0 success or verified, 1 verification failure, 2 usage error,
-3 precondition error (non-reduced word, out-of-range index, invalid rank),
-4 sweep size cap exceeded.
+Exit codes: 0 success or verified, 1 verification failure, 2 usage error
+or unwritable --output, 3 precondition error (non-reduced word,
+out-of-range index, invalid rank), 4 sweep size cap exceeded.
 """
 
 from __future__ import annotations
@@ -241,8 +241,11 @@ def _dispatch(args, out, err) -> int:
         report = verify_word(word, include_order_stats=args.order_stats)
         payload = report.to_dict(include_elapsed=args.elapsed)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json(include_elapsed=args.elapsed))
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(report.to_json(include_elapsed=args.elapsed))
+            except OSError as exc:
+                raise UsageError(f"cannot write report: {exc}") from None
         else:
             lines = [f"{key} {json.dumps(value)}" for key, value in payload.items()]
             _emit(out, args, payload, lines)

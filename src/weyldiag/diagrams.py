@@ -13,8 +13,11 @@ Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
 "positive" throughout.
 
-Both positivity tests run and are compared whenever __debug__ is set (the
-normal interpreter and pytest); python -O keeps only the ascent test.
+Each positivity test is a rule at one position j that reads only the
+members after j, so one pruned walk over suffixes finds the diagrams a test
+passes at a cost that grows with their number, not with 2^t.  Both tests
+run and are compared whenever __debug__ is set (the normal interpreter and
+pytest); under python -O, enumerate_positive walks with the ascent test alone.
 """
 
 from __future__ import annotations
@@ -68,10 +71,6 @@ class Diagram:
         for pos in self.positions:
             m |= 1 << (pos - 1)
         return m
-
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.positions)
-        return tuple(k for k in range(1, self.word.t + 1) if k not in inside)
 
     def __str__(self) -> str:
         return format_diagram(self)
@@ -136,44 +135,60 @@ def zeta_prime(diagram: Diagram) -> WeylElement:
     return invert(zeta(diagram))
 
 
-def _positive_by_ascents(diagram: Diagram) -> bool:
-    # Marsh-Rietsch positivity: every step of the right-to-left trace must
-    # ascend, i.e. v_{i-1}(alpha) is positive at every position, member or not.
+def _ascent_step(word: Word, j: int, m: IntMatrix, size: int) -> IntMatrix | None:
+    # Marsh-Rietsch positivity: the trace ascends at every position, member or
+    # not, i.e. m (the members after j, right to left) keeps alpha_{a_j} positive.
+    a0 = word.letters[j - 1] - 1
+    if sum(m[a0]) < 0:
+        return None
+    return _right_mul(m, a0, word.system.cartan)
+
+
+def _length_step(word: Word, j: int, m: IntMatrix, size: int) -> IntMatrix | None:
+    # Length characterization: s_{alpha_j} times the product m of the size
+    # member letters after j must have length 1 + size, by inversion counting.
+    candidate = _left_mul(m, word.letters[j - 1] - 1, word.system.cartan)
+    if _count_inversions(word.system, candidate) != 1 + size:
+        return None
+    return candidate
+
+
+def _passes(diagram: Diagram, step) -> bool:
     word = diagram.word
-    system = word.system
-    cartan = system.cartan
-    letters = word.letters
     inside = set(diagram.positions)
-    m = _identity_matrix(system.rank)
-    for pos in range(word.t, 0, -1):
-        a0 = letters[pos - 1] - 1
-        if sum(m[a0]) < 0:
+    m = _identity_matrix(word.system.rank)
+    size = 0
+    for j in range(word.t, 0, -1):
+        joined = step(word, j, m, size)
+        if joined is None:
             return False
-        if pos in inside:
-            m = _right_mul(m, a0, cartan)
+        if j in inside:
+            m, size = joined, size + 1
     return True
+
+
+def _walk(word: Word, step) -> list[tuple[int, ...]]:
+    """Positions of every diagram that passes step at all t positions, in
+    ascending bitmask order.  Depth-first from position t, leaving j out
+    before putting it in; a suffix is dropped at its first failed position."""
+    found = []
+    stack = [(word.t, _identity_matrix(word.system.rank), ())]
+    while stack:
+        j, m, members = stack.pop()
+        if not j:
+            found.append(members)
+        elif (joined := step(word, j, m, len(members))) is not None:
+            stack.append((j - 1, joined, (j,) + members))
+            stack.append((j - 1, m, members))
+    return found
+
+
+def _positive_by_ascents(diagram: Diagram) -> bool:
+    return _passes(diagram, _ascent_step)
 
 
 def _positive_by_lengths(diagram: Diagram) -> bool:
-    # Length characterization: for every position j, the product of s_{alpha_j}
-    # with the member letters strictly after j must have length 1 + (number of
-    # those letters), with lengths obtained by inversion counting.
-    word = diagram.word
-    system = word.system
-    cartan = system.cartan
-    letters = word.letters
-    t = word.t
-    inside = set(diagram.positions)
-    suffix = _identity_matrix(system.rank)
-    suffix_size = 0
-    for j in range(t, 0, -1):
-        candidate = _left_mul(suffix, letters[j - 1] - 1, cartan)
-        if _count_inversions(system, candidate) != 1 + suffix_size:
-            return False
-        if j in inside:
-            suffix = candidate
-            suffix_size += 1
-    return True
+    return _passes(diagram, _length_step)
 
 
 def is_positive_by_ascents(diagram: Diagram) -> bool:

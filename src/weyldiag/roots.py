@@ -198,14 +198,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(CartanType(family, rank))
 
 
-def is_positive_root(x: RootVector) -> bool:
-    return any(x) and all(c >= 0 for c in x)
-
-
-def is_negative_root(x: RootVector) -> bool:
-    return any(x) and all(c <= 0 for c in x)
-
-
 def bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:
     form = system.form
     return sum(xi * sum(f * yj for f, yj in zip(frow, y)) for xi, frow in zip(x, form) if xi)
@@ -334,11 +326,6 @@ def element_of_word(system: RootSystem, letters) -> WeylElement:
 
 def apply_element(w: WeylElement, x: RootVector) -> RootVector:
     return _apply(w.matrix, x)
-
-
-def length(system: RootSystem, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    return _count_inversions(system, w.matrix)
 
 
 def invert(w: WeylElement) -> WeylElement:

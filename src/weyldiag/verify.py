@@ -21,11 +21,10 @@ from .roots import (
 from .words import Word, format_word, longest_word, require_reduced
 from .diagrams import (
     Diagram,
+    _ascent_step,
+    _length_step,
+    _walk,
     diagram_for,
-    diagram_from_mask,
-    is_positive,
-    is_positive_by_ascents,
-    is_positive_by_lengths,
     positivity_obstruction,
     subword_products,
     zeta,
@@ -59,12 +58,14 @@ def enumerate_positive(word: Word) -> list[Diagram]:
     """All positive diagrams of a reduced word, in ascending bitmask order."""
     require_reduced(word)
     _guard_sweep(word.t)
-    out = []
-    for mask in range(1 << word.t):
-        d = diagram_from_mask(word, mask)
-        if is_positive(d):
-            out.append(d)
-    return out
+    found = _walk(word, _ascent_step)
+    if __debug__:
+        differ = set(found) ^ set(_walk(word, _length_step))
+        assert not differ, (
+            f"positivity tests disagree on "
+            f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
+        )
+    return [Diagram(word, p) for p in found]
 
 
 @lru_cache(maxsize=None)
@@ -220,17 +221,11 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     start = time.perf_counter()
     t = word.t
 
-    dual_ok = True
-    positives: list[Diagram] = []
-    positive_masks: set[int] = set()
-    for mask in range(1 << t):
-        d = diagram_from_mask(word, mask)
-        by_ascents = is_positive_by_ascents(d)
-        if is_positive_by_lengths(d) != by_ascents:
-            dual_ok = False
-        if by_ascents:
-            positives.append(d)
-            positive_masks.add(mask)
+    # Each test's verdict is an AND over j of a rule on j and the members
+    # after j, so each walk returns exactly the diagrams its test passes.
+    found = _walk(word, _ascent_step)
+    dual_ok = found == _walk(word, _length_step)
+    positives = [Diagram(word, p) for p in found]
 
     interval = subword_products(word)
     images = [zeta(d) for d in positives]
@@ -251,6 +246,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     le_equivalence_ok = None
     shape = detect_grid_shape(word)
     if shape is not None:
+        positive_masks = {d.mask for d in positives}
         le_equivalence_ok = all(
             grid_mod.is_le_diagram(grid_mod.grid_from_mask(shape, mask))
             == (mask in positive_masks)

@@ -35,6 +35,7 @@ from weyldiag import (
     trace_rendered_wiring,
     zeta,
 )
+from weyldiag.diagrams import _ascent_step, _length_step, _walk
 
 from conftest import CENSUS_TYPES, random_reduced_words, system_of
 
@@ -114,13 +115,20 @@ def test_criterion_3_le_equals_positive():
 
 
 def test_criterion_4_dual_positivity_tests_agree():
-    with criterion(4, "ascent and length positivity tests agree on the suite"):
+    with criterion(4, "ascent and length tests agree on the suite; walks match"):
         for word in suite_words():
+            passed = []
             for mask in range(1 << word.t):
                 d = diagram_from_mask(word, mask)
-                assert is_positive_by_ascents(d) == is_positive_by_lengths(d), (
+                by_ascents = is_positive_by_ascents(d)
+                assert by_ascents == is_positive_by_lengths(d), (
                     word, d.positions,
                 )
+                if by_ascents:
+                    passed.append(d.positions)
+            # The pruned suffix walks against the per-mask reference, in order.
+            assert _walk(word, _ascent_step) == passed, word
+            assert _walk(word, _length_step) == passed, word
 
 
 def test_criterion_5_bijection_and_oracle_agreement():

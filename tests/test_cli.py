@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,29 @@ def test_verify_output_file(tmp_path):
     assert res.stdout == ""
     payload = json.loads(target.read_text())
     assert payload["positive_count"] == 6
+
+
+def test_verify_output_to_unwritable_path_gives_exit_2(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1",
+               "--output", str(target)])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: cannot write report: ")
+    assert res.stdout == ""
+    assert not target.exists()
+
+
+def test_census_under_python_O():
+    from weyldiag.verify import SWEEP_CAP_ENV
+
+    env = {k: v for k, v in os.environ.items() if k != SWEEP_CAP_ENV}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "weyldiag.cli", "census", "--type", "C", "--rank", "4"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert "positive_count 384" in res.stdout.splitlines()
 
 
 def test_verify_exit_1_when_a_check_fails(monkeypatch):

@@ -61,6 +61,7 @@ def test_interval_of_longest_word_is_whole_group(a2):
     ("B", 2, (4, 8, 8)),
     ("A", 3, (6, 24, 24)),
     ("G", 2, (6, 12, 12)),
+    ("F", 4, (24, 1152, 1152)),
 ])
 def test_census_values(family, rank, expected):
     res = longest_word_census(CartanType(family, rank))
@@ -167,3 +168,26 @@ def test_positive_count_is_word_independent(a3):
 def test_group_order_never_hardcoded_matches_factorials():
     assert group_order(system_of("A", 4)) == 120
     assert group_order(system_of("D", 4)) == 192
+
+
+def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+    from weyldiag.cli import run
+
+    # Over-count the inversions of w0 alone. Only the length step at position 1
+    # over members 2..6 builds that matrix, so the two diagrams with those
+    # members fail the length test, and the first of them in mask order is named.
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    w0 = word.element.matrix
+    real = diagrams._count_inversions
+    monkeypatch.setattr(diagrams, "_count_inversions",
+                        lambda system, m: real(system, m) + (m == w0))
+
+    report = verify_word(word)
+    assert report.dual_ok is False
+    assert report.bijection_ok and report.roundtrip_ok and report.obstruction_ok
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    assert "dual_ok false" in res.stdout.splitlines()
+    with pytest.raises(AssertionError, match=r"disagree on \(2, 3, 4, 5, 6\) over"):
+        enumerate_positive(word)

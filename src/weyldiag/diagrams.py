@@ -7,7 +7,10 @@ length test on per-position products), the maps zeta / zeta' onto the
 Bruhat intervals below w and w^{-1}, the left-to-right recursion that
 reconstructs the unique positive diagram of an interval element, an
 independent subword-product Bruhat oracle, and the root-sum obstruction
-that certifies non-positivity.
+that certifies non-positivity.  The obstruction comes in two forms:
+positivity_obstruction checks one pair (j, m) and returns its gamma trace,
+and _obstruction_free gives the verdict over every pair of many diagrams
+in one reflection sweep per member, which is what verify_word runs.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
@@ -36,6 +39,7 @@ from .roots import (
     _invert_matrix,
     _left_mul,
     _right_mul,
+    _simple_image,
     _wrap,
     coroot_pairing,
     invert,
@@ -67,16 +71,21 @@ class Diagram:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for pos in self.positions:
-            m |= 1 << (pos - 1)
-        return m
+        return _mask(self.positions)
 
     def __str__(self) -> str:
         return format_diagram(self)
 
     def __repr__(self) -> str:
         return f"Diagram({self.word!r}, {self.positions})"
+
+
+def _mask(positions) -> int:
+    # Bit k-1 set for each position k.
+    m = 0
+    for pos in positions:
+        m |= 1 << (pos - 1)
+    return m
 
 
 def format_diagram(diagram: Diagram) -> str:
@@ -364,6 +373,49 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
             accumulated[k] += a * bl[k]
     violated = tuple(accumulated) == target
     return ObstructionCheck(True, violated, trace)
+
+
+def _obstruction_free(word: Word, diagrams) -> bool:
+    """True when no pair j < m of any of the diagrams (position tuples over
+    the word) trips the root-sum obstruction.  Same verdict as
+    positivity_obstruction over every pair, in one sweep per member.
+
+    For a member m, g starts at beta_m and goes from m-1 down to 1, reflected
+    in beta_k at each position k outside the diagram, so on reaching j it is
+    gamma_0 of the pair (j, m).  The accumulated sum telescopes to
+    beta_m - gamma_0, so the pair is violated exactly when g == -beta_j;
+    that needs g negative, hence a position outside the diagram already
+    passed, which is when the obstruction applies.  Under __debug__ every
+    gamma is recomputed as an omitted product, as in positivity_obstruction.
+    """
+    system = word.system
+    cartan = system.cartan
+    letters = word.letters
+    betas = word.betas
+    coroots = word.coroot_rows
+    negatives = [tuple(-c for c in beta) for beta in betas]
+    for positions in diagrams:
+        mask = _mask(positions)
+        for m in positions:
+            g = betas[m - 1]
+            if __debug__:
+                # alpha_{a_m} under the members passed so far; the prefix
+                # before an omitted k maps it to g.
+                row = system.simple_roots[letters[m - 1] - 1]
+            for k in range(m - 1, 0, -1):
+                if g == negatives[k - 1]:
+                    return False
+                if mask >> (k - 1) & 1:
+                    if __debug__:
+                        row = _simple_image(row, letters[k - 1] - 1, cartan)
+                    continue
+                c = sum(a * x for a, x in zip(coroots[k - 1], g) if a)
+                if c:
+                    g = tuple(x - c * b for x, b in zip(g, betas[k - 1]))
+                assert _apply(word.prefix_matrices[k - 1], row) == g, (
+                    f"gamma mismatch at position {k} for m={m} over {word}"
+                )
+    return True
 
 
 __all__ = [

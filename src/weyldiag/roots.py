@@ -32,7 +32,6 @@ simple reflection acts by s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, InvalidRankError
 
@@ -279,27 +278,29 @@ def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
 
 
 def _invert_matrix(m: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix with determinant +-1, in integers only.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]: each update
+    is an exact integer division by the previous pivot, and after the last
+    column the left block is d * I and the right block d * m^{-1}, where d is
+    the final pivot, +-det(m).  Asserting d = +-1 is the check that a Weyl
+    matrix inverts integrally; the inverse is then the right block times d.
+    """
     n = len(m)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [v / pv for v in aug[col]]
+        prow = aug[col]
+        pv = prow[col]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv = []
-    for i in range(n):
-        row = aug[i][n:]
-        assert all(v.denominator == 1 for v in row), "Weyl matrices invert integrally"
-        inv.append(tuple(int(v) for v in row))
-    return tuple(inv)
+            f = aug[r][col]
+            if r != col and (f or pv != prev):
+                aug[r] = [(pv * v - f * w) // prev for v, w in zip(aug[r], prow)]
+        prev = pv
+    assert prev in (1, -1), "Weyl matrices invert integrally"
+    return tuple(tuple(prev * v for v in row[n:]) for row in aug)
 
 
 def _wrap(system: RootSystem, m: IntMatrix) -> WeylElement:

@@ -23,9 +23,9 @@ from .diagrams import (
     Diagram,
     _ascent_step,
     _length_step,
+    _obstruction_free,
     _walk,
     diagram_for,
-    positivity_obstruction,
     subword_products,
     zeta,
 )
@@ -167,16 +167,6 @@ def detect_grid_shape(word: Word) -> grid_mod.GridShape | None:
     return None
 
 
-def _obstruction_clean(diagram: Diagram) -> bool:
-    # A positive diagram must never trip the root-sum obstruction.
-    inside = diagram.positions
-    for m in inside:
-        for j in range(1, m):
-            if positivity_obstruction(diagram, j, m).violated:
-                return False
-    return True
-
-
 def order_preservation_stats(word: Word, positives: list[Diagram]) -> dict:
     """Counts relating diagram inclusion to Bruhat comparability of the zeta
     images.  Reported as data only; no claim is asserted."""
@@ -229,19 +219,23 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
 
     interval = subword_products(word)
     images = [zeta(d) for d in positives]
-    bijection_ok = len(set(images)) == len(images) and set(images) == interval
+    image_set = set(images)
+    bijection_ok = len(image_set) == len(images) and image_set == interval
 
     roundtrip_ok = all(
         diagram_for(word, u) == d for d, u in zip(positives, images)
     )
     if roundtrip_ok:
-        for u in interval:
+        # Every image already round-trips, so only elements outside the
+        # image can fail; when the bijection holds there are none.
+        for u in interval - image_set:
             d = diagram_for(word, u)
             if d is None or zeta(d) != u:
                 roundtrip_ok = False
                 break
 
-    obstruction_ok = all(_obstruction_clean(d) for d in positives)
+    # A positive diagram must never trip the root-sum obstruction.
+    obstruction_ok = _obstruction_free(word, found)
 
     le_equivalence_ok = None
     shape = detect_grid_shape(word)

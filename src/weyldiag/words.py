@@ -22,6 +22,7 @@ from .roots import (
     _invert_matrix,
     _right_mul,
     compose,
+    coroot_pairing,
     element_of_word,
     invert,
 )
@@ -62,6 +63,16 @@ class Word:
     @cached_property
     def betas(self) -> tuple[RootVector, ...]:
         return root_sequence(self)
+
+    @cached_property
+    def coroot_rows(self) -> tuple[RootVector, ...]:
+        """Row l holds (beta_l^vee, alpha_k) for k = 1..n, so its dot product
+        with x is (beta_l^vee, x) by linearity."""
+        simple = self.system.simple_roots
+        return tuple(
+            tuple(coroot_pairing(self.system, beta, alpha) for alpha in simple)
+            for beta in self.betas
+        )
 
     def __str__(self) -> str:
         return format_word(self)

@@ -35,7 +35,7 @@ from weyldiag import (
     trace_rendered_wiring,
     zeta,
 )
-from weyldiag.diagrams import _ascent_step, _length_step, _walk
+from weyldiag.diagrams import _ascent_step, _length_step, _obstruction_free, _walk
 
 from conftest import CENSUS_TYPES, random_reduced_words, system_of
 
@@ -170,17 +170,23 @@ def _violated_pairs(diagram):
 
 
 def test_criterion_7_obstruction_soundness():
-    with criterion(7, "root-sum obstruction is sound on the suite"):
+    with criterion(7, "root-sum obstruction is sound on the suite; sweep agrees"):
         for word in suite_words():
             # Positive diagrams never trip the obstruction; gamma traces are
             # cross-checked against omitted products inside construction.
             for d in positives_of(word):
                 assert not any(_violated_pairs(d)), (word, d.positions)
-            # Full sweep of the equivalent converse, bounded to keep 2^t small.
+            assert _obstruction_free(word, [d.positions for d in positives_of(word)])
+            # Full sweep of the equivalent converse, bounded to keep 2^t small;
+            # the one-sweep form must give the pairwise verdict on every mask.
             if word.t <= 9:
                 for mask in range(1 << word.t):
                     d = diagram_from_mask(word, mask)
-                    if any(_violated_pairs(d)):
+                    violated = any(_violated_pairs(d))
+                    assert _obstruction_free(word, [d.positions]) == (not violated), (
+                        word, d.positions,
+                    )
+                    if violated:
                         assert not is_positive(d), (word, d.positions)
 
 

@@ -205,17 +205,31 @@ def test_verify_output_to_unwritable_path_gives_exit_2(tmp_path):
     assert not target.exists()
 
 
-def test_census_under_python_O():
+def _run_under_python_O(*args):
     from weyldiag.verify import SWEEP_CAP_ENV
 
     env = {k: v for k, v in os.environ.items() if k != SWEEP_CAP_ENV}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    res = subprocess.run(
-        [sys.executable, "-O", "-m", "weyldiag.cli", "census", "--type", "C", "--rank", "4"],
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "weyldiag.cli", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_census_under_python_O():
+    res = _run_under_python_O("census", "--type", "C", "--rank", "4")
     assert res.returncode == 0, res.stderr
     assert "positive_count 384" in res.stdout.splitlines()
+
+
+def test_verify_under_python_O():
+    # Without __debug__ the obstruction sweep skips its gamma recomputation.
+    res = _run_under_python_O("verify", "--type", "D", "--rank", "4",
+                              "--word", "1,2,1,3,2,1,4,2,1,3,2,4")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "positive_count 192" in lines
+    assert "obstruction_ok true" in lines
 
 
 def test_verify_exit_1_when_a_check_fails(monkeypatch):

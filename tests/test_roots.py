@@ -16,8 +16,8 @@ from weyldiag import (
     reflect,
     simple_reflection,
 )
-from weyldiag.roots import _count_inversions
-from weyldiag.verify import group_order
+from weyldiag.roots import _count_inversions, _identity_matrix, _invert_matrix
+from weyldiag.verify import group_elements, group_order
 
 from conftest import random_reduced_words, system_of
 
@@ -223,6 +223,58 @@ def test_invert_examples(a2):
     w0 = element_of_word(a2, (1, 2, 1))
     assert invert(w0) == w0
     assert invert(w0).length == w0.length
+
+
+def _fraction_inverse(m):
+    """Reference inverse: Gauss-Jordan elimination over Fraction."""
+    n = len(m)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(1 if j == i else 0) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        if pv != 1:
+            aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    inv = []
+    for row in aug:
+        assert all(v.denominator == 1 for v in row[n:])
+        inv.append(tuple(int(v) for v in row[n:]))
+    return tuple(inv)
+
+
+def _assert_inverts(m):
+    inv = _invert_matrix(m)
+    assert inv == _fraction_inverse(m), m
+    n = len(m)
+    product = tuple(
+        tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    assert product == _identity_matrix(n), m
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
+])
+def test_integer_inverse_matches_fraction_reference_on_all_of_w(family, rank):
+    for w in group_elements(system_of(family, rank)):
+        _assert_inverts(w.matrix)
+
+
+@pytest.mark.parametrize("rank", [6, 7, 8])
+def test_integer_inverse_matches_fraction_reference_on_sampled_e_elements(rank):
+    # Seeded random reduced words of any length up to w0; W(E7) and W(E8)
+    # are too large to enumerate.
+    system = system_of("E", rank)
+    for word in random_reduced_words(system, 25, system.num_positive_roots, seed=rank):
+        _assert_inverts(word.element.matrix)
 
 
 def test_compose_matches_word_concatenation(a2):

@@ -191,3 +191,52 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     assert "dual_ok false" in res.stdout.splitlines()
     with pytest.raises(AssertionError, match=r"disagree on \(2, 3, 4, 5, 6\) over"):
         enumerate_positive(word)
+
+
+def _verify_flags(report):
+    return {k: v for k, v in report.to_dict().items() if k.endswith("_ok")}
+
+
+def test_roundtrip_check_fails_on_an_injected_descent_defect(monkeypatch, a3):
+    import weyldiag.verify as verify_mod
+    from weyldiag import Diagram
+    from weyldiag.cli import run
+
+    # The descent recursion loses the last position of every non-empty diagram.
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    clean = _verify_flags(verify_word(word))
+    real = verify_mod.diagram_for
+
+    def dropping_last(word, u):
+        d = real(word, u)
+        if d is None or not d.positions:
+            return d
+        return Diagram(word, d.positions[:-1])
+
+    monkeypatch.setattr(verify_mod, "diagram_for", dropping_last)
+    flags = _verify_flags(verify_word(word))
+    assert flags["roundtrip_ok"] is False
+    assert flags == {**clean, "roundtrip_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    assert "roundtrip_ok false" in res.stdout.splitlines()
+
+
+def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
+    import weyldiag.diagrams as diagrams
+    from weyldiag.cli import run
+
+    # With an empty member mask the sweep reflects at member positions as well
+    # as at the omitted ones.  The positive diagram (2, 3) then reaches
+    # g = -beta_1 at (j, m) = (1, 3) before any gamma recomputation disagrees.
+    word = Word(a2, (1, 2, 1))
+    clean = _verify_flags(verify_word(word))
+    monkeypatch.setattr(diagrams, "_mask", lambda positions: 0)
+    assert diagrams._obstruction_free(word, [(1, 2)])
+    assert not diagrams._obstruction_free(word, [(2, 3)])
+    flags = _verify_flags(verify_word(word))
+    assert flags["obstruction_ok"] is False
+    assert flags == {**clean, "obstruction_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
+    assert res.exit_code == 1
+    assert "obstruction_ok false" in res.stdout.splitlines()

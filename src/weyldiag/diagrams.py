@@ -40,9 +40,8 @@ from .roots import (
     _left_mul,
     _right_mul,
     _simple_image,
-    _wrap,
     coroot_pairing,
-    invert,
+    element_of_word,
     reflect,
 )
 from .words import Word, require_reduced
@@ -133,15 +132,17 @@ def zeta(diagram: Diagram) -> WeylElement:
     """Product of the word's letters at the diagram's positions, left to right."""
     word = diagram.word
     require_reduced(word)
-    m = _identity_matrix(word.system.rank)
-    for pos in diagram.positions:
-        m = _right_mul(m, word.letters[pos - 1] - 1, word.system.cartan)
-    return _wrap(word.system, m)
+    return element_of_word(word.system, [word.letters[p - 1] for p in diagram.positions])
 
 
 def zeta_prime(diagram: Diagram) -> WeylElement:
-    """Product in the reverse order; always the inverse of zeta."""
-    return invert(zeta(diagram))
+    """Product of the same letters right to left.  Each simple reflection is
+    an involution, so this is the inverse of zeta; it is built on its own,
+    not by inverting zeta, so the two can be compared."""
+    word = diagram.word
+    require_reduced(word)
+    letters = [word.letters[p - 1] for p in diagram.positions]
+    return element_of_word(word.system, letters[::-1])
 
 
 def _ascent_step(word: Word, j: int, m: IntMatrix, size: int) -> IntMatrix | None:
@@ -250,7 +251,9 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
     """All elements reachable as products of subwords, i.e. {u : u <= w}.
 
     Independent of the diagram machinery: a left-to-right dynamic scan over
-    the set of reachable matrices.
+    the set of reachable matrices.  Lengths are counted as inversions, not
+    carried, so comparing this set with the zeta images also checks the
+    carried lengths.
     """
     require_reduced(word)
     system = word.system
@@ -258,7 +261,7 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
     reachable: set[IntMatrix] = {_identity_matrix(system.rank)}
     for i in word.letters:
         reachable |= {_right_mul(m, i - 1, cartan) for m in reachable}
-    return frozenset(_wrap(system, m) for m in reachable)
+    return frozenset(WeylElement(m, _count_inversions(system, m)) for m in reachable)
 
 
 def bruhat_leq_oracle(word: Word, u: WeylElement) -> bool:

@@ -15,6 +15,12 @@ element by a simple reflection on either side is a sparse row or column
 update driven by one row of the Cartan matrix, which keeps sweeps over
 many diagrams cheap.
 
+The Coxeter length travels with the matrix.  element_of_word carries it
+by the ascent rule, one step of +-1 per letter, and invert keeps it;
+compose, the one product not built from letters, counts it as the number
+of positive roots sent negative.  That inversion count is otherwise left
+to the checks, as the independent length oracle.
+
 Simple roots are numbered 1..n following Bourbaki:
 
     A_n   1 - 2 - ... - n
@@ -303,26 +309,28 @@ def _invert_matrix(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(prev * v for v in row[n:]) for row in aug)
 
 
-def _wrap(system: RootSystem, m: IntMatrix) -> WeylElement:
-    return WeylElement(m, _count_inversions(system, m))
-
-
 def identity_element(system: RootSystem) -> WeylElement:
     return WeylElement(_identity_matrix(system.rank), 0)
 
 
 def simple_reflection(system: RootSystem, i: int) -> WeylElement:
-    system.check_letter(i)
-    return _wrap(system, _right_mul(_identity_matrix(system.rank), i - 1, system.cartan))
+    return element_of_word(system, (i,))
 
 
 def element_of_word(system: RootSystem, letters) -> WeylElement:
-    """Product s_{alpha_1} . ... . s_{alpha_t}; the empty word is the identity."""
+    """Product s_{alpha_1} . ... . s_{alpha_t}; the empty word is the identity.
+
+    The length is carried letter by letter: l(m s_i) = l(m) + 1 when
+    m(alpha_i) > 0 and l(m) - 1 otherwise, which is exact for any word,
+    reduced or not.
+    """
     m = _identity_matrix(system.rank)
+    ell = 0
     for i in letters:
         system.check_letter(i)
+        ell += 1 if sum(m[i - 1]) > 0 else -1
         m = _right_mul(m, i - 1, system.cartan)
-    return _wrap(system, m)
+    return WeylElement(m, ell)
 
 
 def apply_element(w: WeylElement, x: RootVector) -> RootVector:
@@ -341,4 +349,4 @@ def compose(system: RootSystem, w: WeylElement, u: WeylElement) -> WeylElement:
         tuple(sum(mu[i][k] * mw[k][j] for k in range(n) if mu[i][k]) for j in range(n))
         for i in range(n)
     )
-    return _wrap(system, prod)
+    return WeylElement(prod, _count_inversions(system, prod))

@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SizeCapError
+from .errors import SizeCapError, UsageError
 from .roots import (
     CartanType,
     IntMatrix,
@@ -39,10 +39,9 @@ def sweep_cap() -> int:
     raw = os.environ.get(SWEEP_CAP_ENV)
     if raw is None:
         return DEFAULT_SWEEP_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_SWEEP_CAP
+    if not raw.strip().isdecimal():
+        raise UsageError(f"{SWEEP_CAP_ENV}={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 def _guard_sweep(t: int) -> None:

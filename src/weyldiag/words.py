@@ -21,10 +21,8 @@ from .roots import (
     _identity_matrix,
     _invert_matrix,
     _right_mul,
-    compose,
     coroot_pairing,
     element_of_word,
-    invert,
 )
 
 
@@ -140,8 +138,26 @@ def reduced_word(system: RootSystem, w: WeylElement) -> Word:
 
 def longest_word(system: RootSystem) -> Word:
     """A reduced word of w0 by greedy right ascents, smallest index first."""
-    m = _identity_matrix(system.rank)
-    letters: list[int] = []
+    return extend_to_w0(Word(system, ()))
+
+
+def longest_element(system: RootSystem) -> WeylElement:
+    return longest_word(system).element
+
+
+def extend_to_w0(word: Word) -> Word:
+    """Extend a reduced word of w to a reduced word of w0 sharing its prefix.
+
+    Appends the smallest right ascent of the running product until none is
+    left.  The suffix is the canonical reduced_word of w^{-1} w0: with
+    N = l(w0), l(s_i w^{-1} w0) = N - l(w s_i), so s_i is a left descent of
+    w^{-1} w0 exactly when it is a right ascent of w, and each greedy step
+    keeps this correspondence for the shorter remainder.
+    """
+    require_reduced(word)
+    system = word.system
+    m = word.element.matrix
+    letters = list(word.letters)
     while True:
         for i0 in range(system.rank):
             if sum(m[i0]) > 0:
@@ -150,21 +166,7 @@ def longest_word(system: RootSystem) -> Word:
                 break
         else:
             break
-    assert len(letters) == system.num_positive_roots
-    return Word(system, tuple(letters))
-
-
-def longest_element(system: RootSystem) -> WeylElement:
-    return longest_word(system).element
-
-
-def extend_to_w0(word: Word) -> Word:
-    """Extend a reduced word of w to a reduced word of w0 sharing its prefix."""
-    require_reduced(word)
-    system = word.system
-    w0 = longest_element(system)
-    suffix = reduced_word(system, compose(system, invert(word.element), w0))
-    extended = Word(system, word.letters + suffix.letters)
+    extended = Word(system, tuple(letters))
     assert extended.t == system.num_positive_roots and extended.reduced
     return extended
 

@@ -13,6 +13,7 @@ from weyldiag import (
     element_of_word,
     identity_element,
     invert,
+    reduced_word,
     reflect,
     simple_reflection,
 )
@@ -302,6 +303,7 @@ def test_length_bounded_by_word_length_with_equality_iff_reduced():
             letters = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
             word = Word(system, letters)
             w = word.element
+            assert w.length == _count_inversions(system, w.matrix)
             assert w.length <= len(letters)
             assert (w.length == len(letters)) == word.reduced
 
@@ -312,6 +314,19 @@ def test_cached_length_matches_recount():
         for word in random_reduced_words(system, 10, 9, seed=3):
             w = word.element
             assert _count_inversions(system, w.matrix) == w.length
+    # The length carried along a canonical reduced word, against the
+    # inversion count and the breadth-first depth, on all of W.
+    for family, rank in [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]:
+        system = system_of(family, rank)
+        for u in group_elements(system):
+            carried = reduced_word(system, u).element.length
+            assert carried == _count_inversions(system, u.matrix) == u.length
+    # W(E6..E8) are too large to enumerate: seeded reduced words instead.
+    for rank in [6, 7, 8]:
+        system = system_of("E", rank)
+        for word in random_reduced_words(system, 25, system.num_positive_roots, seed=rank):
+            w = word.element
+            assert w.length == _count_inversions(system, w.matrix) == word.t
 
 
 @pytest.mark.parametrize("family,rank,order", [

@@ -5,6 +5,7 @@ import pytest
 from weyldiag import (
     CartanType,
     SizeCapError,
+    UsageError,
     Word,
     bruhat_interval,
     detect_grid_shape,
@@ -147,7 +148,23 @@ def test_sweep_cap_guard(monkeypatch):
     with pytest.raises(SizeCapError):
         longest_word_census(CartanType("A", 3))
     monkeypatch.setenv(SWEEP_CAP_ENV, "junk")
-    assert sweep_cap() == 24
+    with pytest.raises(UsageError, match=r"WEYLDIAG_SWEEP_CAP='junk'"):
+        sweep_cap()
+
+    from weyldiag.cli import run
+
+    empty = ["verify", "--type", "A", "--rank", "2", "--word", ""]
+    one_letter = ["verify", "--type", "A", "--rank", "2", "--word", "1"]
+    for bad in ["junk", "-1"]:
+        monkeypatch.setenv(SWEEP_CAP_ENV, bad)
+        res = run(empty)
+        assert res.exit_code == 2
+        assert res.stderr == (
+            f"error: WEYLDIAG_SWEEP_CAP={bad!r} is not a non-negative integer\n"
+        )
+    monkeypatch.setenv(SWEEP_CAP_ENV, "0")
+    assert run(empty).exit_code == 0
+    assert run(one_letter).exit_code == 4
 
 
 def test_positive_count_is_word_independent(a3):
@@ -179,6 +196,9 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     # members fail the length test, and the first of them in mask order is named.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     w0 = word.element.matrix
+    # The interval oracle counts inversions too; build (and cache) it first so
+    # that the defect reaches the length walk alone.
+    diagrams.subword_products(word)
     real = diagrams._count_inversions
     monkeypatch.setattr(diagrams, "_count_inversions",
                         lambda system, m: real(system, m) + (m == w0))
@@ -240,3 +260,30 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "obstruction_ok false" in res.stdout.splitlines()
+
+
+def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+    from weyldiag import WeylElement
+    from weyldiag.cli import run
+
+    # zeta carries lengths through element_of_word; make it report 4 for every
+    # product of length 3.  The interval's lengths are counted, so those
+    # images leave the interval, and the round trip of the interval elements
+    # of length 3 comes back with the wrong length.
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    clean = _verify_flags(verify_word(word))
+    real = diagrams.element_of_word
+
+    def miscounting(system, letters):
+        u = real(system, letters)
+        return WeylElement(u.matrix, 4) if u.length == 3 else u
+
+    monkeypatch.setattr(diagrams, "element_of_word", miscounting)
+    flags = _verify_flags(verify_word(word))
+    assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False}
+    assert flags["dual_ok"] and flags["obstruction_ok"]
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert "bijection_ok false" in lines and "roundtrip_ok false" in lines

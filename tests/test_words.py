@@ -4,6 +4,7 @@ from weyldiag import (
     DomainError,
     NotReducedError,
     Word,
+    compose,
     element_of_word,
     extend_to_w0,
     format_word,
@@ -15,7 +16,15 @@ from weyldiag import (
     root_sequence,
 )
 
-from conftest import random_reduced_words, system_of
+from conftest import CENSUS_TYPES, random_reduced_words, system_of
+
+
+def extend_by_inverse_formula(word):
+    """Reference for extend_to_w0: the prefix, then the canonical reduced
+    word of w^{-1} w0."""
+    system = word.system
+    rest = compose(system, invert(word.element), longest_element(system))
+    return Word(system, word.letters + reduced_word(system, rest).letters)
 
 
 def test_is_reduced_examples(a2):
@@ -122,6 +131,11 @@ def test_extend_to_w0_examples(a2, a3):
     assert ext.t == 6
     assert ext.reduced
     assert ext.element == longest_element(a3)
+
+    for family, rank in CENSUS_TYPES + [("E", 6), ("F", 4)]:
+        system = system_of(family, rank)
+        for word in random_reduced_words(system, 8, system.num_positive_roots, seed=rank):
+            assert extend_to_w0(word) == extend_by_inverse_formula(word)
 
 
 def test_extend_to_w0_rejects_non_reduced(a2):

@@ -3,12 +3,20 @@
 Exit codes: 0 success or verified, 1 verification failure, 2 usage error
 or unwritable --output, 3 precondition error (non-reduced word,
 out-of-range index, invalid rank), 4 sweep size cap exceeded.
+
+The argparse tree is built once per process, on the first run().  Each
+subcommand declares its inputs there (--type/--rank, --word, --p/--m), and
+the dispatcher builds them once, in this order: the root system (an
+invalid rank is exit 3; a valid one prints its notes, e.g. for D3), the
+word (a malformed one is exit 2), the grid shape.  That order decides which
+error a bad invocation reports first.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NotReducedError, SizeCapError, UsageError, WeylDiagError
 from .roots import CartanType, RootSystem, build_root_system
 from .words import Word, format_word, reduced_word
-from .diagrams import Diagram, diagram_for, format_diagram, zeta
+from .diagrams import Diagram, diagram_for, format_diagram, is_positive, zeta
 from .grid import (
     GridShape,
     is_le_diagram,
@@ -33,6 +41,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_SIZE_CAP = 4
+
+# Exit code of each error class; any other WeylDiagError is a usage error.
+_ERROR_EXITS = (
+    (SizeCapError, EXIT_SIZE_CAP),
+    ((NotReducedError, DomainError), EXIT_PRECONDITION),
+)
 
 
 @dataclass
@@ -70,6 +84,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="weyldiag",
@@ -165,168 +180,122 @@ def _shape_of(args, err) -> GridShape:
     return shape
 
 
+def _key_value_lines(payload: dict) -> list[str]:
+    return [f"{key} {json.dumps(value)}" for key, value in payload.items()]
+
+
 def _dispatch(args, out, err) -> int:
+    # This order fixes which error a bad invocation reports first.
+    system = _system_of(args, err) if "type" in args else None
+    word = parse_word(system, args.word) if "word" in args else None
+    shape = _shape_of(args, err) if "p" in args else None
     command = args.command
+    code = EXIT_OK
 
     if command == "roots":
-        system = _system_of(args, err)
         payload = {
             "type": str(system.ctype),
             "positive_roots": [list(x) for x in system.positive_roots],
             "warnings": list(system.warnings),
         }
-        _emit(out, args, payload, [",".join(map(str, x)) for x in system.positive_roots])
-        return EXIT_OK
+        lines = [",".join(map(str, x)) for x in system.positive_roots]
 
-    if command == "betas":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
+    elif command == "betas":
         betas = word.betas
         payload = {"word": format_word(word), "betas": [list(b) for b in betas]}
-        _emit(out, args, payload, [",".join(map(str, b)) for b in betas])
-        return EXIT_OK
+        lines = [",".join(map(str, b)) for b in betas]
 
-    if command == "positive":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
-        from .diagrams import is_positive
+    elif command == "positive":
+        payload = {"positive": is_positive(parse_diagram(word, args.diagram))}
+        lines = [json.dumps(payload["positive"])]
 
-        verdict = is_positive(parse_diagram(word, args.diagram))
-        _emit(out, args, {"positive": verdict}, ["true" if verdict else "false"])
-        return EXIT_OK
-
-    if command == "zeta":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
+    elif command == "zeta":
         u = zeta(parse_diagram(word, args.diagram))
-        canonical = reduced_word(system, u)
-        payload = {
-            "word": format_word(canonical),
-            "length": u.length,
-            "matrix": [list(row) for row in u.matrix],
-        }
-        _emit(out, args, payload, [format_word(canonical)])
-        return EXIT_OK
+        canonical = format_word(reduced_word(system, u))
+        payload = {"word": canonical, "length": u.length,
+                   "matrix": [list(row) for row in u.matrix]}
+        lines = [canonical]
 
-    if command == "diagram-for":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
-        u = parse_word(system, args.element).element
-        found = diagram_for(word, u)
+    elif command == "diagram-for":
+        found = diagram_for(word, parse_word(system, args.element).element)
         if found is None:
-            _emit(out, args, {"diagram": None}, ["absent"])
+            payload, lines = {"diagram": None}, ["absent"]
         else:
-            _emit(out, args, {"diagram": list(found.positions)}, [format_diagram(found)])
-        return EXIT_OK
+            payload, lines = {"diagram": list(found.positions)}, [format_diagram(found)]
 
-    if command == "enumerate":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
+    elif command == "enumerate":
         diagrams = enumerate_positive(word)
         payload = {"count": len(diagrams), "diagrams": [list(d.positions) for d in diagrams]}
-        _emit(out, args, payload,
-              [f"count {len(diagrams)}"] + [format_diagram(d) for d in diagrams])
-        return EXIT_OK
+        lines = [f"count {len(diagrams)}"] + [format_diagram(d) for d in diagrams]
 
-    if command == "interval":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
-        size = len(bruhat_interval(word))
-        _emit(out, args, {"interval_count": size}, [str(size)])
-        return EXIT_OK
+    elif command == "interval":
+        payload = {"interval_count": len(bruhat_interval(word))}
+        lines = [str(payload["interval_count"])]
 
-    if command == "verify":
-        system = _system_of(args, err)
-        word = parse_word(system, args.word)
+    elif command == "verify":
         report = verify_word(word, include_order_stats=args.order_stats)
-        payload = report.to_dict(include_elapsed=args.elapsed)
+        code = EXIT_OK if report.all_ok() else EXIT_VERIFY_FAILED
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(report.to_json(include_elapsed=args.elapsed))
             except OSError as exc:
                 raise UsageError(f"cannot write report: {exc}") from None
-        else:
-            lines = [f"{key} {json.dumps(value)}" for key, value in payload.items()]
-            _emit(out, args, payload, lines)
-        return EXIT_OK if report.all_ok() else EXIT_VERIFY_FAILED
+            return code
+        payload = report.to_dict(include_elapsed=args.elapsed)
+        lines = _key_value_lines(payload)
 
-    if command == "census":
-        system = _system_of(args, err)
+    elif command == "census":
         result = longest_word_census(system.ctype)
-        payload = {
-            "type": str(system.ctype),
+        counts = {
             "positive_root_count": result.positive_root_count,
             "positive_count": result.positive_count,
             "group_order": result.group_order,
             "ok": result.ok,
         }
-        _emit(out, args, payload, [
-            f"positive_root_count {result.positive_root_count}",
-            f"positive_count {result.positive_count}",
-            f"group_order {result.group_order}",
-            f"ok {'true' if result.ok else 'false'}",
-        ])
-        return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
+        payload = {"type": str(system.ctype), **counts}
+        lines = _key_value_lines(counts)
+        code = EXIT_OK if result.ok else EXIT_VERIFY_FAILED
 
-    if command == "qm":
-        shape = _shape_of(args, err)
-        word = quantum_matrices_word(shape)
-        payload = {
-            "p": shape.p,
-            "m": shape.m,
-            "rank": shape.n,
-            "degenerate": shape.degenerate,
-            "word": format_word(word),
-        }
-        _emit(out, args, payload, [format_word(word)])
-        return EXIT_OK
+    elif command == "qm":
+        qm_word = format_word(quantum_matrices_word(shape))
+        payload = {"p": shape.p, "m": shape.m, "rank": shape.n,
+                   "degenerate": shape.degenerate, "word": qm_word}
+        lines = [qm_word]
 
-    if command == "le":
-        shape = _shape_of(args, err)
-        verdict = is_le_diagram(parse_grid(shape, args.grid))
-        _emit(out, args, {"le": verdict}, ["true" if verdict else "false"])
-        return EXIT_OK
+    elif command == "le":
+        payload = {"le": is_le_diagram(parse_grid(shape, args.grid))}
+        lines = [json.dumps(payload["le"])]
 
-    if command == "pipedream":
-        shape = _shape_of(args, err)
+    elif command == "pipedream":
         filling = parse_grid(shape, args.grid)
         perm = pipe_dream_permutation(filling)
-        payload: dict = {"permutation": list(perm)}
+        payload = {"permutation": list(perm)}
         lines = [",".join(map(str, perm))]
         if args.render:
-            drawing = render_wiring(filling)
-            payload["render"] = drawing
-            lines.append(drawing.rstrip("\n"))
-        _emit(out, args, payload, lines)
-        return EXIT_OK
+            payload["render"] = render_wiring(filling)
+            lines.append(payload["render"].rstrip("\n"))
 
-    raise AssertionError(f"unhandled command {command}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise AssertionError(f"unhandled command {command}")
+
+    _emit(out, args, payload, lines)
+    return code
 
 
 def run(argv) -> CommandResult:
     """Run one invocation; never raises, never touches the real stdio."""
     out, err = io.StringIO(), io.StringIO()
-    parser = _build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                args = parser.parse_args(list(argv))
+                args = _build_parser().parse_args(list(argv))
             except SystemExit as stop:  # --help and friends
                 return CommandResult(int(stop.code or 0), out.getvalue(), err.getvalue())
             code = _dispatch(args, out, err)
-    except UsageError as exc:
+    except WeylDiagError as exc:
         err.write(f"error: {exc}\n")
-        code = EXIT_USAGE
-    except (NotReducedError, DomainError) as exc:
-        err.write(f"error: {exc}\n")
-        code = EXIT_PRECONDITION
-    except SizeCapError as exc:
-        err.write(f"error: {exc}\n")
-        code = EXIT_SIZE_CAP
-    except WeylDiagError as exc:  # pragma: no cover - no other subclasses yet
-        err.write(f"error: {exc}\n")
-        code = EXIT_USAGE
+        code = next((c for kind, c in _ERROR_EXITS if isinstance(exc, kind)), EXIT_USAGE)
     return CommandResult(code, out.getvalue(), err.getvalue())
 
 

@@ -275,12 +275,13 @@ def _apply(m: IntMatrix, x: RootVector) -> RootVector:
 
 
 def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
-    # Image of a root is a root, so the sign of the coefficient sum decides.
-    count = 0
-    for beta in system.positive_roots:
-        if sum(_apply(m, beta)) < 0:
-            count += 1
-    return count
+    # Image of a root is a root, so the sign of the coefficient sum decides;
+    # that sum is the root's dot product with the row sums of m.
+    sums = [sum(row) for row in m]
+    return sum(
+        1 for beta in system.positive_roots
+        if sum(b * s for b, s in zip(beta, sums) if b) < 0
+    )
 
 
 def _invert_matrix(m: IntMatrix) -> IntMatrix:

@@ -18,7 +18,7 @@ from .roots import (
     _right_mul,
     build_root_system,
 )
-from .words import Word, format_word, longest_word, require_reduced
+from .words import Word, format_word, longest_word, reduced_word, require_reduced
 from .diagrams import (
     Diagram,
     _ascent_step,
@@ -169,12 +169,10 @@ def detect_grid_shape(word: Word) -> grid_mod.GridShape | None:
 def order_preservation_stats(word: Word, positives: list[Diagram]) -> dict:
     """Counts relating diagram inclusion to Bruhat comparability of the zeta
     images.  Reported as data only; no claim is asserted."""
-    from .words import reduced_word
-
     images = {d.positions: zeta(d) for d in positives}
-    below: dict[tuple[int, ...], frozenset[WeylElement]] = {}
-    for pos, u in images.items():
-        below[pos] = subword_products(reduced_word(word.system, u))
+    # Uncached: one interval per positive would otherwise stay in the cache.
+    below = {pos: subword_products.__wrapped__(reduced_word(word.system, u))
+             for pos, u in images.items()}
     inclusion_pairs = 0
     inclusion_and_bruhat = 0
     bruhat_pairs = 0
@@ -278,9 +276,7 @@ class CensusResult:
 def longest_word_census(ctype: CartanType) -> CensusResult:
     """Count positive diagrams over a reduced word of w0 and compare with |W|."""
     system = build_root_system(ctype)
-    word = longest_word(system)
-    _guard_sweep(word.t)
-    positives = enumerate_positive(word)
+    positives = enumerate_positive(longest_word(system))
     return CensusResult(
         positive_root_count=system.num_positive_roots,
         positive_count=len(positives),

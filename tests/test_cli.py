@@ -268,3 +268,100 @@ def test_help_exits_zero():
     res = run(["--help"])
     assert res.exit_code == 0
     assert "weyldiag" in res.stdout
+
+
+_A2 = ["--type", "A", "--rank", "2"]
+_A2W = [*_A2, "--word", "1,2,1"]
+_D3_NOTE = "note: D3 is isomorphic to A3; accepted for cross-checks only\n"
+_RENDER = ("   3  4\n   |  |\n2 -.--.- 4\n   |  |\n   |  |\n"
+           "1 -.--.- 3\n   |  |\n   1  2\n")
+
+# argv, exit code, text stdout, JSON payload (None: no stdout), stderr.
+# The same argv with --format json must print the payload, with the same
+# exit code and stderr.
+GOLDEN = [
+    (["roots", *_A2], 0, "0,1\n1,0\n1,1\n",
+     {"type": "A2", "positive_roots": [[0, 1], [1, 0], [1, 1]], "warnings": []}, ""),
+    (["roots", "--type", "D", "--rank", "3"], 0,
+     "0,0,1\n0,1,0\n1,0,0\n1,0,1\n1,1,0\n1,1,1\n",
+     {"type": "D3",
+      "positive_roots": [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]],
+      "warnings": ["D3 is isomorphic to A3; accepted for cross-checks only"]},
+     _D3_NOTE),
+    (["betas", *_A2W], 0, "1,0\n1,1\n0,1\n",
+     {"word": "1,2,1", "betas": [[1, 0], [1, 1], [0, 1]]}, ""),
+    (["positive", *_A2W, "--diagram", "2,3"], 0, "true\n", {"positive": True}, ""),
+    (["zeta", *_A2W, "--diagram", "2"], 0, "2\n",
+     {"word": "2", "length": 1, "matrix": [[1, 1], [0, -1]]}, ""),
+    (["diagram-for", *_A2W, "--element", "2"], 0, "2\n", {"diagram": [2]}, ""),
+    (["diagram-for", *_A2, "--word", "1", "--element", "2"], 0, "absent\n",
+     {"diagram": None}, ""),
+    (["enumerate", *_A2W], 0, "count 6\n\n1\n2\n1,2\n2,3\n1,2,3\n",
+     {"count": 6, "diagrams": [[], [1], [2], [1, 2], [2, 3], [1, 2, 3]]}, ""),
+    (["interval", *_A2W], 0, "6\n", {"interval_count": 6}, ""),
+    (["verify", *_A2W], 0,
+     'type "A2"\nword "1,2,1"\ntotal_diagrams 8\npositive_count 6\ninterval_count 6\n'
+     "bijection_ok true\nroundtrip_ok true\ndual_ok true\nobstruction_ok true\n",
+     {"type": "A2", "word": "1,2,1", "total_diagrams": 8, "positive_count": 6,
+      "interval_count": 6, "bijection_ok": True, "roundtrip_ok": True, "dual_ok": True,
+      "obstruction_ok": True}, ""),
+    (["verify", "--type", "A", "--rank", "3", "--word", "1,3,2,1,3,2", "--order-stats"], 0,
+     'type "A3"\nword "1,3,2,1,3,2"\ntotal_diagrams 64\npositive_count 24\n'
+     "interval_count 24\nbijection_ok true\nroundtrip_ok true\ndual_ok true\n"
+     'obstruction_ok true\norder_stats {"inclusion_pairs": 156, "inclusion_and_bruhat": 156, '
+     '"bruhat_pairs": 189, "bruhat_and_inclusion": 156}\n',
+     {"type": "A3", "word": "1,3,2,1,3,2", "total_diagrams": 64, "positive_count": 24,
+      "interval_count": 24, "bijection_ok": True, "roundtrip_ok": True, "dual_ok": True,
+      "obstruction_ok": True,
+      "order_stats": {"inclusion_pairs": 156, "inclusion_and_bruhat": 156,
+                      "bruhat_pairs": 189, "bruhat_and_inclusion": 156}}, ""),
+    (["census", *_A2], 0, "positive_root_count 3\npositive_count 6\ngroup_order 6\nok true\n",
+     {"type": "A2", "positive_root_count": 3, "positive_count": 6, "group_order": 6,
+      "ok": True}, ""),
+    (["qm", "--p", "2", "--m", "3"], 0, "2,1,3,2,4,3\n",
+     {"p": 2, "m": 3, "rank": 4, "degenerate": False, "word": "2,1,3,2,4,3"}, ""),
+    (["qm", "--p", "1", "--m", "3"], 0, "1,2,3\n",
+     {"p": 1, "m": 3, "rank": 3, "degenerate": True, "word": "1,2,3"},
+     "note: single-row or single-column grid; outside the usual quantum-matrices range\n"),
+    (["le", "--p", "2", "--m", "2", "--grid", "2,2 1,2"], 0, "true\n", {"le": True}, ""),
+    (["pipedream", "--p", "2", "--m", "2", "--grid", "", "--render"], 0, "1,2,3,4\n" + _RENDER,
+     {"permutation": [1, 2, 3, 4], "render": _RENDER}, ""),
+    (["betas", *_A2, "--word", "1,x"], 2, "", None,
+     "error: bad token 'x', expected an integer\n"),
+    (["roots", *_A2, "--bogus"], 2, "", None, "error: unrecognized arguments: --bogus\n"),
+    # The root system's note comes before the word's parse error ...
+    (["betas", "--type", "D", "--rank", "3", "--word", "1,x"], 2, "", None,
+     _D3_NOTE + "error: bad token 'x', expected an integer\n"),
+    (["betas", *_A2, "--word", "1,1"], 3, "", None,
+     "error: word 1,1 is not reduced: root (-1, 0) at position 2 is negative\n"),
+    (["roots", "--type", "E", "--rank", "5"], 3, "", None,
+     "error: no root system E5: family E needs rank in {6, 7, 8}\n"),
+    # ... and an invalid rank wins over a malformed word.
+    (["betas", "--type", "E", "--rank", "5", "--word", "1,x"], 3, "", None,
+     "error: no root system E5: family E needs rank in {6, 7, 8}\n"),
+    (["census", "--type", "E", "--rank", "6"], 4, "", None,
+     "error: 2^36 diagram sweep exceeds the cap of 2^24 (override with WEYLDIAG_SWEEP_CAP)\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,text,payload,stderr", GOLDEN,
+                         ids=[" ".join(row[0]) for row in GOLDEN])
+def test_golden_output(monkeypatch, argv, code, text, payload, stderr):
+    from weyldiag.verify import SWEEP_CAP_ENV
+
+    monkeypatch.delenv(SWEEP_CAP_ENV, raising=False)
+    as_json = "" if payload is None else json.dumps(payload, indent=2) + "\n"
+    for extra, stdout in [([], text), (["--format", "json"], as_json)]:
+        res = run([*argv, *extra])
+        assert (res.exit_code, res.stdout, res.stderr) == (code, stdout, stderr)
+
+
+def test_parser_keeps_no_state_between_runs():
+    flagged = run(["verify", *_A2W, "--order-stats", "--format", "json"])
+    assert "order_stats" in json.loads(flagged.stdout)
+    plain = run(["verify", *_A2W])
+    assert plain.exit_code == 0
+    assert plain.stdout.startswith('type "A2"\n') and "order_stats" not in plain.stdout
+    rendered = run(["pipedream", "--p", "2", "--m", "2", "--grid", "", "--render"])
+    assert rendered.stdout == "1,2,3,4\n" + _RENDER
+    assert run(["pipedream", "--p", "2", "--m", "2", "--grid", ""]).stdout == "1,2,3,4\n"

@@ -321,10 +321,12 @@ def test_cached_length_matches_recount():
         for u in group_elements(system):
             carried = reduced_word(system, u).element.length
             assert carried == _count_inversions(system, u.matrix) == u.length
-    # W(E6..E8) are too large to enumerate: seeded reduced words instead.
-    for rank in [6, 7, 8]:
-        system = system_of("E", rank)
-        for word in random_reduced_words(system, 25, system.num_positive_roots, seed=rank):
+    # W(E6..E8) and the rank-32 classical groups are too large to
+    # enumerate: seeded reduced words instead.
+    for family, rank, count in [("E", 6, 25), ("E", 7, 25), ("E", 8, 25), ("A", 32, 8),
+                                ("B", 32, 8), ("C", 32, 8), ("D", 32, 8)]:
+        system = system_of(family, rank)
+        for word in random_reduced_words(system, count, system.num_positive_roots, seed=rank):
             w = word.element
             assert w.length == _count_inversions(system, w.matrix) == word.t
 

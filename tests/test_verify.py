@@ -135,6 +135,16 @@ def test_order_stats_reported_not_asserted(a2):
     assert "order_stats" in report.to_dict()
 
 
+def test_order_stats_leave_the_interval_cache_alone(a3):
+    from weyldiag.diagrams import subword_products
+
+    # The stats compute one below-set per positive diagram (24 here); only
+    # the word's own interval may stay cached.
+    subword_products.cache_clear()
+    verify_word(longest_word(a3), include_order_stats=True)
+    assert subword_products.cache_info().currsize <= 1
+
+
 def test_sweep_cap_guard(monkeypatch):
     monkeypatch.setenv(SWEEP_CAP_ENV, "4")
     assert sweep_cap() == 4

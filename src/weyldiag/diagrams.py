@@ -9,18 +9,20 @@ reconstructs the unique positive diagram of an interval element, an
 independent subword-product Bruhat oracle, and the root-sum obstruction
 that certifies non-positivity.  The obstruction comes in two forms:
 positivity_obstruction checks one pair (j, m) and returns its gamma trace,
-and _obstruction_free gives the verdict over every pair of many diagrams
-in one reflection sweep per member, which is what verify_word runs.
+and _obstruction_step is the same verdict as a walk rule, so one walk lists
+the diagrams no pair trips; verify_word checks that they are exactly the
+positive ones.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
 "positive" throughout.
 
-Each positivity test is a rule at one position j that reads only the
-members after j, so one pruned walk over suffixes finds the diagrams a test
-passes at a cost that grows with their number, not with 2^t.  Both tests
-run and are compared whenever __debug__ is set (the normal interpreter and
-pytest); under python -O, enumerate_positive walks with the ascent test alone.
+Each positivity test, and the obstruction, is a rule at one position j
+that reads only the members after j, so one pruned walk over suffixes finds
+the diagrams a rule passes at a cost that grows with their number, not with
+2^t.  Both positivity tests run and are compared whenever __debug__ is set
+(the normal interpreter and pytest); under python -O, enumerate_positive
+walks with the ascent test alone.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class Diagram:
 
     @property
     def mask(self) -> int:
-        return _mask(self.positions)
+        # Bit k-1 set for each position k.
+        return sum(1 << (pos - 1) for pos in self.positions)
 
     def __str__(self) -> str:
         return format_diagram(self)
@@ -79,28 +82,15 @@ class Diagram:
         return f"Diagram({self.word!r}, {self.positions})"
 
 
-def _mask(positions) -> int:
-    # Bit k-1 set for each position k.
-    m = 0
-    for pos in positions:
-        m |= 1 << (pos - 1)
-    return m
-
-
 def format_diagram(diagram: Diagram) -> str:
     return ",".join(str(p) for p in diagram.positions)
 
 
 def diagram_from_mask(word: Word, mask: int) -> Diagram:
     """Positions of set bits, bit k-1 meaning position k."""
-    positions = []
-    k = 1
-    while mask:
-        if mask & 1:
-            positions.append(k)
-        mask >>= 1
-        k += 1
-    return Diagram(word, tuple(positions))
+    if not 0 <= mask < 1 << word.t:
+        raise DomainError(f"mask {mask} outside 0..2^{word.t}-1")
+    return Diagram(word, tuple(k for k in range(1, word.t + 1) if mask >> (k - 1) & 1))
 
 
 @dataclass(frozen=True)
@@ -145,22 +135,22 @@ def zeta_prime(diagram: Diagram) -> WeylElement:
     return element_of_word(word.system, letters[::-1])
 
 
-def _ascent_step(word: Word, j: int, m: IntMatrix, size: int) -> IntMatrix | None:
+def _ascent_step(word: Word, j: int, m: IntMatrix, size: int):
     # Marsh-Rietsch positivity: the trace ascends at every position, member or
     # not, i.e. m (the members after j, right to left) keeps alpha_{a_j} positive.
     a0 = word.letters[j - 1] - 1
     if sum(m[a0]) < 0:
         return None
-    return _right_mul(m, a0, word.system.cartan)
+    return m, _right_mul(m, a0, word.system.cartan)
 
 
-def _length_step(word: Word, j: int, m: IntMatrix, size: int) -> IntMatrix | None:
+def _length_step(word: Word, j: int, m: IntMatrix, size: int):
     # Length characterization: s_{alpha_j} times the product m of the size
     # member letters after j must have length 1 + size, by inversion counting.
     candidate = _left_mul(m, word.letters[j - 1] - 1, word.system.cartan)
     if _count_inversions(word.system, candidate) != 1 + size:
         return None
-    return candidate
+    return m, candidate
 
 
 def _passes(diagram: Diagram, step) -> bool:
@@ -169,27 +159,36 @@ def _passes(diagram: Diagram, step) -> bool:
     m = _identity_matrix(word.system.rank)
     size = 0
     for j in range(word.t, 0, -1):
-        joined = step(word, j, m, size)
-        if joined is None:
+        pair = step(word, j, m, size)
+        member = j in inside
+        if pair is None or pair[member] is None:
             return False
-        if j in inside:
-            m, size = joined, size + 1
+        m, size = pair[member], size + member
     return True
 
 
-def _walk(word: Word, step) -> list[tuple[int, ...]]:
+def _walk(word: Word, step, start) -> list[tuple[int, ...]]:
     """Positions of every diagram that passes step at all t positions, in
-    ascending bitmask order.  Depth-first from position t, leaving j out
-    before putting it in; a suffix is dropped at its first failed position."""
+    ascending bitmask order.
+
+    step(word, j, state, size) sees the state built from the members after j
+    (size of them, start when there are none) and returns None when j fails
+    either way, else (state if j is left out, state if j joins); a None
+    entry drops that branch alone.  Depth-first from position t, leaving j
+    out before putting it in.
+    """
     found = []
-    stack = [(word.t, _identity_matrix(word.system.rank), ())]
+    stack = [(word.t, start, ())]
     while stack:
-        j, m, members = stack.pop()
+        j, state, members = stack.pop()
         if not j:
             found.append(members)
-        elif (joined := step(word, j, m, len(members))) is not None:
-            stack.append((j - 1, joined, (j,) + members))
-            stack.append((j - 1, m, members))
+        elif (pair := step(word, j, state, len(members))) is not None:
+            out, joined = pair
+            if joined is not None:
+                stack.append((j - 1, joined, (j,) + members))
+            if out is not None:
+                stack.append((j - 1, out, members))
     return found
 
 
@@ -378,47 +377,38 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     return ObstructionCheck(True, violated, trace)
 
 
-def _obstruction_free(word: Word, diagrams) -> bool:
-    """True when no pair j < m of any of the diagrams (position tuples over
-    the word) trips the root-sum obstruction.  Same verdict as
-    positivity_obstruction over every pair, in one sweep per member.
+def _obstruction_step(word: Word, j: int, state, size: int):
+    """The root-sum obstruction as a walk rule; start the walk at ((), ()).
 
-    For a member m, g starts at beta_m and goes from m-1 down to 1, reflected
-    in beta_k at each position k outside the diagram, so on reaching j it is
-    gamma_0 of the pair (j, m).  The accumulated sum telescopes to
-    beta_m - gamma_0, so the pair is violated exactly when g == -beta_j;
-    that needs g negative, hence a position outside the diagram already
-    passed, which is when the obstruction applies.  Under __debug__ every
-    gamma is recomputed as an omitted product, as in positivity_obstruction.
+    state is (gs, rows), one entry per member m after j.  g starts at beta_m
+    and is reflected in beta_k at each position k between j and m outside
+    the diagram, so it is gamma_0 of the pair (j, m).  The accumulated sum
+    telescopes to beta_m - g, so the pair is violated exactly when
+    g == -beta_j; that needs g negative, hence an omitted position already
+    passed, which is when the obstruction applies.  Under __debug__ a row
+    carries alpha_{a_m} through the members passed, and every reflected g is
+    recomputed as that row under the prefix before j, an omitted product as
+    in positivity_obstruction; under python -O rows stay empty.
     """
-    system = word.system
-    cartan = system.cartan
-    letters = word.letters
-    betas = word.betas
-    coroots = word.coroot_rows
-    negatives = [tuple(-c for c in beta) for beta in betas]
-    for positions in diagrams:
-        mask = _mask(positions)
-        for m in positions:
-            g = betas[m - 1]
-            if __debug__:
-                # alpha_{a_m} under the members passed so far; the prefix
-                # before an omitted k maps it to g.
-                row = system.simple_roots[letters[m - 1] - 1]
-            for k in range(m - 1, 0, -1):
-                if g == negatives[k - 1]:
-                    return False
-                if mask >> (k - 1) & 1:
-                    if __debug__:
-                        row = _simple_image(row, letters[k - 1] - 1, cartan)
-                    continue
-                c = sum(a * x for a, x in zip(coroots[k - 1], g) if a)
-                if c:
-                    g = tuple(x - c * b for x, b in zip(g, betas[k - 1]))
-                assert _apply(word.prefix_matrices[k - 1], row) == g, (
-                    f"gamma mismatch at position {k} for m={m} over {word}"
-                )
-    return True
+    gs, rows = state
+    beta = word.betas[j - 1]
+    if tuple(-x for x in beta) in gs:
+        return None
+    coroot = word.coroot_rows[j - 1]
+    out = []
+    for g in gs:
+        c = sum(a * x for a, x in zip(coroot, g) if a)
+        out.append(tuple(x - c * b for x, b in zip(g, beta)) if c else g)
+    joined_rows = ()
+    if __debug__:
+        head = word.prefix_matrices[j - 1]
+        for g, row in zip(out, rows):
+            assert _apply(head, row) == g, f"gamma mismatch at position {j} over {word}"
+        a0 = word.letters[j - 1] - 1
+        cartan = word.system.cartan
+        joined_rows = tuple(_simple_image(row, a0, cartan) for row in rows)
+        joined_rows += (word.system.simple_roots[a0],)
+    return (tuple(out), rows), (gs + (beta,), joined_rows)
 
 
 __all__ = [

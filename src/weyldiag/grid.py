@@ -32,11 +32,12 @@ the wires, using only the characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DomainError, UsageError
 from .roots import RootSystem, WeylElement, root_system
 from .words import Word
-from .diagrams import Diagram
+from .diagrams import Diagram, _walk
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,8 @@ def linearize(grid: GridDiagram) -> Diagram:
 
 
 def grid_from_mask(shape: GridShape, mask: int) -> GridDiagram:
+    if not 0 <= mask < 1 << shape.size:
+        raise DomainError(f"mask {mask} outside 0..2^{shape.size}-1")
     boxes = []
     for k in range(1, shape.size + 1):
         if mask >> (k - 1) & 1:
@@ -132,6 +135,29 @@ def is_le_diagram(grid: GridDiagram) -> bool:
         if misses_above and misses_left:
             return False
     return True
+
+
+def _le_step(shape: GridShape, word: Word, j: int, filled: int, size: int):
+    # Walk index j stands for box position k = t+1-j, so the members after j
+    # are the boxes before k in column-major order, among them every box
+    # above k and every box to its left; filled has bit k'-1 per member k'.
+    # Box k may join when its column above it or its row to its left is full.
+    c, r = divmod(shape.size - j, shape.p)
+    above = ((1 << r) - 1) << (c * shape.p)
+    left = sum(1 << (i * shape.p + r) for i in range(c))
+    if filled & above == above or filled & left == left:
+        return filled, filled | 1 << (shape.size - j)
+    return filled, None
+
+
+def _le_walk(shape: GridShape) -> list[tuple[int, ...]]:
+    """Linear positions of every Le filling of the grid, in ascending
+    bitmask order, by one pruned walk instead of is_le_diagram per mask."""
+    t = shape.size
+    found = _walk(quantum_matrices_word(shape), partial(_le_step, shape), 0)
+    # Reversed tuples compare in bitmask order.
+    return sorted((tuple(t + 1 - j for j in reversed(members)) for members in found),
+                  key=lambda positions: positions[::-1])
 
 
 def pipe_dream_permutation(grid: GridDiagram) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Exhaustive sweeps, counts, and machine-readable verification reports."""
+"""Diagram walks, counts, and machine-readable verification reports."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .diagrams import (
     Diagram,
     _ascent_step,
     _length_step,
-    _obstruction_free,
+    _obstruction_step,
     _walk,
     diagram_for,
     subword_products,
@@ -57,9 +57,10 @@ def enumerate_positive(word: Word) -> list[Diagram]:
     """All positive diagrams of a reduced word, in ascending bitmask order."""
     require_reduced(word)
     _guard_sweep(word.t)
-    found = _walk(word, _ascent_step)
+    ident = _identity_matrix(word.system.rank)
+    found = _walk(word, _ascent_step, ident)
     if __debug__:
-        differ = set(found) ^ set(_walk(word, _length_step))
+        differ = set(found) ^ set(_walk(word, _length_step, ident))
         assert not differ, (
             f"positivity tests disagree on "
             f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
@@ -206,12 +207,12 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     require_reduced(word)
     _guard_sweep(word.t)
     start = time.perf_counter()
-    t = word.t
 
-    # Each test's verdict is an AND over j of a rule on j and the members
-    # after j, so each walk returns exactly the diagrams its test passes.
-    found = _walk(word, _ascent_step)
-    dual_ok = found == _walk(word, _length_step)
+    # Each verdict below is an AND over j of a rule on j and the members
+    # after j, so each walk returns exactly the diagrams its rule passes.
+    ident = _identity_matrix(word.system.rank)
+    found = _walk(word, _ascent_step, ident)
+    dual_ok = found == _walk(word, _length_step, ident)
     positives = [Diagram(word, p) for p in found]
 
     interval = subword_products(word)
@@ -231,25 +232,18 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
                 roundtrip_ok = False
                 break
 
-    # A positive diagram must never trip the root-sum obstruction.
-    obstruction_ok = _obstruction_free(word, found)
+    # Exactly the positive diagrams trip no root-sum obstruction pair.
+    obstruction_ok = _walk(word, _obstruction_step, ((), ())) == found
 
-    le_equivalence_ok = None
     shape = detect_grid_shape(word)
-    if shape is not None:
-        positive_masks = {d.mask for d in positives}
-        le_equivalence_ok = all(
-            grid_mod.is_le_diagram(grid_mod.grid_from_mask(shape, mask))
-            == (mask in positive_masks)
-            for mask in range(1 << t)
-        )
+    le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
 
     stats = order_preservation_stats(word, positives) if include_order_stats else None
 
     return VerificationReport(
         ctype=str(word.system.ctype),
         word=format_word(word),
-        total_diagrams=1 << t,
+        total_diagrams=1 << word.t,
         positive_count=len(positives),
         interval_count=len(interval),
         bijection_ok=bijection_ok,

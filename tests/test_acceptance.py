@@ -35,7 +35,8 @@ from weyldiag import (
     trace_rendered_wiring,
     zeta,
 )
-from weyldiag.diagrams import _ascent_step, _length_step, _obstruction_free, _walk
+from weyldiag.diagrams import _ascent_step, _length_step, _obstruction_step, _walk
+from weyldiag.roots import _identity_matrix
 
 from conftest import CENSUS_TYPES, random_reduced_words, system_of
 
@@ -127,8 +128,9 @@ def test_criterion_4_dual_positivity_tests_agree():
                 if by_ascents:
                     passed.append(d.positions)
             # The pruned suffix walks against the per-mask reference, in order.
-            assert _walk(word, _ascent_step) == passed, word
-            assert _walk(word, _length_step) == passed, word
+            ident = _identity_matrix(word.system.rank)
+            assert _walk(word, _ascent_step, ident) == passed, word
+            assert _walk(word, _length_step, ident) == passed, word
 
 
 def test_criterion_5_bijection_and_oracle_agreement():
@@ -170,24 +172,25 @@ def _violated_pairs(diagram):
 
 
 def test_criterion_7_obstruction_soundness():
-    with criterion(7, "root-sum obstruction is sound on the suite; sweep agrees"):
+    with criterion(7, "obstruction-free diagrams are exactly the positive ones"):
         for word in suite_words():
             # Positive diagrams never trip the obstruction; gamma traces are
             # cross-checked against omitted products inside construction.
+            found = [d.positions for d in positives_of(word)]
             for d in positives_of(word):
                 assert not any(_violated_pairs(d)), (word, d.positions)
-            assert _obstruction_free(word, [d.positions for d in positives_of(word)])
-            # Full sweep of the equivalent converse, bounded to keep 2^t small;
-            # the one-sweep form must give the pairwise verdict on every mask.
+            assert _walk(word, _obstruction_step, ((), ())) == found, word
+            # The per-mask reference for the converse, bounded to keep 2^t
+            # small: the masks no pair trips, in order, are the walk's list.
             if word.t <= 9:
+                free = []
                 for mask in range(1 << word.t):
                     d = diagram_from_mask(word, mask)
-                    violated = any(_violated_pairs(d))
-                    assert _obstruction_free(word, [d.positions]) == (not violated), (
-                        word, d.positions,
-                    )
-                    if violated:
+                    if not any(_violated_pairs(d)):
+                        free.append(d.positions)
+                    else:
                         assert not is_positive(d), (word, d.positions)
+                assert free == found, word
 
 
 def test_criterion_8_pipe_dream_anchors_and_tracing():

@@ -45,6 +45,13 @@ def test_diagram_validation(w121):
     assert Diagram(w121, ()).positions == ()
 
 
+def test_diagram_from_mask_rejects_masks_outside_the_word(w121):
+    for mask in (-1, 1 << w121.t):
+        with pytest.raises(DomainError):
+            diagram_from_mask(w121, mask)
+    assert diagram_from_mask(w121, 0b101).positions == (1, 3)
+
+
 def test_positivity_requires_reduced_word(a2):
     bad = Word(a2, (1, 1))
     with pytest.raises(NotReducedError):

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from weyldiag import (
@@ -21,6 +23,7 @@ from weyldiag import (
     trace_rendered_wiring,
     zeta_prime,
 )
+from weyldiag.grid import _le_walk
 
 from conftest import system_of
 
@@ -81,6 +84,47 @@ def test_le_examples():
 def test_le_count_2x2_is_14():
     shape = GridShape(2, 2)
     assert sum(is_le_diagram(g) for g in all_grids(shape)) == 14
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (1, 4), (3, 3)])
+def test_le_walk_lists_the_le_fillings_in_mask_order(p, m):
+    shape = GridShape(p, m)
+    expected = [linearize(g).positions for g in all_grids(shape) if is_le_diagram(g)]
+    assert _le_walk(shape) == expected
+
+
+def stirling2(n, k):
+    table = [[1] + [0] * k]
+    for i in range(1, n + 1):
+        prev = table[-1]
+        table.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
+    return table[n][k]
+
+
+def poly_bernoulli(p, m):
+    """B_p^(-m) = sum_k (k!)^2 S(p+1, k+1) S(m+1, k+1), with S the Stirling
+    numbers of the second kind (Kaneko 1997)."""
+    return sum(
+        factorial(k) ** 2 * stirling2(p + 1, k + 1) * stirling2(m + 1, k + 1)
+        for k in range(min(p, m) + 1)
+    )
+
+
+def test_le_walk_counts_are_poly_bernoulli_numbers():
+    # The p x m Le-diagrams number B_p^(-m) (Launois, J. Algebra 2007).
+    assert poly_bernoulli(2, 2) == 14 and poly_bernoulli(4, 5) == 41506
+    for p in range(1, 5):
+        for m in range(1, 6):
+            assert len(_le_walk(GridShape(p, m))) == poly_bernoulli(p, m), (p, m)
+
+
+def test_grid_from_mask_rejects_masks_outside_the_grid():
+    shape = GridShape(2, 2)
+    for mask in (-1, 1 << shape.size):
+        with pytest.raises(DomainError):
+            grid_from_mask(shape, mask)
+    full = grid(2, 2, (1, 1), (1, 2), (2, 1), (2, 2))
+    assert grid_from_mask(shape, (1 << shape.size) - 1) == full
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (1, 4)])

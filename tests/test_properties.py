@@ -1,12 +1,24 @@
-"""Property test: carried lengths, extension to w0 and zeta' over many types."""
+"""Property tests: carried lengths, extension to w0 and zeta' over many
+types, and the obstruction and Le walks against the ascent walk."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from weyldiag import Diagram, Word, extend_to_w0, invert, zeta, zeta_prime
-from weyldiag.roots import _count_inversions
+from weyldiag import (
+    Diagram,
+    GridShape,
+    Word,
+    extend_to_w0,
+    invert,
+    quantum_matrices_word,
+    zeta,
+    zeta_prime,
+)
+from weyldiag.diagrams import _ascent_step, _obstruction_step, _walk
+from weyldiag.grid import _le_walk
+from weyldiag.roots import _count_inversions, _identity_matrix
 
 from conftest import random_reduced_word, system_of
 from test_words import extend_by_inverse_formula
@@ -39,3 +51,26 @@ def test_carried_length_extension_and_zeta_prime(pair, data):
     inside = data.draw(st.lists(st.booleans(), min_size=walk.t, max_size=walk.t))
     d = Diagram(walk, tuple(p for p, keep in enumerate(inside, start=1) if keep))
     assert zeta_prime(d) == invert(zeta(d))
+
+
+def ascent_walk(word):
+    return _walk(word, _ascent_step, _identity_matrix(word.system.rank))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(words())
+def test_obstruction_walk_equals_ascent_walk(pair):
+    _, walk = pair
+    assert _walk(walk, _obstruction_step, ((), ())) == ascent_walk(walk)
+
+
+@st.composite
+def grid_shapes(draw):
+    p = draw(st.integers(1, 12))
+    return GridShape(p, draw(st.integers(1, 12 // p)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(grid_shapes())
+def test_le_walk_equals_ascent_walk(shape):
+    assert _le_walk(shape) == ascent_walk(quantum_matrices_word(shape))

@@ -254,22 +254,80 @@ def test_roundtrip_check_fails_on_an_injected_descent_defect(monkeypatch, a3):
 
 def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
     import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
     from weyldiag.cli import run
 
-    # With an empty member mask the sweep reflects at member positions as well
-    # as at the omitted ones.  The positive diagram (2, 3) then reaches
+    # The rule reflects the members' roots at member positions as well as at
+    # the omitted ones.  The positive diagram (2, 3) then reaches
     # g = -beta_1 at (j, m) = (1, 3) before any gamma recomputation disagrees.
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
-    monkeypatch.setattr(diagrams, "_mask", lambda positions: 0)
-    assert diagrams._obstruction_free(word, [(1, 2)])
-    assert not diagrams._obstruction_free(word, [(2, 3)])
+    real = diagrams._obstruction_step
+
+    def reflecting_members(word, j, state, size):
+        pair = real(word, j, state, size)
+        if pair is None:
+            return None
+        (out, rows), (joined, joined_rows) = pair
+        return (out, rows), (out + joined[-1:], joined_rows)
+
+    assert diagrams._walk(word, reflecting_members, ((), ())) == [(), (1,), (2,), (1, 2)]
+    monkeypatch.setattr(verify_mod, "_obstruction_step", reflecting_members)
     flags = _verify_flags(verify_word(word))
     assert flags["obstruction_ok"] is False
     assert flags == {**clean, "obstruction_ok": False}
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "obstruction_ok false" in res.stdout.splitlines()
+
+
+def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
+    import weyldiag.verify as verify_mod
+    from weyldiag import reflect
+    from weyldiag.cli import run
+
+    # The rule without its g == -beta_j test passes all 2^t diagrams.  No
+    # positive diagram trips the real rule either, so only a check that the
+    # obstruction-free diagrams are exactly the positive ones can notice.
+    word = Word(a2, (1, 2, 1))
+    clean = _verify_flags(verify_word(word))
+
+    def never_trips(word, j, state, size):
+        gs, _ = state
+        beta = word.betas[j - 1]
+        return (tuple(reflect(word.system, beta, g) for g in gs), ()), (gs + (beta,), ())
+
+    monkeypatch.setattr(verify_mod, "_obstruction_step", never_trips)
+    flags = _verify_flags(verify_word(word))
+    assert flags == {**clean, "obstruction_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
+    assert res.exit_code == 1
+    assert "obstruction_ok false" in res.stdout.splitlines()
+
+
+def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
+    import weyldiag.grid as grid_mod
+    from weyldiag.cli import run
+
+    # The Le rule without its "row to the left" branch: a box in row 2 may
+    # join only below a filled box, so the Le filling {(2,1)} (position 2)
+    # goes missing.
+    word = quantum_matrices_word(GridShape(2, 2))
+    clean = _verify_flags(verify_word(word))
+    assert clean["le_equivalence_ok"] is True
+
+    def above_only(shape, word, j, filled, size):
+        c, r = divmod(shape.size - j, shape.p)
+        above = ((1 << r) - 1) << (c * shape.p)
+        return filled, (filled | 1 << (shape.size - j) if filled & above == above else None)
+
+    monkeypatch.setattr(grid_mod, "_le_step", above_only)
+    assert (2,) not in grid_mod._le_walk(GridShape(2, 2))
+    flags = _verify_flags(verify_word(word))
+    assert flags == {**clean, "le_equivalence_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "2,1,3,2"])
+    assert res.exit_code == 1
+    assert "le_equivalence_ok false" in res.stdout.splitlines()
 
 
 def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):

@@ -21,6 +21,14 @@ compose, the one product not built from letters, counts it as the number
 of positive roots sent negative.  That inversion count is otherwise left
 to the checks, as the independent length oracle.
 
+The positive roots form a poset under beta < beta + alpha_i, and it is
+built level by level in height: beta + alpha_i is a root exactly when
+q = p - <alpha_i^vee, beta> > 0, where beta - p alpha_i, ..., beta + q alpha_i
+is the alpha_i-string through beta (Humphreys, Introduction to Lie Algebras
+and Representation Theory, 9.4).  Every non-simple positive root keeps one
+edge to a parent of height one less, so the inversion count finds each
+root's image height with one addition, from its parent's.
+
 Simple roots are numbered 1..n following Bourbaki:
 
     A_n   1 - 2 - ... - n
@@ -46,11 +54,16 @@ IntMatrix = tuple[RootVector, ...]
 
 FAMILIES = "ABCDEFG"
 
-_RANK_RULES: dict[str, tuple[int, int | None, str]] = {
-    "A": (1, None, "rank >= 1"),
-    "B": (2, None, "rank >= 2"),
-    "C": (2, None, "rank >= 2"),
-    "D": (3, None, "rank >= 3"),
+# Classical ranks stop at 64: B64 and C64 (4096 positive roots) still build
+# in a fraction of a second, and a rank far beyond is refused, not left to
+# build for minutes.
+MAX_CLASSICAL_RANK = 64
+
+_RANK_RULES: dict[str, tuple[int, int, str]] = {
+    "A": (1, MAX_CLASSICAL_RANK, f"rank in 1..{MAX_CLASSICAL_RANK}"),
+    "B": (2, MAX_CLASSICAL_RANK, f"rank in 2..{MAX_CLASSICAL_RANK}"),
+    "C": (2, MAX_CLASSICAL_RANK, f"rank in 2..{MAX_CLASSICAL_RANK}"),
+    "D": (3, MAX_CLASSICAL_RANK, f"rank in 3..{MAX_CLASSICAL_RANK}"),
     "E": (6, 8, "rank in {6, 7, 8}"),
     "F": (4, 4, "rank = 4"),
     "G": (2, 2, "rank = 2"),
@@ -67,7 +80,7 @@ class CartanType:
         if rule is None:
             raise InvalidRankError(self.family, self.rank, f"a family letter in {FAMILIES}")
         lo, hi, allowed = rule
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if not lo <= self.rank <= hi:
             raise InvalidRankError(self.family, self.rank, allowed)
 
     def __str__(self) -> str:
@@ -133,10 +146,12 @@ def _simple_image(x: tuple[int, ...], i0: int, cartan: IntMatrix) -> RootVector:
 class RootSystem:
     """Immutable root-system data for one Cartan type.
 
-    Positive roots are generated by closing the simple roots under all
-    simple reflections and keeping the nonnegative orbit; they are ordered
-    by height, then lexicographically, so every downstream output is
-    reproducible bit for bit.
+    Positive roots are generated height by height from the simple roots by
+    the alpha-string rule, and ordered by height, then lexicographically, so
+    every downstream output is reproducible bit for bit.  root_edges[k] is
+    (parent, i) with positive_roots[k] = positive_roots[parent] + alpha_i,
+    the parent coming earlier, or (-1, i) when positive_roots[k] = alpha_i.
+    roots holds the positive roots and their negatives.
     """
 
     def __init__(self, ctype: CartanType):
@@ -156,26 +171,48 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
 
-        all_roots: set[RootVector] = set(self.simple_roots)
-        frontier = list(self.simple_roots)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for i0 in range(n):
-                    y = _simple_image(x, i0, cartan)
-                    if y not in all_roots:
-                        all_roots.add(y)
-                        fresh.append(y)
-            frontier = fresh
+        # Alpha-strings, height by height (see the module docstring).  p is
+        # read off lower levels: below[k] maps i to the index of
+        # positive[k] - alpha_i whenever that is a root, and is complete once
+        # the level before positive[k] is done.
+        rows = [[(j, c) for j, c in enumerate(crow) if c] for crow in cartan]
+        positive: list[RootVector] = []
+        edges: list[tuple[int, int]] = []
+        below: list[dict[int, int]] = []
+        level: dict[RootVector, dict[int, int]] = {x: {} for x in self.simple_roots}
+        while level:
+            start = len(positive)
+            for x in sorted(level):
+                down = level[x]
+                # The first step found up to x; a simple root has none.
+                i, parent = next(iter(down.items())) if down else (x.index(1), -1)
+                positive.append(x)
+                edges.append((parent, i))
+                below.append(down)
+            level = {}
+            for k in range(start, len(positive)):
+                beta = positive[k]
+                for i, row in enumerate(rows):
+                    pairing = 0
+                    for j, c in row:
+                        pairing += c * beta[j]
+                    if pairing >= 0 and not beta[i]:
+                        continue  # then p = 0, so q <= 0
+                    p = 0
+                    d = below[k].get(i)
+                    while d is not None:
+                        p += 1
+                        d = below[d].get(i)
+                    if p > pairing:
+                        up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                        level.setdefault(up, {})[i] = k
 
-        positive = [x for x in all_roots if all(c >= 0 for c in x)]
-        negative = [x for x in all_roots if all(c <= 0 for c in x)]
-        assert len(positive) + len(negative) == len(all_roots), "mixed-sign root"
-        assert len(positive) == len(negative)
-        positive.sort(key=lambda x: (sum(x), x))
         self.positive_roots: tuple[RootVector, ...] = tuple(positive)
+        self.root_edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.num_positive_roots = len(positive)
-        self.roots: frozenset[RootVector] = frozenset(all_roots)
+        self.roots: frozenset[RootVector] = frozenset(
+            positive + [tuple(-c for c in x) for x in positive]
+        )
         self.warnings: tuple[str, ...] = ()
         if ctype.family == "D" and ctype.rank == 3:
             self.warnings = ("D3 is isomorphic to A3; accepted for cross-checks only",)
@@ -275,13 +312,16 @@ def _apply(m: IntMatrix, x: RootVector) -> RootVector:
 
 
 def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
-    # Image of a root is a root, so the sign of the coefficient sum decides;
-    # that sum is the root's dot product with the row sums of m.
+    # Image of a root is a root, so the sign of its height (coefficient sum)
+    # decides.  That height is linear in the root, with the row sums of m as
+    # weights, so beta' + alpha_i has height h(beta') + s_i: one addition per
+    # positive root along root_edges.  The spare last slot is the 0 that a
+    # simple root's parent index, -1, reads.
     sums = [sum(row) for row in m]
-    return sum(
-        1 for beta in system.positive_roots
-        if sum(b * s for b, s in zip(beta, sums) if b) < 0
-    )
+    heights = [0] * (system.num_positive_roots + 1)
+    for k, (parent, i) in enumerate(system.root_edges):
+        heights[k] = heights[parent] + sums[i]
+    return sum(1 for h in heights if h < 0)
 
 
 def _invert_matrix(m: IntMatrix) -> IntMatrix:

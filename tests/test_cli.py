@@ -70,6 +70,18 @@ def test_invalid_rank_gives_exit_3():
     assert "E5" in res.stderr
 
 
+def test_rank_above_the_classical_bound_gives_exit_3():
+    res = run(["roots", "--type", "A", "--rank", "400"])
+    assert res.exit_code == 3
+    assert res.stderr == "error: no root system A400: family A needs rank in 1..64\n"
+
+
+def test_rank_at_the_classical_bound_builds():
+    res = run(["roots", "--type", "B", "--rank", "64"])
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 64 * 64
+
+
 def test_parse_word_examples():
     a2 = system_of("A", 2)
     assert parse_word(a2, "1,2,1") == Word(a2, (1, 2, 1))

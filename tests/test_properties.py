@@ -1,5 +1,6 @@
 """Property tests: carried lengths, extension to w0 and zeta' over many
-types, and the obstruction and Le walks against the ascent walk."""
+types, the inversion count against its dot-product reference, and the
+obstruction and Le walks against the ascent walk."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from weyldiag import (
     Diagram,
     GridShape,
     Word,
+    element_of_word,
     extend_to_w0,
     invert,
     quantum_matrices_word,
@@ -51,6 +53,25 @@ def test_carried_length_extension_and_zeta_prime(pair, data):
     inside = data.draw(st.lists(st.booleans(), min_size=walk.t, max_size=walk.t))
     d = Diagram(walk, tuple(p for p, keep in enumerate(inside, start=1) if keep))
     assert zeta_prime(d) == invert(zeta(d))
+
+
+def count_inversions_by_dot_products(system, m):
+    """Reference inversion count: each positive root's image height is its
+    dot product with the row sums of m."""
+    sums = [sum(row) for row in m]
+    return sum(
+        1 for beta in system.positive_roots
+        if sum(b * s for b, s in zip(beta, sums) if b) < 0
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(TYPES + [("B", 16), ("A", 32)]), st.data())
+def test_inversion_count_along_root_edges_equals_dot_products(ctype, data):
+    system = system_of(*ctype)
+    letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))
+    m = element_of_word(system, letters).matrix
+    assert _count_inversions(system, m) == count_inversions_by_dot_products(system, m)
 
 
 def ascent_walk(word):

@@ -17,7 +17,15 @@ from weyldiag import (
     reflect,
     simple_reflection,
 )
-from weyldiag.roots import _count_inversions, _identity_matrix, _invert_matrix
+from weyldiag.roots import (
+    MAX_CLASSICAL_RANK,
+    RootSystem,
+    _RANK_RULES,
+    _count_inversions,
+    _identity_matrix,
+    _invert_matrix,
+    _simple_image,
+)
 from weyldiag.verify import group_elements, group_order
 
 from conftest import random_reduced_words, system_of
@@ -72,6 +80,47 @@ def test_g2_positive_root_count_matches_brute_force_closure():
     assert set(system.positive_roots) == oracle
 
 
+def _orbit_closure(system):
+    """Reference roots: the simple roots closed under every simple reflection,
+    split by sign, with the positive ones in (height, lex) order."""
+    n = system.rank
+    all_roots = set(system.simple_roots)
+    frontier = list(system.simple_roots)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for i0 in range(n):
+                y = _simple_image(x, i0, system.cartan)
+                if y not in all_roots:
+                    all_roots.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    positive = [x for x in all_roots if all(c >= 0 for c in x)]
+    negative = [x for x in all_roots if all(c <= 0 for c in x)]
+    assert len(positive) == len(negative) == len(all_roots) // 2, "mixed-sign root"
+    positive.sort(key=lambda x: (sum(x), x))
+    return tuple(positive), frozenset(all_roots)
+
+
+ORACLE_TYPES = [
+    (f, r) for f, (lo, hi, _) in _RANK_RULES.items() for r in range(lo, min(hi, 8) + 1)
+] + [(f, 32) for f in "ABCD"]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES)
+def test_roots_by_height_match_orbit_closure_and_edges_step_up(family, rank):
+    system = RootSystem(CartanType(family, rank))
+    positive, roots = _orbit_closure(system)
+    assert system.positive_roots == positive
+    assert system.roots == roots
+    assert len(system.root_edges) == system.num_positive_roots
+    zero = (0,) * rank
+    for k, (parent, i) in enumerate(system.root_edges):
+        assert -1 <= parent < k
+        below = system.positive_roots[parent] if parent >= 0 else zero
+        assert tuple(c + (j == i) for j, c in enumerate(below)) == positive[k]
+
+
 def test_a1_is_trivial():
     system = system_of("A", 1)
     assert system.positive_roots == ((1,),)
@@ -79,11 +128,14 @@ def test_a1_is_trivial():
 
 @pytest.mark.parametrize("family,rank", [
     ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4),
+    ("A", 65), ("B", 65), ("C", 65), ("D", 400),
 ])
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(InvalidRankError) as info:
         CartanType(family, rank)
     assert family in str(info.value)
+    if family in "ABCD":
+        assert f"..{MAX_CLASSICAL_RANK}" in str(info.value)
 
 
 def test_unknown_family_rejected():

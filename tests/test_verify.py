@@ -219,8 +219,37 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
     assert res.exit_code == 1
     assert "dual_ok false" in res.stdout.splitlines()
-    with pytest.raises(AssertionError, match=r"disagree on \(2, 3, 4, 5, 6\) over"):
-        enumerate_positive(word)
+    if __debug__:  # the walk comparison in enumerate_positive is an assert
+        with pytest.raises(AssertionError, match=r"disagree on \(2, 3, 4, 5, 6\) over"):
+            enumerate_positive(word)
+
+
+def test_checks_fail_on_an_injected_root_edge_defect(monkeypatch):
+    import weyldiag.roots as roots
+    from weyldiag.cli import run
+
+    # A fresh A3 (so no cached interval or group is reused) whose top root
+    # (1,1,1) claims the parent (0,1,1) with alpha_2 in place of alpha_1, so
+    # the inversion count reads the height of (0,2,1) for it.  The CLI finds
+    # the same system through the root-system cache.
+    ctype = CartanType("A", 3)
+    system = roots.RootSystem(ctype)
+    top = system.positive_roots.index((1, 1, 1))
+    parent, i = system.root_edges[top]
+    assert (parent, i) == (system.positive_roots.index((0, 1, 1)), 0)
+    edges = list(system.root_edges)
+    edges[top] = (parent, 1)
+    monkeypatch.setattr(system, "root_edges", tuple(edges))
+    monkeypatch.setitem(roots._SYSTEMS, ctype, system)
+
+    # The length walk and the interval oracle both count inversions; the
+    # ascent and obstruction walks never read the table.
+    assert _verify_flags(verify_word(Word(system, (1, 2, 1, 3, 2, 1)))) == {
+        "bijection_ok": False, "roundtrip_ok": False, "dual_ok": False, "obstruction_ok": True,
+    }
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    assert "dual_ok false" in res.stdout.splitlines()
 
 
 def _verify_flags(report):

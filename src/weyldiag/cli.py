@@ -20,7 +20,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, NotReducedError, SizeCapError, UsageError, WeylDiagError
 from .roots import CartanType, RootSystem, build_root_system
@@ -247,12 +247,7 @@ def _dispatch(args, out, err) -> int:
 
     elif command == "census":
         result = longest_word_census(system.ctype)
-        counts = {
-            "positive_root_count": result.positive_root_count,
-            "positive_count": result.positive_count,
-            "group_order": result.group_order,
-            "ok": result.ok,
-        }
+        counts = {**asdict(result), "ok": result.ok}
         payload = {"type": str(system.ctype), **counts}
         lines = _key_value_lines(counts)
         code = EXIT_OK if result.ok else EXIT_VERIFY_FAILED

@@ -20,9 +20,11 @@ quantum nilpotent algebra attached to the word; user-facing names here say
 Each positivity test, and the obstruction, is a rule at one position j
 that reads only the members after j, so one pruned walk over suffixes finds
 the diagrams a rule passes at a cost that grows with their number, not with
-2^t.  Both positivity tests run and are compared whenever __debug__ is set
-(the normal interpreter and pytest); under python -O, enumerate_positive
-walks with the ascent test alone.
+2^t.  The per-diagram tests (is_positive and its two halves) are that same
+walk pinned to one diagram, so _walk is the only reader of the rules.  Both
+positivity tests run and are compared whenever __debug__ is set (the normal
+interpreter and pytest); under python -O, enumerate_positive walks with the
+ascent test alone.
 """
 
 from __future__ import annotations
@@ -153,20 +155,6 @@ def _length_step(word: Word, j: int, m: IntMatrix, size: int):
     return m, candidate
 
 
-def _passes(diagram: Diagram, step) -> bool:
-    word = diagram.word
-    inside = set(diagram.positions)
-    m = _identity_matrix(word.system.rank)
-    size = 0
-    for j in range(word.t, 0, -1):
-        pair = step(word, j, m, size)
-        member = j in inside
-        if pair is None or pair[member] is None:
-            return False
-        m, size = pair[member], size + member
-    return True
-
-
 def _walk(word: Word, step, start) -> list[tuple[int, ...]]:
     """Positions of every diagram that passes step at all t positions, in
     ascending bitmask order.
@@ -175,7 +163,8 @@ def _walk(word: Word, step, start) -> list[tuple[int, ...]]:
     (size of them, start when there are none) and returns None when j fails
     either way, else (state if j is left out, state if j joins); a None
     entry drops that branch alone.  Depth-first from position t, leaving j
-    out before putting it in.
+    out before putting it in.  This is the one reader of that protocol: a
+    test of a single diagram is the walk with a step pinned to it (_passes).
     """
     found = []
     stack = [(word.t, start, ())]
@@ -190,6 +179,19 @@ def _walk(word: Word, step, start) -> list[tuple[int, ...]]:
             if out is not None:
                 stack.append((j - 1, out, members))
     return found
+
+
+def _passes(diagram: Diagram, step) -> bool:
+    # The walk with step pinned to the diagram: only the branch it takes.
+    inside = set(diagram.positions)
+
+    def pinned(word, j, state, size):
+        pair = step(word, j, state, size)
+        if pair is None:
+            return None
+        return (None, pair[1]) if j in inside else (pair[0], None)
+
+    return bool(_walk(diagram.word, pinned, _identity_matrix(diagram.word.system.rank)))
 
 
 def _positive_by_ascents(diagram: Diagram) -> bool:
@@ -245,7 +247,11 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
     return Diagram(word, tuple(positions))
 
 
-@lru_cache(maxsize=None)
+# Entries kept by subword_products; each benchmark pass fills at most 14.
+SUBWORD_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SUBWORD_CACHE_SIZE)
 def subword_products(word: Word) -> frozenset[WeylElement]:
     """All elements reachable as products of subwords, i.e. {u : u <= w}.
 
@@ -308,15 +314,6 @@ def _gamma_trace(diagram: Diagram, j: int, m: int) -> GammaTrace:
         beta_l = betas[ls[i - 1] - 1]
         coeffs[i - 1] = coroot_pairing(system, beta_l, gammas[i])
         gammas[i - 1] = reflect(system, beta_l, gammas[i])
-
-    total = list(betas[m - 1])
-    for a, l in zip(coeffs, ls):
-        if a:
-            bl = betas[l - 1]
-            for k in range(len(total)):
-                total[k] -= a * bl[k]
-    assert tuple(total) == gammas[0], "telescoping identity for gamma_1"
-
     trace = GammaTrace(j, m, ls, tuple(gammas), tuple(coeffs))
     if __debug__:
         _assert_gammas_match_omitted_products(trace, word)
@@ -367,13 +364,16 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
         return ObstructionCheck(False, False, None)
     trace = _gamma_trace(diagram, j, m)
     betas = word.betas
-    target = tuple(a + b for a, b in zip(betas[j - 1], betas[m - 1]))
+    beta_m = betas[m - 1]
     accumulated = [0] * word.system.rank
     for a, l in zip(trace.coefficients, trace.complement_positions):
         bl = betas[l - 1]
         for k in range(len(accumulated)):
             accumulated[k] += a * bl[k]
-    violated = tuple(accumulated) == target
+    assert tuple(b - a for b, a in zip(beta_m, accumulated)) == trace.gammas[0], (
+        "telescoping identity for gamma_1"
+    )
+    violated = tuple(accumulated) == tuple(a + b for a, b in zip(betas[j - 1], beta_m))
     return ObstructionCheck(True, violated, trace)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import SizeCapError, UsageError
@@ -33,6 +33,8 @@ from . import grid as grid_mod
 
 DEFAULT_SWEEP_CAP = 24
 SWEEP_CAP_ENV = "WEYLDIAG_SWEEP_CAP"
+# Groups kept by group_elements; each benchmark pass builds at most 9.
+GROUP_CACHE_SIZE = 16
 
 
 def sweep_cap() -> int:
@@ -68,7 +70,7 @@ def enumerate_positive(word: Word) -> list[Diagram]:
     return [Diagram(word, p) for p in found]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def group_elements(system: RootSystem) -> frozenset[WeylElement]:
     """The whole Weyl group by breadth-first closure of the generators."""
     cartan = system.cartan
@@ -121,30 +123,19 @@ class VerificationReport:
     elapsed: float
 
     def all_ok(self) -> bool:
-        checks = [self.bijection_ok, self.roundtrip_ok, self.dual_ok, self.obstruction_ok]
-        if self.le_equivalence_ok is not None:
-            checks.append(self.le_equivalence_ok)
-        return all(checks)
+        """Every check that ran passed; a None check did not run."""
+        checks = (getattr(self, f.name) for f in fields(self) if f.name.endswith("_ok"))
+        return all(ok for ok in checks if ok is not None)
 
     def to_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
-            "type": self.ctype,
-            "word": self.word,
-            "total_diagrams": self.total_diagrams,
-            "positive_count": self.positive_count,
-            "interval_count": self.interval_count,
-            "bijection_ok": self.bijection_ok,
-            "roundtrip_ok": self.roundtrip_ok,
-            "dual_ok": self.dual_ok,
-            "obstruction_ok": self.obstruction_ok,
+        """The fields in declaration order, ctype as "type", None fields left
+        out, elapsed only on request."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {
+            "type" if key == "ctype" else key: value
+            for key, value in values
+            if value is not None and (include_elapsed or key != "elapsed")
         }
-        if self.le_equivalence_ok is not None:
-            out["le_equivalence_ok"] = self.le_equivalence_ok
-        if self.order_stats is not None:
-            out["order_stats"] = self.order_stats
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
     def to_json(self, include_elapsed: bool = False) -> str:
         return json.dumps(self.to_dict(include_elapsed=include_elapsed), indent=2) + "\n"
@@ -167,38 +158,30 @@ def detect_grid_shape(word: Word) -> grid_mod.GridShape | None:
     return None
 
 
-def order_preservation_stats(word: Word, positives: list[Diagram]) -> dict:
-    """Counts relating diagram inclusion to Bruhat comparability of the zeta
-    images.  Reported as data only; no claim is asserted."""
-    images = {d.positions: zeta(d) for d in positives}
+def order_preservation_stats(word: Word, images: dict) -> dict:
+    """Counts over ordered pairs of distinct positive diagrams, given as
+    {positions: zeta image}, relating inclusion of the diagrams to Bruhat
+    comparability of their images.  A pair both included and Bruhat-below
+    is counted once and reported under both inclusion_and_bruhat and
+    bruhat_and_inclusion.  Reported as data only; no claim is asserted."""
     # Uncached: one interval per positive would otherwise stay in the cache.
     below = {pos: subword_products.__wrapped__(reduced_word(word.system, u))
              for pos, u in images.items()}
-    inclusion_pairs = 0
-    inclusion_and_bruhat = 0
-    bruhat_pairs = 0
-    bruhat_and_inclusion = 0
-    items = sorted(images.items())
-    for pos1, u1 in items:
+    inclusion_pairs = bruhat_pairs = both = 0
+    for pos1, u1 in images.items():
         set1 = set(pos1)
-        for pos2, u2 in items:
-            if pos1 == pos2:
-                continue
-            included = set1 <= set(pos2)
-            leq = u1 in below[pos2]
-            if included:
-                inclusion_pairs += 1
-                if leq:
-                    inclusion_and_bruhat += 1
-            if leq:
-                bruhat_pairs += 1
-                if included:
-                    bruhat_and_inclusion += 1
+        for pos2 in images:
+            if pos1 != pos2:
+                included = set1 <= set(pos2)
+                leq = u1 in below[pos2]
+                inclusion_pairs += included
+                bruhat_pairs += leq
+                both += included and leq
     return {
         "inclusion_pairs": inclusion_pairs,
-        "inclusion_and_bruhat": inclusion_and_bruhat,
+        "inclusion_and_bruhat": both,
         "bruhat_pairs": bruhat_pairs,
-        "bruhat_and_inclusion": bruhat_and_inclusion,
+        "bruhat_and_inclusion": both,
     }
 
 
@@ -216,12 +199,12 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     positives = [Diagram(word, p) for p in found]
 
     interval = subword_products(word)
-    images = [zeta(d) for d in positives]
-    image_set = set(images)
-    bijection_ok = len(image_set) == len(images) and image_set == interval
+    images = {d.positions: zeta(d) for d in positives}
+    image_set = set(images.values())
+    bijection_ok = len(image_set) == len(positives) and image_set == interval
 
     roundtrip_ok = all(
-        diagram_for(word, u) == d for d, u in zip(positives, images)
+        diagram_for(word, u) == d for d, u in zip(positives, images.values())
     )
     if roundtrip_ok:
         # Every image already round-trips, so only elements outside the
@@ -238,7 +221,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     shape = detect_grid_shape(word)
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
 
-    stats = order_preservation_stats(word, positives) if include_order_stats else None
+    stats = order_preservation_stats(word, images) if include_order_stats else None
 
     return VerificationReport(
         ctype=str(word.system.ctype),

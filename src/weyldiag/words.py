@@ -95,12 +95,14 @@ def require_reduced(word: Word) -> None:
 
 
 def root_sequence(word: Word) -> tuple[RootVector, ...]:
-    """The roots (beta_1, ..., beta_t) attached to a reduced word's positions."""
-    system = word.system
+    """The roots (beta_1, ..., beta_t) attached to a reduced word's positions.
+
+    beta_k is row a_k of the word's (k-1)-th prefix product, read from
+    Word.prefix_matrices; the first negative or repeated root is reported.
+    """
     betas: list[RootVector] = []
     seen: set[RootVector] = set()
-    m = _identity_matrix(system.rank)
-    for pos, i in enumerate(word.letters, start=1):
+    for pos, (i, m) in enumerate(zip(word.letters, word.prefix_matrices), start=1):
         beta = m[i - 1]
         if sum(beta) < 0:
             raise NotReducedError(
@@ -114,7 +116,6 @@ def root_sequence(word: Word) -> tuple[RootVector, ...]:
             )
         seen.add(beta)
         betas.append(beta)
-        m = _right_mul(m, i - 1, system.cartan)
     return tuple(betas)
 
 

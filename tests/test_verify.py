@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -19,9 +20,9 @@ from weyldiag import (
     zeta,
     GridShape,
 )
-from weyldiag.verify import SWEEP_CAP_ENV, sweep_cap
+from weyldiag.verify import SWEEP_CAP_ENV, VerificationReport, sweep_cap
 
-from conftest import system_of
+from conftest import random_reduced_words, system_of
 
 
 def test_enumerate_positive_a2_exactly(a2):
@@ -143,6 +144,64 @@ def test_order_stats_leave_the_interval_cache_alone(a3):
     subword_products.cache_clear()
     verify_word(longest_word(a3), include_order_stats=True)
     assert subword_products.cache_info().currsize <= 1
+
+
+def _full_report(**changes):
+    report = VerificationReport(
+        ctype="A3", word="2,1,3,2", total_diagrams=16, positive_count=14,
+        interval_count=14, bijection_ok=True, roundtrip_ok=True, dual_ok=True,
+        obstruction_ok=True, le_equivalence_ok=True,
+        order_stats={"inclusion_pairs": 1}, elapsed=0.5,
+    )
+    return dataclasses.replace(report, **changes)
+
+
+@pytest.mark.parametrize("check", [
+    "bijection_ok", "roundtrip_ok", "dual_ok", "obstruction_ok", "le_equivalence_ok",
+])
+def test_all_ok_fails_on_any_one_failed_check(check):
+    assert _full_report().all_ok()
+    assert not _full_report(**{check: False}).all_ok()
+    if check != "le_equivalence_ok":
+        assert not _full_report(**{check: False, "le_equivalence_ok": None}).all_ok()
+
+
+def test_all_ok_ignores_a_check_that_did_not_run():
+    assert _full_report(le_equivalence_ok=None).all_ok()
+
+
+def test_report_dict_keeps_the_field_order():
+    assert list(_full_report().to_dict(include_elapsed=True)) == [
+        "type", "word", "total_diagrams", "positive_count", "interval_count",
+        "bijection_ok", "roundtrip_ok", "dual_ok", "obstruction_ok",
+        "le_equivalence_ok", "order_stats", "elapsed",
+    ]
+
+
+def test_order_stats_shared_pairs_agree(a3):
+    stats = verify_word(longest_word(a3), include_order_stats=True).order_stats
+    assert stats["inclusion_and_bruhat"] == stats["bruhat_and_inclusion"] > 0
+
+
+def test_interval_and_group_caches_are_bounded():
+    from weyldiag.diagrams import SUBWORD_CACHE_SIZE, subword_products
+    from weyldiag.verify import GROUP_CACHE_SIZE
+
+    assert subword_products.cache_info().maxsize == SUBWORD_CACHE_SIZE == 64
+    assert group_elements.cache_info().maxsize == GROUP_CACHE_SIZE == 16
+    words = list(dict.fromkeys(random_reduced_words(system_of("A", 4), 400, 8, seed=5)))
+    words = words[:SUBWORD_CACHE_SIZE + 1]
+    assert len(words) == SUBWORD_CACHE_SIZE + 1
+    subword_products.cache_clear()
+    for word in words:
+        subword_products(word)
+    filled = subword_products.cache_info()
+    assert filled.currsize == SUBWORD_CACHE_SIZE
+    subword_products(words[1])  # the oldest entry left is still cached
+    assert subword_products.cache_info().hits == filled.hits + 1
+    subword_products(words[0])  # the 65th word evicted the first
+    assert subword_products.cache_info().misses == filled.misses + 1
+    subword_products.cache_clear()
 
 
 def test_sweep_cap_guard(monkeypatch):

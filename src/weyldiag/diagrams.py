@@ -39,11 +39,12 @@ from .roots import (
     WeylElement,
     _apply,
     _count_inversions,
+    _descent_pairings,
     _identity_matrix,
-    _invert_matrix,
     _left_mul,
     _right_mul,
     _simple_image,
+    _strip_descent,
     coroot_pairing,
     element_of_word,
     reflect,
@@ -228,21 +229,24 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
     """The unique positive diagram with zeta image u, or None when u is not
     below the word's element in Bruhat order.
 
-    Left-to-right recursion: include position i+1 exactly when the running
-    residual u_i has the word's next simple root as a left descent; u is in
-    the interval exactly when the final residual is the identity.
+    Left-to-right recursion on the residual u_k (u_0 = u): position k joins
+    exactly when s_{a_k} is a left descent of u_{k-1}, and then
+    u_k = s_{a_k} u_{k-1}.  The descent is read off the pairing
+    p_i = <alpha_i^vee, u_{k-1}(2 rho)>, which is negative exactly for the
+    left descents (Humphreys, Reflection Groups and Coxeter Groups,
+    1.6-1.7); u is in the interval exactly when every final p_i is 2, i.e.
+    the final residual fixes 2 rho and so is the identity.
     """
     require_reduced(word)
     system = word.system
     cartan = system.cartan
-    ident = _identity_matrix(system.rank)
-    inv = _invert_matrix(u.matrix)
+    p = _descent_pairings(system, u.matrix)
     positions = []
     for pos, i in enumerate(word.letters, start=1):
-        if sum(inv[i - 1]) < 0:
+        if p[i - 1] < 0:
             positions.append(pos)
-            inv = _right_mul(inv, i - 1, cartan)
-    if inv != ident:
+            _strip_descent(p, i - 1, cartan)
+    if p != [2] * system.rank:
         return None
     return Diagram(word, tuple(positions))
 

@@ -21,6 +21,14 @@ compose, the one product not built from letters, counts it as the number
 of positive roots sent negative.  That inversion count is otherwise left
 to the checks, as the independent length oracle.
 
+Left descents are read without inverting the matrix.  s_i is a left
+descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
+the positive roots) is regular dominant, that holds exactly when
+p_i = <alpha_i^vee, u(2 rho)> < 0; u is the identity exactly when every
+p_i equals <alpha_i^vee, 2 rho> = 2 (Humphreys, Reflection Groups and
+Coxeter Groups, 1.6-1.7).  Passing from u to s_a u reflects u(2 rho) in
+alpha_a, so each p_i drops by a[i][a] p_a: one Cartan column per letter.
+
 The positive roots form a poset under beta < beta + alpha_i, and it is
 built level by level in height: beta + alpha_i is a root exactly when
 q = p - <alpha_i^vee, beta> > 0, where beta - p alpha_i, ..., beta + q alpha_i
@@ -210,6 +218,7 @@ class RootSystem:
         self.positive_roots: tuple[RootVector, ...] = tuple(positive)
         self.root_edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.num_positive_roots = len(positive)
+        self.two_rho: RootVector = tuple(map(sum, zip(*positive)))
         self.roots: frozenset[RootVector] = frozenset(
             positive + [tuple(-c for c in x) for x in positive]
         )
@@ -322,6 +331,25 @@ def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
     for k, (parent, i) in enumerate(system.root_edges):
         heights[k] = heights[parent] + sums[i]
     return sum(1 for h in heights if h < 0)
+
+
+def _descent_pairings(system: RootSystem, m: IntMatrix) -> list[int]:
+    # p_i = <alpha_i^vee, u(2 rho)>, negative exactly when s_i is a left
+    # descent of u, and all 2 exactly when u = e (see the module docstring).
+    if len(m) != system.rank:
+        raise DomainError(
+            f"element of rank {len(m)} does not act on {system.ctype} (rank {system.rank})"
+        )
+    x = _apply(m, system.two_rho)
+    return [sum(c * v for c, v in zip(crow, x) if c) for crow in system.cartan]
+
+
+def _strip_descent(p: list[int], a0: int, cartan: IntMatrix) -> None:
+    # u <- s_a . u in place: u(2 rho) loses p_a alpha_a, so p_i -= a[i][a0] p_a.
+    pa = p[a0]
+    for i, crow in enumerate(cartan):
+        if c := crow[a0]:
+            p[i] -= c * pa
 
 
 def _invert_matrix(m: IntMatrix) -> IntMatrix:

@@ -18,9 +18,10 @@ from .roots import (
     RootSystem,
     RootVector,
     WeylElement,
+    _descent_pairings,
     _identity_matrix,
-    _invert_matrix,
     _right_mul,
+    _strip_descent,
     coroot_pairing,
     element_of_word,
 )
@@ -120,21 +121,30 @@ def root_sequence(word: Word) -> tuple[RootVector, ...]:
 
 
 def reduced_word(system: RootSystem, w: WeylElement) -> Word:
-    """Canonical reduced word of w: greedy left descents, smallest index first."""
-    ident = _identity_matrix(system.rank)
-    inv = _invert_matrix(w.matrix)
+    """Canonical reduced word of w: greedy left descents, smallest index first.
+
+    s_i is a left descent of the residual u exactly when
+    p_i = <alpha_i^vee, u(2 rho)> < 0, and u is the identity exactly when
+    every p_i is 2 (Humphreys, Reflection Groups and Coxeter Groups,
+    1.6-1.7).  Each step strips the smallest descent, u <- s_i u; there are
+    exactly l(w) of them, so the loop runs at most w.length times and any
+    other outcome (a wrong carried length, a corrupt pairing) raises.
+    """
+    p = _descent_pairings(system, w.matrix)
     letters: list[int] = []
-    while inv != ident:
-        for i0 in range(system.rank):
-            if sum(inv[i0]) < 0:
-                break
-        else:  # pragma: no cover - impossible for a genuine group element
-            raise AssertionError("no descent found for a non-identity element")
+    for _ in range(w.length):
+        i0 = next((i for i, v in enumerate(p) if v < 0), -1)
+        if i0 < 0:
+            break
         letters.append(i0 + 1)
-        inv = _right_mul(inv, i0, system.cartan)
-    word = Word(system, tuple(letters))
-    assert len(letters) == w.length
-    return word
+        _strip_descent(p, i0, system.cartan)
+    if len(letters) != w.length or p != [2] * system.rank:
+        raise AssertionError(
+            f"carried length {w.length} disagrees with the left descents over "
+            f"{system.ctype}: {len(letters)} stripped, pairings left {p}, "
+            f"all 2 only at the identity"
+        )
+    return Word(system, tuple(letters))
 
 
 def longest_word(system: RootSystem) -> Word:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from weyldiag import CartanType, Word, build_root_system
-from weyldiag.roots import _identity_matrix, _right_mul
+from weyldiag.roots import _identity_matrix, _invert_matrix, _right_mul
 
 CENSUS_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -33,6 +33,33 @@ def random_reduced_word(system, rng, max_len):
 def random_reduced_words(system, count, max_len, seed):
     rng = random.Random(seed)
     return [random_reduced_word(system, rng, max_len) for _ in range(count)]
+
+
+def diagram_positions_by_inverse(word, u):
+    """Reference for diagram_for: the descent recursion on the inverse
+    matrix, where s_i is a left descent of u when row i of u^{-1}, the
+    image u^{-1}(alpha_i), has a negative sum.  Positions, or None."""
+    system = word.system
+    inv = _invert_matrix(u.matrix)
+    positions = []
+    for pos, i in enumerate(word.letters, start=1):
+        if sum(inv[i - 1]) < 0:
+            positions.append(pos)
+            inv = _right_mul(inv, i - 1, system.cartan)
+    return tuple(positions) if inv == _identity_matrix(system.rank) else None
+
+
+def reduced_word_by_inverse(system, u):
+    """Reference for reduced_word: smallest left descent first, read off
+    the inverse matrix as in diagram_positions_by_inverse."""
+    ident = _identity_matrix(system.rank)
+    inv = _invert_matrix(u.matrix)
+    letters = []
+    while inv != ident:
+        i0 = next(i0 for i0 in range(system.rank) if sum(inv[i0]) < 0)
+        letters.append(i0 + 1)
+        inv = _right_mul(inv, i0, system.cartan)
+    return tuple(letters)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,12 @@ from weyldiag import (
     zeta_prime,
 )
 
-from conftest import random_reduced_words, system_of
+from conftest import (
+    diagram_positions_by_inverse,
+    random_reduced_words,
+    reduced_word_by_inverse,
+    system_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +209,30 @@ def test_diagram_for_presence_agrees_with_oracle():
                 found = diagram_for(word, u)
                 assert (found is not None) == (u in members)
                 assert (found is not None) == bruhat_leq_oracle(word, u)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_descents_by_pairings_match_the_inverse_matrix_on_all_of_w(family, rank):
+    from weyldiag.verify import group_elements
+
+    system = system_of(family, rank)
+    words = random_reduced_words(system, 3, system.num_positive_roots, seed=rank)
+    for u in group_elements(system):
+        assert reduced_word(system, u).letters == reduced_word_by_inverse(system, u)
+        for word in words:
+            found = diagram_for(word, u)
+            positions = None if found is None else found.positions
+            assert positions == diagram_positions_by_inverse(word, u)
+
+
+def test_diagram_for_and_reduced_word_refuse_elements_of_another_rank(a3):
+    word = Word(a3, (1, 2, 1))
+    for rank in (2, 4):
+        u = element_of_word(system_of("A", rank), (1, 2))
+        for call in (lambda: diagram_for(word, u), lambda: reduced_word(a3, u)):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert f"rank {rank} " in str(info.value) and "(rank 3)" in str(info.value)
 
 
 def test_obstruction_examples(w121):

@@ -1,6 +1,7 @@
 """Property tests: carried lengths, extension to w0 and zeta' over many
-types, the inversion count against its dot-product reference, and the
-obstruction and Le walks against the ascent walk."""
+types, the inversion count against its dot-product reference, the descent
+pairings against the inverse matrix, and the obstruction and Le walks
+against the ascent walk."""
 
 import pytest
 
@@ -11,10 +12,12 @@ from weyldiag import (
     Diagram,
     GridShape,
     Word,
+    diagram_for,
     element_of_word,
     extend_to_w0,
     invert,
     quantum_matrices_word,
+    reduced_word,
     zeta,
     zeta_prime,
 )
@@ -22,7 +25,12 @@ from weyldiag.diagrams import _ascent_step, _obstruction_step, _walk
 from weyldiag.grid import _le_walk
 from weyldiag.roots import _count_inversions, _identity_matrix
 
-from conftest import random_reduced_word, system_of
+from conftest import (
+    diagram_positions_by_inverse,
+    random_reduced_word,
+    reduced_word_by_inverse,
+    system_of,
+)
 from test_words import extend_by_inverse_formula
 
 TYPES = [
@@ -72,6 +80,22 @@ def test_inversion_count_along_root_edges_equals_dot_products(ctype, data):
     letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))
     m = element_of_word(system, letters).matrix
     assert _count_inversions(system, m) == count_inversions_by_dot_products(system, m)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(TYPES + [("B", 16), ("A", 32)]), st.data())
+def test_descents_by_pairings_match_the_inverse_matrix(ctype, data):
+    system = system_of(*ctype)
+    letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))
+    walk = random_reduced_word(system, data.draw(st.randoms(use_true_random=False)), MAX_LEN)
+    # An arbitrary element, and a subword product, which lies in the interval.
+    inside = data.draw(st.lists(st.booleans(), min_size=walk.t, max_size=walk.t))
+    subword = [i for i, keep in zip(walk.letters, inside) if keep]
+    for u in (element_of_word(system, letters), element_of_word(system, subword)):
+        found = diagram_for(walk, u)
+        positions = None if found is None else found.positions
+        assert positions == diagram_positions_by_inverse(walk, u)
+        assert reduced_word(system, u).letters == reduced_word_by_inverse(system, u)
 
 
 def ascent_walk(word):

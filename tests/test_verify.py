@@ -340,6 +340,35 @@ def test_roundtrip_check_fails_on_an_injected_descent_defect(monkeypatch, a3):
     assert "roundtrip_ok false" in res.stdout.splitlines()
 
 
+def test_roundtrip_check_fails_on_an_injected_two_rho_defect(monkeypatch, a3):
+    import weyldiag.roots as roots
+    from weyldiag import reduced_word
+    from weyldiag.cli import run
+
+    # A fresh A3 (so no cached interval or group is reused) whose 2 rho is
+    # (1,1,1), not dominant regular: <alpha_2^vee, .> reads 0 on it, so the
+    # identity's descent pairings are (1,0,1), never all 2.  The CLI finds
+    # the same system through the root-system cache.
+    letters = (1, 2, 1, 3, 2, 1)
+    clean = _verify_flags(verify_word(Word(a3, letters)))
+    ctype = CartanType("A", 3)
+    system = roots.RootSystem(ctype)
+    assert system.two_rho == (3, 4, 3)
+    monkeypatch.setattr(system, "two_rho", (1, 1, 1))
+    monkeypatch.setitem(roots._SYSTEMS, ctype, system)
+    assert roots._descent_pairings(system, roots._identity_matrix(3)) == [1, 0, 1]
+
+    # Only the descent recursion reads 2 rho.
+    assert _verify_flags(verify_word(Word(system, letters))) == {**clean, "roundtrip_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    assert "roundtrip_ok false" in res.stdout.splitlines()
+    # Bounded by the carried length: it raises rather than loop.
+    for u in (Word(system, ()).element, Word(system, letters).element):
+        with pytest.raises(AssertionError):
+            reduced_word(system, u)
+
+
 def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod

@@ -4,6 +4,7 @@ from weyldiag import (
     DomainError,
     NotReducedError,
     Word,
+    WeylElement,
     compose,
     element_of_word,
     extend_to_w0,
@@ -73,6 +74,16 @@ def test_root_sequence_set_is_word_independent(a2, a3):
     w3 = Word(a3, (1, 2, 3, 1, 2, 1))
     assert w1.element == w2.element == w3.element
     assert set(root_sequence(w1)) == set(root_sequence(w2)) == set(root_sequence(w3))
+
+
+def test_reduced_word_refuses_a_wrong_carried_length(a3):
+    # The loop is bounded by the carried length, so a wrong one raises,
+    # under python -O too, instead of looping or returning a wrong word.
+    w = element_of_word(a3, (1, 2, 1, 3))
+    assert reduced_word(a3, w).letters == (1, 2, 1, 3)
+    for length in (w.length - 1, w.length + 1):
+        with pytest.raises(AssertionError):
+            reduced_word(a3, WeylElement(w.matrix, length))
 
 
 def test_reduced_word_of_identity_is_empty(a2):

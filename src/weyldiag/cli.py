@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, system=False, word=False):
+    def add(name: str, help_text: str, *, system=False, word=False, grid=False):
         cmd = sub.add_parser(name, help=help_text)
         if system:
             cmd.add_argument("--type", required=True, choices=list("ABCDEFG"),
@@ -109,6 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--word", required=True,
                              help="reduced word, e.g. '1,2,1'")
         cmd.add_argument("--format", choices=["text", "json"], default="text")
+        if grid:
+            cmd.add_argument("--p", required=True, type=int, help="rows")
+            cmd.add_argument("--m", required=True, type=int, help="columns")
         return cmd
 
     add("roots", "print the positive roots", system=True)
@@ -139,18 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("census", "positive-diagram count over a longest word vs group order",
         system=True)
 
-    cmd = add("qm", "emit the grid word for a p x m grid")
-    cmd.add_argument("--p", required=True, type=int, help="rows")
-    cmd.add_argument("--m", required=True, type=int, help="columns")
+    add("qm", "emit the grid word for a p x m grid", grid=True)
 
-    cmd = add("le", "test a grid filling for the Le property")
-    cmd.add_argument("--p", required=True, type=int)
-    cmd.add_argument("--m", required=True, type=int)
+    cmd = add("le", "test a grid filling for the Le property", grid=True)
     cmd.add_argument("--grid", required=True, help="boxes, e.g. '1,2 2,2'")
 
-    cmd = add("pipedream", "pipe-dream permutation of a grid filling")
-    cmd.add_argument("--p", required=True, type=int)
-    cmd.add_argument("--m", required=True, type=int)
+    cmd = add("pipedream", "pipe-dream permutation of a grid filling", grid=True)
     cmd.add_argument("--grid", required=True)
     cmd.add_argument("--render", action="store_true", help="print the wiring drawing")
 

@@ -304,26 +304,6 @@ class ObstructionCheck:
     trace: GammaTrace | None
 
 
-def _gamma_trace(diagram: Diagram, j: int, m: int) -> GammaTrace:
-    word = diagram.word
-    system = word.system
-    betas = word.betas
-    inside = set(diagram.positions)
-    ls = tuple(k for k in range(j + 1, m) if k not in inside)
-    p = len(ls)
-    gammas: list[RootVector] = [()] * (p + 1)
-    coeffs: list[int] = [0] * p
-    gammas[p] = betas[m - 1]
-    for i in range(p, 0, -1):
-        beta_l = betas[ls[i - 1] - 1]
-        coeffs[i - 1] = coroot_pairing(system, beta_l, gammas[i])
-        gammas[i - 1] = reflect(system, beta_l, gammas[i])
-    trace = GammaTrace(j, m, ls, tuple(gammas), tuple(coeffs))
-    if __debug__:
-        _assert_gammas_match_omitted_products(trace, word)
-    return trace
-
-
 def _assert_gammas_match_omitted_products(trace: GammaTrace, word: Word) -> None:
     # Independent recomputation: gamma_i must equal the image of the m-th
     # letter's simple root under the product of the first m-1 letters with
@@ -364,17 +344,26 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     if m not in diagram.positions:
         raise DomainError(f"position m={m} must belong to the diagram")
     inside = set(diagram.positions)
-    if all(k in inside for k in range(j + 1, m)):
+    ls = tuple(k for k in range(j + 1, m) if k not in inside)
+    if not ls:
         return ObstructionCheck(False, False, None)
-    trace = _gamma_trace(diagram, j, m)
+    system = word.system
     betas = word.betas
     beta_m = betas[m - 1]
-    accumulated = [0] * word.system.rank
-    for a, l in zip(trace.coefficients, trace.complement_positions):
-        bl = betas[l - 1]
-        for k in range(len(accumulated)):
-            accumulated[k] += a * bl[k]
-    assert tuple(b - a for b, a in zip(beta_m, accumulated)) == trace.gammas[0], (
+    p = len(ls)
+    gammas: list[RootVector] = [()] * (p + 1)
+    coeffs: list[int] = [0] * p
+    accumulated = [0] * system.rank
+    gammas[p] = beta_m
+    for i in range(p, 0, -1):
+        beta_l = betas[ls[i - 1] - 1]
+        coeffs[i - 1] = a = coroot_pairing(system, beta_l, gammas[i])
+        gammas[i - 1] = reflect(system, beta_l, gammas[i])
+        accumulated = [x + a * b for x, b in zip(accumulated, beta_l)]
+    trace = GammaTrace(j, m, ls, tuple(gammas), tuple(coeffs))
+    if __debug__:
+        _assert_gammas_match_omitted_products(trace, word)
+    assert tuple(b - a for b, a in zip(beta_m, accumulated)) == gammas[0], (
         "telescoping identity for gamma_1"
     )
     violated = tuple(accumulated) == tuple(a + b for a, b in zip(betas[j - 1], beta_m))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DomainError, UsageError
-from .roots import RootSystem, WeylElement, root_system
+from .roots import CartanType, RootSystem, WeylElement, root_system
 from .words import Word
 from .diagrams import Diagram, _walk
 
@@ -48,6 +48,7 @@ class GridShape:
     def __post_init__(self):
         if self.p < 1 or self.m < 1:
             raise DomainError(f"grid shape needs p >= 1 and m >= 1, got {self.p}x{self.m}")
+        CartanType("A", self.n)  # the rank bound holds for grid words too
 
     @property
     def n(self) -> int:
@@ -111,8 +112,7 @@ def quantum_matrices_word(shape: GridShape) -> Word:
 
 def linearize(grid: GridDiagram) -> Diagram:
     word = quantum_matrices_word(grid.shape)
-    positions = sorted(box_position(grid.shape, r, c) for r, c in grid.boxes)
-    return Diagram(word, tuple(positions))
+    return Diagram(word, tuple(box_position(grid.shape, r, c) for r, c in grid.boxes))
 
 
 def grid_from_mask(shape: GridShape, mask: int) -> GridDiagram:
@@ -164,15 +164,13 @@ def pipe_dream_permutation(grid: GridDiagram) -> tuple[int, ...]:
     """One-line permutation of 1..n+1 built from the filled positions.
 
     The letters of the filled positions, taken in increasing position
-    order, are applied as transpositions (i, i+1) from the right; the
-    result is zeta' of the linearized diagram.
+    order (column-major box order), are applied as transpositions (i, i+1)
+    from the right; the result is zeta' of the linearized diagram.
     """
     shape = grid.shape
     size = shape.n + 1
     sigma = list(range(1, size + 1))
-    filled = sorted(box_position(shape, r, c) for r, c in grid.boxes)
-    for k in filled:
-        r, c = position_box(shape, k)
+    for r, c in sorted(grid.boxes, key=lambda box: box[::-1]):
         e = shape.p + c - r
         for idx in range(size):
             if sigma[idx] == e:

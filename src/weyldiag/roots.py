@@ -54,6 +54,7 @@ simple reflection acts by s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DomainError, InvalidRankError
 
@@ -249,7 +250,15 @@ def root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(CartanType(family, rank))
 
 
+def _require_rank(x: RootVector, rank: int) -> None:
+    # zip would silently truncate a vector of another length.
+    if len(x) != rank:
+        raise DomainError(f"vector of length {len(x)} does not match rank {rank}")
+
+
 def bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:
+    _require_rank(x, system.rank)
+    _require_rank(y, system.rank)
     form = system.form
     return sum(xi * sum(f * yj for f, yj in zip(frow, y)) for xi, frow in zip(x, form) if xi)
 
@@ -284,6 +293,7 @@ class WeylElement:
     length: int
 
 
+@cache
 def _identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
@@ -299,15 +309,8 @@ def _right_mul(m: IntMatrix, a0: int, cartan: IntMatrix) -> IntMatrix:
 
 
 def _left_mul(m: IntMatrix, a0: int, cartan: IntMatrix) -> IntMatrix:
-    # Matrix of (s_a . elem): apply s_a to every row vector (coordinate a0 update).
-    crow = cartan[a0]
-    out = []
-    for row in m:
-        delta = sum(c * v for c, v in zip(crow, row) if c)
-        if delta:
-            row = row[:a0] + (row[a0] - delta,) + row[a0 + 1 :]
-        out.append(row)
-    return tuple(out)
+    # Matrix of (s_a . elem): s_a applied to every row vector.
+    return tuple(_simple_image(row, a0, cartan) for row in m)
 
 
 def _apply(m: IntMatrix, x: RootVector) -> RootVector:
@@ -403,6 +406,7 @@ def element_of_word(system: RootSystem, letters) -> WeylElement:
 
 
 def apply_element(w: WeylElement, x: RootVector) -> RootVector:
+    _require_rank(x, len(w.matrix))
     return _apply(w.matrix, x)
 
 
@@ -411,11 +415,6 @@ def invert(w: WeylElement) -> WeylElement:
 
 
 def compose(system: RootSystem, w: WeylElement, u: WeylElement) -> WeylElement:
-    """w . u, with u applied first."""
-    mu, mw = u.matrix, w.matrix
-    n = len(mu)
-    prod = tuple(
-        tuple(sum(mu[i][k] * mw[k][j] for k in range(n) if mu[i][k]) for j in range(n))
-        for i in range(n)
-    )
+    """w . u, with u applied first: row i is w applied to u(alpha_i)."""
+    prod = tuple(_apply(w.matrix, row) for row in u.matrix)
     return WeylElement(prod, _count_inversions(system, prod))

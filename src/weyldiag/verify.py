@@ -142,20 +142,16 @@ class VerificationReport:
 
 
 def detect_grid_shape(word: Word) -> grid_mod.GridShape | None:
-    """Recognize the m-run grid word, if the word is one."""
-    t = word.t
-    if word.system.ctype.family != "A" or t == 0:
+    """Recognize the m-run grid word, if the word is one.  It opens with the
+    run p, p-1, ..., 1, so its first letter is p."""
+    if word.system.ctype.family != "A" or word.t == 0:
         return None
-    for p in range(1, t + 1):
-        if t % p:
-            continue
-        m = t // p
-        if p + m - 1 != word.system.rank:
-            continue
-        shape = grid_mod.GridShape(p, m)
-        if grid_mod.quantum_matrices_word(shape).letters == word.letters:
-            return shape
-    return None
+    p = word.letters[0]
+    m, rest = divmod(word.t, p)
+    if rest or p + m - 1 != word.system.rank:
+        return None
+    shape = grid_mod.GridShape(p, m)
+    return shape if grid_mod.quantum_matrices_word(shape).letters == word.letters else None
 
 
 def order_preservation_stats(word: Word, images: dict) -> dict:

@@ -10,6 +10,13 @@ CENSUS_TYPES = [
     ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
 ]
 
+# At least one type of each family, for the property tests and the others
+# that range over every family.
+PROPERTY_TYPES = [
+    ("A", 1), ("A", 3), ("B", 3), ("C", 4), ("D", 5),
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
+]
+
 
 def system_of(family, rank):
     return build_root_system(CartanType(family, rank))

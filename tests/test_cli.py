@@ -70,16 +70,27 @@ def test_invalid_rank_gives_exit_3():
     assert "E5" in res.stderr
 
 
+GRID_COMMANDS = (["qm"], ["le", "--grid", "1,1"], ["pipedream", "--grid", "1,1"])
+
+
 def test_rank_above_the_classical_bound_gives_exit_3():
     res = run(["roots", "--type", "A", "--rank", "400"])
     assert res.exit_code == 3
     assert res.stderr == "error: no root system A400: family A needs rank in 1..64\n"
+    # A 40x26 grid word lives in A65.
+    for name, *rest in GRID_COMMANDS:
+        res = run([name, "--p", "40", "--m", "26", *rest])
+        assert res.exit_code == 3, name
+        assert res.stderr == "error: no root system A65: family A needs rank in 1..64\n", name
 
 
 def test_rank_at_the_classical_bound_builds():
     res = run(["roots", "--type", "B", "--rank", "64"])
     assert res.exit_code == 0
     assert len(res.stdout.splitlines()) == 64 * 64
+    for name, *rest in GRID_COMMANDS:
+        res = run([name, "--p", "40", "--m", "25", *rest])
+        assert res.exit_code == 0, (name, res.stderr)
 
 
 def test_parse_word_examples():
@@ -217,10 +228,10 @@ def test_verify_output_to_unwritable_path_gives_exit_2(tmp_path):
     assert not target.exists()
 
 
-def _run_under_python_O(*args):
+def _run_under_python_O(*args, env=None):
     from weyldiag.verify import SWEEP_CAP_ENV
 
-    env = {k: v for k, v in os.environ.items() if k != SWEEP_CAP_ENV}
+    env = {k: v for k, v in os.environ.items() if k != SWEEP_CAP_ENV} | (env or {})
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run(
         [sys.executable, "-O", "-m", "weyldiag.cli", *args],
@@ -232,6 +243,17 @@ def test_census_under_python_O():
     res = _run_under_python_O("census", "--type", "C", "--rank", "4")
     assert res.returncode == 0, res.stderr
     assert "positive_count 384" in res.stdout.splitlines()
+
+
+def test_e6_census_under_python_O():
+    # t = 36 needs the documented cap override.
+    res = _run_under_python_O("census", "--type", "E", "--rank", "6",
+                              env={"WEYLDIAG_SWEEP_CAP": "36"})
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "positive_count 51840" in lines
+    assert "group_order 51840" in lines
+    assert "ok true" in lines
 
 
 def test_verify_under_python_O():

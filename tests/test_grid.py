@@ -6,6 +6,7 @@ from weyldiag import (
     DomainError,
     GridDiagram,
     GridShape,
+    InvalidRankError,
     box_position,
     element_of_word,
     format_grid,
@@ -53,6 +54,9 @@ def test_quantum_matrices_word(p, m, letters):
 def test_shape_validation():
     with pytest.raises(DomainError):
         GridShape(0, 2)
+    with pytest.raises(InvalidRankError):
+        GridShape(40, 26)  # A65
+    assert GridShape(40, 25).n == 64
     assert GridShape(1, 4).degenerate
     assert not GridShape(2, 2).degenerate
 

@@ -26,6 +26,7 @@ from weyldiag.grid import _le_walk
 from weyldiag.roots import _count_inversions, _identity_matrix
 
 from conftest import (
+    PROPERTY_TYPES,
     diagram_positions_by_inverse,
     random_reduced_word,
     reduced_word_by_inverse,
@@ -33,17 +34,13 @@ from conftest import (
 )
 from test_words import extend_by_inverse_formula
 
-TYPES = [
-    ("A", 1), ("A", 3), ("B", 3), ("C", 4), ("D", 5),
-    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2),
-]
 MAX_LEN = 14
 
 
 @st.composite
 def words(draw):
     """An arbitrary letter list and a reduced word (an ascent walk) over one type."""
-    system = system_of(*draw(st.sampled_from(TYPES)))
+    system = system_of(*draw(st.sampled_from(PROPERTY_TYPES)))
     letters = draw(st.lists(st.integers(1, system.rank), max_size=MAX_LEN))
     walk = random_reduced_word(system, draw(st.randoms(use_true_random=False)), MAX_LEN)
     return Word(system, letters), walk
@@ -74,7 +71,7 @@ def count_inversions_by_dot_products(system, m):
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(TYPES + [("B", 16), ("A", 32)]), st.data())
+@given(st.sampled_from(PROPERTY_TYPES + [("B", 16), ("A", 32)]), st.data())
 def test_inversion_count_along_root_edges_equals_dot_products(ctype, data):
     system = system_of(*ctype)
     letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))
@@ -83,7 +80,7 @@ def test_inversion_count_along_root_edges_equals_dot_products(ctype, data):
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(TYPES + [("B", 16), ("A", 32)]), st.data())
+@given(st.sampled_from(PROPERTY_TYPES + [("B", 16), ("A", 32)]), st.data())
 def test_descents_by_pairings_match_the_inverse_matrix(ctype, data):
     system = system_of(*ctype)
     letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from weyldiag.roots import (
 )
 from weyldiag.verify import group_elements, group_order
 
-from conftest import random_reduced_words, system_of
+from conftest import PROPERTY_TYPES, random_reduced_words, system_of
 
 
 # -- brute-force closure oracles, independent of the library internals --------
@@ -330,10 +331,30 @@ def test_integer_inverse_matches_fraction_reference_on_sampled_e_elements(rank):
         _assert_inverts(word.element.matrix)
 
 
-def test_compose_matches_word_concatenation(a2):
-    w = element_of_word(a2, (1, 2))
-    u = element_of_word(a2, (2, 1))
-    assert compose(a2, w, u) == element_of_word(a2, (1, 2, 2, 1))
+def test_compose_matches_word_concatenation():
+    # Arbitrary letters, so most concatenations are not reduced: the carried
+    # length of the word is checked against compose's inversion count.
+    rng = random.Random(29)
+    for family, rank in PROPERTY_TYPES + [("A", 32), ("B", 16)]:
+        system = system_of(family, rank)
+        for _ in range(20):
+            left = [rng.randint(1, rank) for _ in range(rng.randint(0, 12))]
+            right = [rng.randint(1, rank) for _ in range(rng.randint(0, 12))]
+            w, u = element_of_word(system, left), element_of_word(system, right)
+            assert compose(system, w, u) == element_of_word(system, left + right), (
+                family, rank, left, right,
+            )
+
+
+def test_vectors_of_another_length_are_rejected(a3):
+    w = element_of_word(a3, (1, 2))
+    for x in [(1, 0), (1, 0, 0, 0)]:
+        with pytest.raises(DomainError, match=f"length {len(x)} does not match rank 3"):
+            apply_element(w, x)
+        with pytest.raises(DomainError, match=f"length {len(x)} does not match rank 3"):
+            reflect(a3, (1, 0, 0), x)
+        with pytest.raises(DomainError, match=f"length {len(x)} does not match rank 3"):
+            coroot_pairing(a3, (1, 0, 0), x)
 
 
 def test_elements_permute_the_roots():

@@ -42,12 +42,11 @@ from .roots import (
     _descent_pairings,
     _identity_matrix,
     _left_mul,
+    _reflect_by,
     _right_mul,
-    _simple_image,
     _strip_descent,
     coroot_pairing,
     element_of_word,
-    reflect,
 )
 from .words import Word, require_reduced
 
@@ -107,7 +106,6 @@ def subexpression(diagram: Diagram) -> SubexpressionTrace:
     word = diagram.word
     require_reduced(word)
     system = word.system
-    cartan = system.cartan
     inside = set(diagram.positions)
     m = _identity_matrix(system.rank)
     ell = 0
@@ -116,7 +114,7 @@ def subexpression(diagram: Diagram) -> SubexpressionTrace:
         if pos in inside:
             a0 = word.letters[pos - 1] - 1
             ell += 1 if sum(m[a0]) > 0 else -1
-            m = _right_mul(m, a0, cartan)
+            m = _right_mul(m, a0, system._cartan_rows)
         vs.append(WeylElement(m, ell))
     return SubexpressionTrace(tuple(vs))
 
@@ -144,13 +142,13 @@ def _ascent_step(word: Word, j: int, m: IntMatrix, size: int):
     a0 = word.letters[j - 1] - 1
     if sum(m[a0]) < 0:
         return None
-    return m, _right_mul(m, a0, word.system.cartan)
+    return m, _right_mul(m, a0, word.system._cartan_rows)
 
 
 def _length_step(word: Word, j: int, m: IntMatrix, size: int):
     # Length characterization: s_{alpha_j} times the product m of the size
     # member letters after j must have length 1 + size, by inversion counting.
-    candidate = _left_mul(m, word.letters[j - 1] - 1, word.system.cartan)
+    candidate = _left_mul(m, word.letters[j - 1] - 1, word.system._cartan_rows)
     if _count_inversions(word.system, candidate) != 1 + size:
         return None
     return m, candidate
@@ -239,13 +237,12 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
     """
     require_reduced(word)
     system = word.system
-    cartan = system.cartan
     p = _descent_pairings(system, u.matrix)
     positions = []
     for pos, i in enumerate(word.letters, start=1):
         if p[i - 1] < 0:
             positions.append(pos)
-            _strip_descent(p, i - 1, cartan)
+            _strip_descent(p, i - 1, system._cartan_cols)
     if p != [2] * system.rank:
         return None
     return Diagram(word, tuple(positions))
@@ -266,10 +263,9 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
     """
     require_reduced(word)
     system = word.system
-    cartan = system.cartan
     reachable: set[IntMatrix] = {_identity_matrix(system.rank)}
     for i in word.letters:
-        reachable |= {_right_mul(m, i - 1, cartan) for m in reachable}
+        reachable |= {_right_mul(m, i - 1, system._cartan_rows) for m in reachable}
     return frozenset(WeylElement(m, _count_inversions(system, m)) for m in reachable)
 
 
@@ -309,7 +305,6 @@ def _assert_gammas_match_omitted_products(trace: GammaTrace, word: Word) -> None
     # letter's simple root under the product of the first m-1 letters with
     # the letters at positions l_i..l_p omitted.
     system = word.system
-    cartan = system.cartan
     letters = word.letters
     m, ls = trace.m, trace.complement_positions
     p = len(ls)
@@ -319,7 +314,7 @@ def _assert_gammas_match_omitted_products(trace: GammaTrace, word: Word) -> None
     upper = m
     for i in range(p, 0, -1):
         for k in range(upper - 1, ls[i - 1], -1):
-            tail = _left_mul(tail, letters[k - 1] - 1, cartan)
+            tail = _left_mul(tail, letters[k - 1] - 1, system._cartan_rows)
         upper = ls[i - 1]
         head = prefixes[ls[i - 1] - 1]
         image = _apply(head, tail[alpha_m0])
@@ -358,7 +353,7 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     for i in range(p, 0, -1):
         beta_l = betas[ls[i - 1] - 1]
         coeffs[i - 1] = a = coroot_pairing(system, beta_l, gammas[i])
-        gammas[i - 1] = reflect(system, beta_l, gammas[i])
+        gammas[i - 1] = _reflect_by(beta_l, a, gammas[i])
         accumulated = [x + a * b for x, b in zip(accumulated, beta_l)]
     trace = GammaTrace(j, m, ls, tuple(gammas), tuple(coeffs))
     if __debug__:
@@ -391,15 +386,14 @@ def _obstruction_step(word: Word, j: int, state, size: int):
     out = []
     for g in gs:
         c = sum(a * x for a, x in zip(coroot, g) if a)
-        out.append(tuple(x - c * b for x, b in zip(g, beta)) if c else g)
+        out.append(_reflect_by(beta, c, g))
     joined_rows = ()
     if __debug__:
         head = word.prefix_matrices[j - 1]
         for g, row in zip(out, rows):
             assert _apply(head, row) == g, f"gamma mismatch at position {j} over {word}"
         a0 = word.letters[j - 1] - 1
-        cartan = word.system.cartan
-        joined_rows = tuple(_simple_image(row, a0, cartan) for row in rows)
+        joined_rows = _left_mul(rows, a0, word.system._cartan_rows)
         joined_rows += (word.system.simple_roots[a0],)
     return (tuple(out), rows), (gs + (beta,), joined_rows)
 

@@ -13,13 +13,18 @@ on a coefficient vector x is the row-vector product x @ M, so the matrix
 of a composition w . u ("u first, then w") is M_u @ M_w.  Multiplying an
 element by a simple reflection on either side is a sparse row or column
 update driven by one row of the Cartan matrix, which keeps sweeps over
-many diagrams cheap.
+many diagrams cheap.  RootSystem keeps that matrix sparse as well:
+_cartan_rows[i] lists the nonzero (j, a[i][j]) of row i and _cartan_cols[j]
+the nonzero (i, a[i][j]) of column j, and every product, simple image and
+descent update reads only those, at most four entries, never a whole row.
 
 The Coxeter length travels with the matrix.  element_of_word carries it
 by the ascent rule, one step of +-1 per letter, and invert keeps it;
 compose, the one product not built from letters, counts it as the number
 of positive roots sent negative.  That inversion count is otherwise left
-to the checks, as the independent length oracle.
+to the checks, as the independent length oracle.  invert reads a reduced
+word of the element off its left descents and multiplies it out
+backwards, so no matrix is ever inverted by elimination.
 
 Left descents are read without inverting the matrix.  s_i is a left
 descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
@@ -55,11 +60,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 
 from .errors import DomainError, InvalidRankError
 
 RootVector = tuple[int, ...]
 IntMatrix = tuple[RootVector, ...]
+# The nonzero (index, entry) pairs of each row, or of each column, of a matrix.
+SparseLines = tuple[tuple[tuple[int, int], ...], ...]
 
 FAMILIES = "ABCDEFG"
 
@@ -141,10 +149,11 @@ def _cartan_and_symmetrizer(ctype: CartanType) -> tuple[IntMatrix, tuple[int, ..
     return tuple(tuple(row) for row in a), tuple(d)
 
 
-def _simple_image(x: tuple[int, ...], i0: int, cartan: IntMatrix) -> RootVector:
+def _simple_image(x: tuple[int, ...], i0: int, rows: SparseLines) -> RootVector:
     # s_i(x): only coordinate i0 changes, by the coroot pairing with x.
-    crow = cartan[i0]
-    delta = sum(c * v for c, v in zip(crow, x) if c)
+    delta = 0
+    for j, c in rows[i0]:
+        delta += c * x[j]
     if not delta:
         return tuple(x)
     out = list(x)
@@ -180,11 +189,24 @@ class RootSystem:
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
 
+        self._cartan_rows: SparseLines = tuple(
+            tuple((j, c) for j, c in enumerate(crow) if c) for crow in cartan
+        )
+        self._cartan_cols: SparseLines = tuple(
+            tuple((i, crow[j]) for i, crow in enumerate(cartan) if crow[j]) for j in range(n)
+        )
+        # Every product reads these, so checks built on products would all
+        # agree with one another over a wrong entry: compare them here, once.
+        assert (
+            sorted((i, j, c) for i, row in enumerate(self._cartan_rows) for j, c in row)
+            == sorted((i, j, c) for j, col in enumerate(self._cartan_cols) for i, c in col)
+            == [(i, j, c) for i, crow in enumerate(cartan) for j, c in enumerate(crow) if c]
+        ), "sparse Cartan rows and columns must rebuild the Cartan matrix"
+
         # Alpha-strings, height by height (see the module docstring).  p is
         # read off lower levels: below[k] maps i to the index of
         # positive[k] - alpha_i whenever that is a root, and is complete once
         # the level before positive[k] is done.
-        rows = [[(j, c) for j, c in enumerate(crow) if c] for crow in cartan]
         positive: list[RootVector] = []
         edges: list[tuple[int, int]] = []
         below: list[dict[int, int]] = []
@@ -201,7 +223,7 @@ class RootSystem:
             level = {}
             for k in range(start, len(positive)):
                 beta = positive[k]
-                for i, row in enumerate(rows):
+                for i, row in enumerate(self._cartan_rows):
                     pairing = 0
                     for j, c in row:
                         pairing += c * beta[j]
@@ -276,10 +298,12 @@ def reflect(system: RootSystem, beta: RootVector, x: RootVector) -> RootVector:
     beta = tuple(beta)
     if beta not in system.roots:
         raise DomainError(f"{beta} is not a root of {system.ctype}")
-    k = coroot_pairing(system, beta, x)
-    if not k:
-        return tuple(x)
-    return tuple(xi - k * bi for xi, bi in zip(x, beta))
+    return _reflect_by(beta, coroot_pairing(system, beta, x), x)
+
+
+def _reflect_by(beta: RootVector, k: int, x: RootVector) -> RootVector:
+    # x - k beta, for a caller that already holds k = (beta^vee, x).
+    return tuple(xi - k * bi for xi, bi in zip(x, beta)) if k else tuple(x)
 
 
 # -- Weyl group elements ----------------------------------------------------
@@ -298,19 +322,21 @@ def _identity_matrix(n: int) -> IntMatrix:
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
-def _right_mul(m: IntMatrix, a0: int, cartan: IntMatrix) -> IntMatrix:
-    # Matrix of (elem . s_a): new row j = row j - a[a0][j] * row a0.
-    crow = cartan[a0]
+def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
+    # Matrix of (elem . s_a): new row j = row j - a[a0][j] * row a0, so only
+    # the rows listed in Cartan row a0 change; the others stay shared.  Off
+    # the diagonal the entry is most often -1, and the new row a plain sum.
     arow = m[a0]
-    return tuple(
-        tuple(v - c * w for v, w in zip(row, arow)) if (c := crow[j]) else row
-        for j, row in enumerate(m)
-    )
+    out = list(m)
+    for j, c in rows[a0]:
+        row = m[j]
+        out[j] = tuple(map(add, row, arow) if c == -1 else [v - c * w for v, w in zip(row, arow)])
+    return tuple(out)
 
 
-def _left_mul(m: IntMatrix, a0: int, cartan: IntMatrix) -> IntMatrix:
+def _left_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
     # Matrix of (s_a . elem): s_a applied to every row vector.
-    return tuple(_simple_image(row, a0, cartan) for row in m)
+    return tuple(_simple_image(row, a0, rows) for row in m)
 
 
 def _apply(m: IntMatrix, x: RootVector) -> RootVector:
@@ -344,41 +370,30 @@ def _descent_pairings(system: RootSystem, m: IntMatrix) -> list[int]:
             f"element of rank {len(m)} does not act on {system.ctype} (rank {system.rank})"
         )
     x = _apply(m, system.two_rho)
-    return [sum(c * v for c, v in zip(crow, x) if c) for crow in system.cartan]
+    return [sum(c * x[j] for j, c in row) for row in system._cartan_rows]
 
 
-def _strip_descent(p: list[int], a0: int, cartan: IntMatrix) -> None:
-    # u <- s_a . u in place: u(2 rho) loses p_a alpha_a, so p_i -= a[i][a0] p_a.
+def _strip_descent(p: list[int], a0: int, cols: SparseLines) -> None:
+    # u <- s_a . u in place: u(2 rho) loses p_a alpha_a, so p_i -= a[i][a0] p_a
+    # for the i listed in Cartan column a0.
     pa = p[a0]
-    for i, crow in enumerate(cartan):
-        if c := crow[a0]:
-            p[i] -= c * pa
+    for i, c in cols[a0]:
+        p[i] -= c * pa
 
 
-def _invert_matrix(m: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1, in integers only.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]: each update
-    is an exact integer division by the previous pivot, and after the last
-    column the left block is d * I and the right block d * m^{-1}, where d is
-    the final pivot, +-det(m).  Asserting d = +-1 is the check that a Weyl
-    matrix inverts integrally; the inverse is then the right block times d.
-    """
-    n = len(m)
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        pv = prow[col]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and (f or pv != prev):
-                aug[r] = [(pv * v - f * w) // prev for v, w in zip(aug[r], prow)]
-        prev = pv
-    assert prev in (1, -1), "Weyl matrices invert integrally"
-    return tuple(tuple(prev * v for v in row[n:]) for row in aug)
+def _left_descents(system: RootSystem, m: IntMatrix, bound: int) -> tuple[list[int], list[int]]:
+    # Strips the smallest left descent, u <- s_i u, at most bound times (see
+    # the module docstring).  Returns the letters stripped and the pairings
+    # left, which are all 2 exactly when the residual is the identity.
+    p = _descent_pairings(system, m)
+    letters: list[int] = []
+    for _ in range(bound):
+        i0 = next((i for i, v in enumerate(p) if v < 0), -1)
+        if i0 < 0:
+            break
+        letters.append(i0 + 1)
+        _strip_descent(p, i0, system._cartan_cols)
+    return letters, p
 
 
 def identity_element(system: RootSystem) -> WeylElement:
@@ -401,7 +416,7 @@ def element_of_word(system: RootSystem, letters) -> WeylElement:
     for i in letters:
         system.check_letter(i)
         ell += 1 if sum(m[i - 1]) > 0 else -1
-        m = _right_mul(m, i - 1, system.cartan)
+        m = _right_mul(m, i - 1, system._cartan_rows)
     return WeylElement(m, ell)
 
 
@@ -411,7 +426,24 @@ def apply_element(w: WeylElement, x: RootVector) -> RootVector:
 
 
 def invert(w: WeylElement) -> WeylElement:
-    return WeylElement(_invert_matrix(w.matrix), w.length)
+    """w^{-1}: a reduced word of w, multiplied out backwards.
+
+    A WeylElement does not name its root system, but its inverse is a fact
+    about the matrix alone, so any system of its rank whose group holds w at
+    its carried length gives it.  The word is the greedy left-descent word
+    of w in such a system, at most w.length letters long; a system qualifies
+    when that word multiplies out to w, length included, which proves
+    w = s_{i_1} ... s_{i_l} there with l = w.length.  Systems already built
+    are tried first, so the usual call builds none.
+    """
+    n = len(w.matrix)
+    types = [CartanType(f, n) for f, (lo, hi, _) in _RANK_RULES.items() if lo <= n <= hi]
+    for ctype in sorted(types, key=lambda ctype: ctype not in _SYSTEMS):
+        system = build_root_system(ctype)
+        letters = _left_descents(system, w.matrix, w.length)[0]
+        if element_of_word(system, letters) == w:
+            return element_of_word(system, letters[::-1])
+    raise DomainError(f"no root system of rank {n} holds this matrix at length {w.length}")
 
 
 def compose(system: RootSystem, w: WeylElement, u: WeylElement) -> WeylElement:

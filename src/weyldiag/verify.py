@@ -73,7 +73,6 @@ def enumerate_positive(word: Word) -> list[Diagram]:
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
 def group_elements(system: RootSystem) -> frozenset[WeylElement]:
     """The whole Weyl group by breadth-first closure of the generators."""
-    cartan = system.cartan
     ident = _identity_matrix(system.rank)
     seen: dict[IntMatrix, int] = {ident: 0}
     frontier = [ident]
@@ -83,7 +82,7 @@ def group_elements(system: RootSystem) -> frozenset[WeylElement]:
         fresh = []
         for m in frontier:
             for i0 in range(system.rank):
-                nxt = _right_mul(m, i0, cartan)
+                nxt = _right_mul(m, i0, system._cartan_rows)
                 if nxt not in seen:
                     seen[nxt] = depth
                     fresh.append(nxt)

@@ -18,10 +18,9 @@ from .roots import (
     RootSystem,
     RootVector,
     WeylElement,
-    _descent_pairings,
     _identity_matrix,
+    _left_descents,
     _right_mul,
-    _strip_descent,
     coroot_pairing,
     element_of_word,
 )
@@ -55,7 +54,7 @@ class Word:
         m = _identity_matrix(self.system.rank)
         out = [m]
         for i in self.letters:
-            m = _right_mul(m, i - 1, self.system.cartan)
+            m = _right_mul(m, i - 1, self.system._cartan_rows)
             out.append(m)
         return tuple(out)
 
@@ -130,14 +129,7 @@ def reduced_word(system: RootSystem, w: WeylElement) -> Word:
     exactly l(w) of them, so the loop runs at most w.length times and any
     other outcome (a wrong carried length, a corrupt pairing) raises.
     """
-    p = _descent_pairings(system, w.matrix)
-    letters: list[int] = []
-    for _ in range(w.length):
-        i0 = next((i for i, v in enumerate(p) if v < 0), -1)
-        if i0 < 0:
-            break
-        letters.append(i0 + 1)
-        _strip_descent(p, i0, system.cartan)
+    letters, p = _left_descents(system, w.matrix, w.length)
     if len(letters) != w.length or p != [2] * system.rank:
         raise AssertionError(
             f"carried length {w.length} disagrees with the left descents over "
@@ -173,7 +165,7 @@ def extend_to_w0(word: Word) -> Word:
         for i0 in range(system.rank):
             if sum(m[i0]) > 0:
                 letters.append(i0 + 1)
-                m = _right_mul(m, i0, system.cartan)
+                m = _right_mul(m, i0, system._cartan_rows)
                 break
         else:
             break

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from weyldiag import CartanType, Word, build_root_system
-from weyldiag.roots import _identity_matrix, _invert_matrix, _right_mul
+from weyldiag.roots import _identity_matrix
 
 CENSUS_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -22,6 +22,49 @@ def system_of(family, rank):
     return build_root_system(CartanType(family, rank))
 
 
+# -- dense reference arithmetic, independent of the library's sparse rows ------
+
+def dense_right_mul(m, a0, cartan):
+    """Matrix of (elem . s_a): every row j becomes row j - a[a0][j] * row a0."""
+    arow = m[a0]
+    return tuple(
+        tuple(v - cartan[a0][j] * w for v, w in zip(row, arow)) for j, row in enumerate(m)
+    )
+
+
+def dense_simple_image(x, i0, cartan):
+    """s_i(x): coordinate i0 loses the full dot product of Cartan row i0 with x."""
+    out = list(x)
+    out[i0] -= sum(c * v for c, v in zip(cartan[i0], x))
+    return tuple(out)
+
+
+def _invert_matrix(m):
+    """Inverse of an integer matrix with determinant +-1, in integers only.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]: each update
+    is an exact integer division by the previous pivot, and after the last
+    column the left block is d * I and the right block d * m^{-1}, where d is
+    the final pivot, +-det(m).  Asserting d = +-1 is the check that a Weyl
+    matrix inverts integrally; the inverse is then the right block times d.
+    """
+    n = len(m)
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        pv = prow[col]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and (f or pv != prev):
+                aug[r] = [(pv * v - f * w) // prev for v, w in zip(aug[r], prow)]
+        prev = pv
+    assert prev in (1, -1), "Weyl matrices invert integrally"
+    return tuple(tuple(prev * v for v in row[n:]) for row in aug)
+
+
 def random_reduced_word(system, rng, max_len):
     """Seeded random ascent walk; the result is reduced by construction."""
     target = rng.randint(0, min(max_len, system.num_positive_roots))
@@ -33,7 +76,7 @@ def random_reduced_word(system, rng, max_len):
             break
         i0 = rng.choice(ascents)
         letters.append(i0 + 1)
-        m = _right_mul(m, i0, system.cartan)
+        m = dense_right_mul(m, i0, system.cartan)
     return Word(system, tuple(letters))
 
 
@@ -52,7 +95,7 @@ def diagram_positions_by_inverse(word, u):
     for pos, i in enumerate(word.letters, start=1):
         if sum(inv[i - 1]) < 0:
             positions.append(pos)
-            inv = _right_mul(inv, i - 1, system.cartan)
+            inv = dense_right_mul(inv, i - 1, system.cartan)
     return tuple(positions) if inv == _identity_matrix(system.rank) else None
 
 
@@ -65,7 +108,7 @@ def reduced_word_by_inverse(system, u):
     while inv != ident:
         i0 = next(i0 for i0 in range(system.rank) if sum(inv[i0]) < 0)
         letters.append(i0 + 1)
-        inv = _right_mul(inv, i0, system.cartan)
+        inv = dense_right_mul(inv, i0, system.cartan)
     return tuple(letters)
 
 

@@ -8,6 +8,7 @@ from weyldiag import (
     InvalidRankError,
     DomainError,
     Word,
+    WeylElement,
     apply_element,
     compose,
     coroot_pairing,
@@ -23,13 +24,22 @@ from weyldiag.roots import (
     RootSystem,
     _RANK_RULES,
     _count_inversions,
+    _descent_pairings,
     _identity_matrix,
-    _invert_matrix,
+    _left_mul,
     _simple_image,
+    _strip_descent,
 )
 from weyldiag.verify import group_elements, group_order
 
-from conftest import PROPERTY_TYPES, random_reduced_words, system_of
+from conftest import (
+    PROPERTY_TYPES,
+    _invert_matrix,
+    dense_right_mul,
+    dense_simple_image,
+    random_reduced_words,
+    system_of,
+)
 
 
 # -- brute-force closure oracles, independent of the library internals --------
@@ -91,7 +101,7 @@ def _orbit_closure(system):
         fresh = []
         for x in frontier:
             for i0 in range(n):
-                y = _simple_image(x, i0, system.cartan)
+                y = dense_simple_image(x, i0, system.cartan)
                 if y not in all_roots:
                     all_roots.add(y)
                     fresh.append(y)
@@ -120,6 +130,64 @@ def test_roots_by_height_match_orbit_closure_and_edges_step_up(family, rank):
         assert -1 <= parent < k
         below = system.positive_roots[parent] if parent >= 0 else zero
         assert tuple(c + (j == i) for j, c in enumerate(below)) == positive[k]
+
+
+def _sparse_mismatches(system, seed):
+    """Names of the sparse-row operations that disagree with dense reference
+    arithmetic from system.cartan, on seeded random (not always reduced)
+    words and a random simple reflection for each."""
+    cartan, n = system.cartan, system.rank
+    rows, cols = system._cartan_rows, system._cartan_cols
+    bad = set()
+    if tuple(tuple(dict(row).get(j, 0) for j in range(n)) for row in rows) != cartan:
+        bad.add("rows")
+    transpose = tuple(zip(*cartan))
+    if tuple(tuple(dict(col).get(i, 0) for i in range(n)) for col in cols) != transpose:
+        bad.add("cols")
+    rng = random.Random(seed)
+    for _ in range(12):
+        letters = [rng.randint(1, n) for _ in range(rng.randint(0, 2 * n))]
+        m = _identity_matrix(n)
+        for i in letters:
+            m = dense_right_mul(m, i - 1, cartan)
+        if element_of_word(system, letters).matrix != m:
+            bad.add("element_of_word")
+        a0 = rng.randrange(n)
+        images = tuple(dense_simple_image(row, a0, cartan) for row in m)
+        if _left_mul(m, a0, rows) != images:
+            bad.add("_left_mul")
+        if any(_simple_image(row, a0, rows) != y for row, y in zip(m, images)):
+            bad.add("_simple_image")
+        x = [sum(c * row[k] for c, row in zip(system.two_rho, m)) for k in range(n)]
+        expected = [sum(a * v for a, v in zip(crow, x)) for crow in cartan]
+        if _descent_pairings(system, m) != expected:
+            bad.add("_descent_pairings")
+        p = list(expected)
+        _strip_descent(p, a0, cols)
+        if p != [v - crow[a0] * expected[a0] for v, crow in zip(expected, cartan)]:
+            bad.add("_strip_descent")
+    return bad
+
+
+@pytest.mark.parametrize("family,rank", PROPERTY_TYPES + [(f, 32) for f in "ABCD"])
+def test_sparse_cartan_lines_match_dense_arithmetic(family, rank):
+    assert _sparse_mismatches(system_of(family, rank), seed=rank) == set()
+
+
+@pytest.mark.parametrize("attr,entry,caught", [
+    ("_cartan_rows", 1, {"rows", "element_of_word", "_left_mul", "_simple_image",
+                         "_descent_pairings"}),
+    ("_cartan_cols", 0, {"cols", "_strip_descent"}),
+])
+def test_sparse_comparison_fails_on_a_dropped_entry(attr, entry, caught):
+    # A fresh A3 system (not the cached one) with one nonzero Cartan entry
+    # dropped from one line: every operation that reads the line disagrees.
+    system = RootSystem(CartanType("A", 3))
+    assert _sparse_mismatches(system, seed=3) == set()
+    lines = list(getattr(system, attr))
+    lines[1] = tuple(e for e in lines[1] if e[0] != entry)
+    setattr(system, attr, tuple(lines))
+    assert _sparse_mismatches(system, seed=3) == caught
 
 
 def test_a1_is_trivial():
@@ -303,7 +371,9 @@ def _fraction_inverse(m):
     return tuple(inv)
 
 
-def _assert_inverts(m):
+def _assert_inverts(w):
+    # The Bareiss oracle against the Fraction one, and invert against both.
+    m = w.matrix
     inv = _invert_matrix(m)
     assert inv == _fraction_inverse(m), m
     n = len(m)
@@ -312,6 +382,7 @@ def _assert_inverts(m):
         for i in range(n)
     )
     assert product == _identity_matrix(n), m
+    assert invert(w) == WeylElement(inv, w.length), m
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -319,7 +390,7 @@ def _assert_inverts(m):
 ])
 def test_integer_inverse_matches_fraction_reference_on_all_of_w(family, rank):
     for w in group_elements(system_of(family, rank)):
-        _assert_inverts(w.matrix)
+        _assert_inverts(w)
 
 
 @pytest.mark.parametrize("rank", [6, 7, 8])
@@ -328,7 +399,22 @@ def test_integer_inverse_matches_fraction_reference_on_sampled_e_elements(rank):
     # are too large to enumerate.
     system = system_of("E", rank)
     for word in random_reduced_words(system, 25, system.num_positive_roots, seed=rank):
-        _assert_inverts(word.element.matrix)
+        _assert_inverts(word.element)
+
+
+def test_invert_refuses_a_wrong_carried_length_and_a_non_weyl_matrix():
+    # invert reads a reduced word of w at its carried length, so a wrong
+    # length is refused (the matrix inverse alone would keep it silently).
+    for family, rank in [("A", 3), ("B", 3), ("G", 2), ("D", 32)]:
+        system = system_of(family, rank)
+        for word in random_reduced_words(system, 4, 60, seed=17):
+            w = word.element
+            assert invert(w) == WeylElement(_invert_matrix(w.matrix), w.length)
+            for length in (w.length - 1, w.length + 1):
+                with pytest.raises(DomainError, match=f"at length {length}"):
+                    invert(WeylElement(w.matrix, length))
+    with pytest.raises(DomainError, match="no root system of rank 2"):
+        invert(WeylElement(((1, 1), (0, 1)), 1))
 
 
 def test_compose_matches_word_concatenation():

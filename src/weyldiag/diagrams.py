@@ -21,10 +21,13 @@ Each positivity test, and the obstruction, is a rule at one position j
 that reads only the members after j, so one pruned walk over suffixes finds
 the diagrams a rule passes at a cost that grows with their number, not with
 2^t.  The per-diagram tests (is_positive and its two halves) are that same
-walk pinned to one diagram, so _walk is the only reader of the rules.  Both
-positivity tests run and are compared whenever __debug__ is set (the normal
-interpreter and pytest); under python -O, enumerate_positive walks with the
-ascent test alone.
+walk pinned to one diagram, so _walk is the only reader of the rules.  A
+walk returns {positions: leaf state}, the state its rule built from all the
+members: the length walk's leaf is zeta(d) itself, so verify_word reads the
+zeta images off it instead of rebuilding them.  Both positivity tests run
+and are compared whenever __debug__ is set (the normal interpreter and
+pytest); under python -O, enumerate_positive walks with the ascent test
+alone.
 """
 
 from __future__ import annotations
@@ -154,23 +157,29 @@ def _length_step(word: Word, j: int, m: IntMatrix, size: int):
     return m, candidate
 
 
-def _walk(word: Word, step, start) -> list[tuple[int, ...]]:
-    """Positions of every diagram that passes step at all t positions, in
-    ascending bitmask order.
+def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
+    """{positions: leaf state} for every diagram that passes step at all t
+    positions, in ascending bitmask order (a dict keeps insertion order, so
+    list(...) of it is the ordered list of positions).
 
     step(word, j, state, size) sees the state built from the members after j
     (size of them, start when there are none) and returns None when j fails
     either way, else (state if j is left out, state if j joins); a None
     entry drops that branch alone.  Depth-first from position t, leaving j
-    out before putting it in.  This is the one reader of that protocol: a
-    test of a single diagram is the walk with a step pinned to it (_passes).
+    out before putting it in.  The leaf state is the one built from all the
+    members: for _ascent_step the matrix of zeta'(d), the letters right to
+    left; for _length_step the matrix of zeta(d), left to right, whose
+    every suffix product was counted to have as many inversions as letters,
+    so the leaf has length len(positions).  This is the one reader of that
+    protocol: a test of a single diagram is the walk with a step pinned to
+    it (_passes).
     """
-    found = []
+    found = {}
     stack = [(word.t, start, ())]
     while stack:
         j, state, members = stack.pop()
         if not j:
-            found.append(members)
+            found[members] = state
         elif (pair := step(word, j, state, len(members))) is not None:
             out, joined = pair
             if joined is not None:
@@ -186,9 +195,7 @@ def _passes(diagram: Diagram, step) -> bool:
 
     def pinned(word, j, state, size):
         pair = step(word, j, state, size)
-        if pair is None:
-            return None
-        return (None, pair[1]) if j in inside else (pair[0], None)
+        return pair and ((None, pair[1]) if j in inside else (pair[0], None))
 
     return bool(_walk(diagram.word, pinned, _identity_matrix(diagram.word.system.rank)))
 

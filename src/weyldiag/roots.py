@@ -281,8 +281,10 @@ def _require_rank(x: RootVector, rank: int) -> None:
 def bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:
     _require_rank(x, system.rank)
     _require_rank(y, system.rank)
-    form = system.form
-    return sum(xi * sum(f * yj for f, yj in zip(frow, y)) for xi, frow in zip(x, form) if xi)
+    # x . form . y, where form[i][j] = symmetrizer[i] * a[i][j]: row i of the
+    # form is sparse Cartan row i scaled.
+    rows, d = system._cartan_rows, system.symmetrizer
+    return sum(xi * d[i] * sum(c * y[j] for j, c in rows[i]) for i, xi in enumerate(x) if xi)
 
 
 def coroot_pairing(system: RootSystem, beta: RootVector, x: RootVector) -> int:

@@ -1,4 +1,13 @@
-"""Diagram walks, counts, and machine-readable verification reports."""
+"""Diagram walks, counts, and machine-readable verification reports.
+
+Every walk (diagrams._walk) returns {positions: leaf state} in ascending
+bitmask order.  The ascent walk's leaf is the matrix of zeta'(d): census
+counts these leaves and enumerate_positive turns their positions into
+Diagram objects.  The length walk's leaf is the matrix of zeta(d), whose
+length is len(d) because each step counted it: verify_word takes the zeta
+images from there, and runs zeta only on interval elements outside the
+image.
+"""
 
 from __future__ import annotations
 
@@ -55,19 +64,26 @@ def _guard_sweep(t: int) -> None:
         )
 
 
-def enumerate_positive(word: Word) -> list[Diagram]:
-    """All positive diagrams of a reduced word, in ascending bitmask order."""
+def _positive_leaves(word: Word) -> dict[tuple[int, ...], IntMatrix]:
+    """The ascent walk's leaves, {positions: zeta'(d).matrix}, in ascending
+    bitmask order; under __debug__ the length walk must pass the same
+    diagrams."""
     require_reduced(word)
     _guard_sweep(word.t)
     ident = _identity_matrix(word.system.rank)
     found = _walk(word, _ascent_step, ident)
     if __debug__:
-        differ = set(found) ^ set(_walk(word, _length_step, ident))
+        differ = found.keys() ^ _walk(word, _length_step, ident).keys()
         assert not differ, (
             f"positivity tests disagree on "
             f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
         )
-    return [Diagram(word, p) for p in found]
+    return found
+
+
+def enumerate_positive(word: Word) -> list[Diagram]:
+    """All positive diagrams of a reduced word, in ascending bitmask order."""
+    return [Diagram(word, p) for p in _positive_leaves(word)]
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -159,16 +175,15 @@ def order_preservation_stats(word: Word, images: dict) -> dict:
     comparability of their images.  A pair both included and Bruhat-below
     is counted once and reported under both inclusion_and_bruhat and
     bruhat_and_inclusion.  Reported as data only; no claim is asserted."""
-    # Uncached: one interval per positive would otherwise stay in the cache.
-    below = {pos: subword_products.__wrapped__(reduced_word(word.system, u))
-             for pos, u in images.items()}
     inclusion_pairs = bruhat_pairs = both = 0
-    for pos1, u1 in images.items():
-        set1 = set(pos1)
-        for pos2 in images:
+    for pos2, u2 in images.items():
+        # Uncached, and dropped after this pass: one interval at a time.
+        below = subword_products.__wrapped__(reduced_word(word.system, u2))
+        set2 = set(pos2)
+        for pos1, u1 in images.items():
             if pos1 != pos2:
-                included = set1 <= set(pos2)
-                leq = u1 in below[pos2]
+                included = set(pos1) <= set2
+                leq = u1 in below
                 inclusion_pairs += included
                 bruhat_pairs += leq
                 both += included and leq
@@ -181,7 +196,12 @@ def order_preservation_stats(word: Word, images: dict) -> dict:
 
 
 def verify_word(word: Word, include_order_stats: bool = False) -> VerificationReport:
-    """Run every diagram-level check over one reduced word."""
+    """Run every diagram-level check over one reduced word.
+
+    The zeta images are the length walk's leaves (see the module
+    docstring); bijection_ok compares them, left products with carried
+    lengths, with subword_products, right products with counted lengths.
+    """
     require_reduced(word)
     _guard_sweep(word.t)
     start = time.perf_counter()
@@ -189,17 +209,18 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     # Each verdict below is an AND over j of a rule on j and the members
     # after j, so each walk returns exactly the diagrams its rule passes.
     ident = _identity_matrix(word.system.rank)
-    found = _walk(word, _ascent_step, ident)
-    dual_ok = found == _walk(word, _length_step, ident)
-    positives = [Diagram(word, p) for p in found]
+    found = list(_walk(word, _ascent_step, ident))
+    by_lengths = _walk(word, _length_step, ident)
+    dual_ok = found == list(by_lengths)
 
     interval = subword_products(word)
-    images = {d.positions: zeta(d) for d in positives}
+    images = {p: WeylElement(m, len(p)) for p, m in by_lengths.items()}
     image_set = set(images.values())
-    bijection_ok = len(image_set) == len(positives) and image_set == interval
+    bijection_ok = len(image_set) == len(found) and image_set == interval
 
     roundtrip_ok = all(
-        diagram_for(word, u) == d for d, u in zip(positives, images.values())
+        (d := diagram_for(word, u)) is not None and d.positions == p
+        for p, u in images.items()
     )
     if roundtrip_ok:
         # Every image already round-trips, so only elements outside the
@@ -211,7 +232,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
                 break
 
     # Exactly the positive diagrams trip no root-sum obstruction pair.
-    obstruction_ok = _walk(word, _obstruction_step, ((), ())) == found
+    obstruction_ok = list(_walk(word, _obstruction_step, ((), ()))) == found
 
     shape = detect_grid_shape(word)
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
@@ -222,7 +243,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
         ctype=str(word.system.ctype),
         word=format_word(word),
         total_diagrams=1 << word.t,
-        positive_count=len(positives),
+        positive_count=len(found),
         interval_count=len(interval),
         bijection_ok=bijection_ok,
         roundtrip_ok=roundtrip_ok,
@@ -246,12 +267,12 @@ class CensusResult:
 
 
 def longest_word_census(ctype: CartanType) -> CensusResult:
-    """Count positive diagrams over a reduced word of w0 and compare with |W|."""
+    """Count the ascent walk's leaves over a reduced word of w0 and compare
+    with |W|."""
     system = build_root_system(ctype)
-    positives = enumerate_positive(longest_word(system))
     return CensusResult(
         positive_root_count=system.num_positive_roots,
-        positive_count=len(positives),
+        positive_count=len(_positive_leaves(longest_word(system))),
         group_order=group_order(system),
     )
 

@@ -39,6 +39,11 @@ def dense_simple_image(x, i0, cartan):
     return tuple(out)
 
 
+def dense_bilinear(x, y, form):
+    """x . form . y over whole rows of the dense form."""
+    return sum(xi * f * yj for xi, frow in zip(x, form) for f, yj in zip(frow, y))
+
+
 def _invert_matrix(m):
     """Inverse of an integer matrix with determinant +-1, in integers only.
 

@@ -34,6 +34,7 @@ from weyldiag import (
     subword_products,
     trace_rendered_wiring,
     zeta,
+    zeta_prime,
 )
 from weyldiag.diagrams import _ascent_step, _length_step, _obstruction_step, _walk
 from weyldiag.roots import _identity_matrix
@@ -129,8 +130,8 @@ def test_criterion_4_dual_positivity_tests_agree():
                     passed.append(d.positions)
             # The pruned suffix walks against the per-mask reference, in order.
             ident = _identity_matrix(word.system.rank)
-            assert _walk(word, _ascent_step, ident) == passed, word
-            assert _walk(word, _length_step, ident) == passed, word
+            assert list(_walk(word, _ascent_step, ident)) == passed, word
+            assert list(_walk(word, _length_step, ident)) == passed, word
 
 
 def test_criterion_5_bijection_and_oracle_agreement():
@@ -141,6 +142,15 @@ def test_criterion_5_bijection_and_oracle_agreement():
             interval = subword_products(word)
             assert len(set(images)) == len(images)
             assert set(images) == interval
+            # The walks' leaf states are the two products of each diagram:
+            # verify_word reads its zeta images off the length walk's.
+            ident = _identity_matrix(word.system.rank)
+            by_lengths = _walk(word, _length_step, ident)
+            by_ascents = _walk(word, _ascent_step, ident)
+            for d, u in zip(positives, images):
+                assert by_lengths[d.positions] == u.matrix, (word, d.positions)
+                assert u.length == d.size, (word, d.positions)
+                assert by_ascents[d.positions] == zeta_prime(d).matrix, (word, d.positions)
             # |W| <= 200 for every suite type, so the rank-4 sample covers W.
             for u in group_elements(word.system):
                 present = diagram_for(word, u) is not None
@@ -179,7 +189,7 @@ def test_criterion_7_obstruction_soundness():
             found = [d.positions for d in positives_of(word)]
             for d in positives_of(word):
                 assert not any(_violated_pairs(d)), (word, d.positions)
-            assert _walk(word, _obstruction_step, ((), ())) == found, word
+            assert list(_walk(word, _obstruction_step, ((), ()))) == found, word
             # The per-mask reference for the converse, bounded to keep 2^t
             # small: the masks no pair trips, in order, are the walk's list.
             if word.t <= 9:

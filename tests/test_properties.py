@@ -96,14 +96,14 @@ def test_descents_by_pairings_match_the_inverse_matrix(ctype, data):
 
 
 def ascent_walk(word):
-    return _walk(word, _ascent_step, _identity_matrix(word.system.rank))
+    return list(_walk(word, _ascent_step, _identity_matrix(word.system.rank)))
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(words())
 def test_obstruction_walk_equals_ascent_walk(pair):
     _, walk = pair
-    assert _walk(walk, _obstruction_step, ((), ())) == ascent_walk(walk)
+    assert list(_walk(walk, _obstruction_step, ((), ()))) == ascent_walk(walk)
 
 
 @st.composite

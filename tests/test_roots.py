@@ -10,6 +10,7 @@ from weyldiag import (
     Word,
     WeylElement,
     apply_element,
+    bilinear,
     compose,
     coroot_pairing,
     element_of_word,
@@ -35,6 +36,7 @@ from weyldiag.verify import group_elements, group_order
 from conftest import (
     PROPERTY_TYPES,
     _invert_matrix,
+    dense_bilinear,
     dense_right_mul,
     dense_simple_image,
     random_reduced_words,
@@ -134,8 +136,9 @@ def test_roots_by_height_match_orbit_closure_and_edges_step_up(family, rank):
 
 def _sparse_mismatches(system, seed):
     """Names of the sparse-row operations that disagree with dense reference
-    arithmetic from system.cartan, on seeded random (not always reduced)
-    words and a random simple reflection for each."""
+    arithmetic from system.cartan (system.form for bilinear), on seeded
+    random (not always reduced) words and a random simple reflection and
+    lattice vector for each."""
     cartan, n = system.cartan, system.rank
     rows, cols = system._cartan_rows, system._cartan_cols
     bad = set()
@@ -166,6 +169,9 @@ def _sparse_mismatches(system, seed):
         _strip_descent(p, a0, cols)
         if p != [v - crow[a0] * expected[a0] for v, crow in zip(expected, cartan)]:
             bad.add("_strip_descent")
+        y = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(bilinear(system, row, y) != dense_bilinear(row, y, system.form) for row in m):
+            bad.add("bilinear")
     return bad
 
 
@@ -176,7 +182,7 @@ def test_sparse_cartan_lines_match_dense_arithmetic(family, rank):
 
 @pytest.mark.parametrize("attr,entry,caught", [
     ("_cartan_rows", 1, {"rows", "element_of_word", "_left_mul", "_simple_image",
-                         "_descent_pairings"}),
+                         "_descent_pairings", "bilinear"}),
     ("_cartan_cols", 0, {"cols", "_strip_descent"}),
 ])
 def test_sparse_comparison_fails_on_a_dropped_entry(attr, entry, caught):

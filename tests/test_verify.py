@@ -265,16 +265,19 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     # members fail the length test, and the first of them in mask order is named.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     w0 = word.element.matrix
-    # The interval oracle counts inversions too; build (and cache) it first so
-    # that the defect reaches the length walk alone.
-    diagrams.subword_products(word)
+    # The interval oracle counts inversions too; the clean run builds (and
+    # caches) it first, so that the defect reaches the length walk alone.
+    clean = _verify_flags(verify_word(word))
     real = diagrams._count_inversions
     monkeypatch.setattr(diagrams, "_count_inversions",
                         lambda system, m: real(system, m) + (m == w0))
 
-    report = verify_word(word)
-    assert report.dual_ok is False
-    assert report.bijection_ok and report.roundtrip_ok and report.obstruction_ok
+    # The zeta images are the length walk's leaves, so the two pruned
+    # diagrams leave two interval elements without an image; the descent
+    # recursion still round-trips every element it is given.
+    assert _verify_flags(verify_word(word)) == {
+        **clean, "dual_ok": False, "bijection_ok": False,
+    }
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
     assert res.exit_code == 1
     assert "dual_ok false" in res.stdout.splitlines()
@@ -388,7 +391,7 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
         (out, rows), (joined, joined_rows) = pair
         return (out, rows), (out + joined[-1:], joined_rows)
 
-    assert diagrams._walk(word, reflecting_members, ((), ())) == [(), (1,), (2,), (1, 2)]
+    assert list(diagrams._walk(word, reflecting_members, ((), ()))) == [(), (1,), (2,), (1, 2)]
     monkeypatch.setattr(verify_mod, "_obstruction_step", reflecting_members)
     flags = _verify_flags(verify_word(word))
     assert flags["obstruction_ok"] is False
@@ -449,22 +452,24 @@ def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
 
 def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
     from weyldiag import WeylElement
     from weyldiag.cli import run
 
-    # zeta carries lengths through element_of_word; make it report 4 for every
-    # product of length 3.  The interval's lengths are counted, so those
-    # images leave the interval, and the round trip of the interval elements
-    # of length 3 comes back with the wrong length.
+    # The length rule tests s_a m at position 1 as before, but carries the
+    # product built on the wrong side, m s_a.  It passes the same diagrams,
+    # yet the leaves holding position 1, the zeta images, are other elements.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     clean = _verify_flags(verify_word(word))
-    real = diagrams.element_of_word
+    real = diagrams._length_step
 
-    def miscounting(system, letters):
-        u = real(system, letters)
-        return WeylElement(u.matrix, 4) if u.length == 3 else u
+    def wrong_side_at_1(word, j, m, size):
+        pair = real(word, j, m, size)
+        if j != 1 or pair is None:
+            return pair
+        return m, diagrams._right_mul(m, word.letters[0] - 1, word.system._cartan_rows)
 
-    monkeypatch.setattr(diagrams, "element_of_word", miscounting)
+    monkeypatch.setattr(verify_mod, "_length_step", wrong_side_at_1)
     flags = _verify_flags(verify_word(word))
     assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False}
     assert flags["dual_ok"] and flags["obstruction_ok"]
@@ -472,3 +477,18 @@ def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch,
     assert res.exit_code == 1
     lines = res.stdout.splitlines()
     assert "bijection_ok false" in lines and "roundtrip_ok false" in lines
+
+    # zeta carries lengths through element_of_word; make it report 4 for every
+    # product of length 3.  The interval's lengths are counted, so the zeta
+    # images leave it, and bruhat_interval's cross-check refuses them.
+    monkeypatch.undo()
+    real_element = diagrams.element_of_word
+
+    def miscounting(system, letters):
+        u = real_element(system, letters)
+        return WeylElement(u.matrix, 4) if u.length == 3 else u
+
+    monkeypatch.setattr(diagrams, "element_of_word", miscounting)
+    if __debug__:  # the zeta cross-check in bruhat_interval is an assert
+        with pytest.raises(AssertionError, match="zeta image disagrees"):
+            verify_mod.bruhat_interval(word)

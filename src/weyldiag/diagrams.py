@@ -195,7 +195,9 @@ def _passes(diagram: Diagram, step) -> bool:
 
     def pinned(word, j, state, size):
         pair = step(word, j, state, size)
-        return pair and ((None, pair[1]) if j in inside else (pair[0], None))
+        if pair is None:
+            return None
+        return (None, pair[1]) if j in inside else (pair[0], None)
 
     return bool(_walk(diagram.word, pinned, _identity_matrix(diagram.word.system.rank)))
 
@@ -265,8 +267,10 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
 
     Independent of the diagram machinery: a left-to-right dynamic scan over
     the set of reachable matrices.  Lengths are counted as inversions, not
-    carried, so comparing this set with the zeta images also checks the
-    carried lengths.
+    carried.  verify_word's images take their lengths from the length walk,
+    which counts them with the same _count_inversions, so comparing the two
+    sets checks the products, not the carried lengths of element_of_word;
+    those are checked by bruhat_interval under __debug__ and by the tests.
     """
     require_reduced(word)
     system = word.system

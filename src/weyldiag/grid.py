@@ -152,12 +152,13 @@ def _le_step(shape: GridShape, word: Word, j: int, filled: int, size: int):
 
 def _le_walk(shape: GridShape) -> list[tuple[int, ...]]:
     """Linear positions of every Le filling of the grid, in ascending
-    bitmask order, by one pruned walk instead of is_le_diagram per mask."""
+    bitmask order, by one pruned walk instead of is_le_diagram per mask.
+    The walk runs over mirrored positions, but each leaf state is the
+    filling's own bitmask (see _le_step), so the sorted leaves are the
+    answer."""
     t = shape.size
-    found = _walk(quantum_matrices_word(shape), partial(_le_step, shape), 0)
-    # Reversed tuples compare in bitmask order.
-    return sorted((tuple(t + 1 - j for j in reversed(members)) for members in found),
-                  key=lambda positions: positions[::-1])
+    masks = sorted(_walk(quantum_matrices_word(shape), partial(_le_step, shape), 0).values())
+    return [tuple(k for k in range(1, t + 1) if mask >> (k - 1) & 1) for mask in masks]
 
 
 def pipe_dream_permutation(grid: GridDiagram) -> tuple[int, ...]:

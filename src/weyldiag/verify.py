@@ -199,8 +199,10 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     """Run every diagram-level check over one reduced word.
 
     The zeta images are the length walk's leaves (see the module
-    docstring); bijection_ok compares them, left products with carried
-    lengths, with subword_products, right products with counted lengths.
+    docstring); bijection_ok compares them, left products whose lengths the
+    length test counted, with subword_products, right products with
+    counted lengths.  The lengths element_of_word carries are not reached
+    here; bruhat_interval checks them under __debug__.
     """
     require_reduced(word)
     _guard_sweep(word.t)

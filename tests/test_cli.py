@@ -259,16 +259,19 @@ def test_e6_census_under_python_O():
 def test_verify_under_python_O():
     # Without __debug__ the obstruction sweep skips its gamma recomputation
     # and no walk is cross-checked; the report must not change.
+    f4_w0 = "1,2,1,3,2,1,3,2,3,4,3,2,1,3,2,3,4,3,2,1,3,2,3,4"
     for argv, positives in (
         (["verify", "--type", "D", "--rank", "4", "--word", "1,2,1,3,2,1,4,2,1,3,2,4"], 192),
         (["verify", "--type", "A", "--rank", "4", "--word", "2,1,3,2,4,3"], 46),  # 2x3 grid
+        (["verify", "--type", "F", "--rank", "4", "--word", f4_w0], 1152),  # longest word
     ):
+        argv += ["--format", "json"]
         res = _run_under_python_O(*argv)
         assert res.returncode == 0, res.stderr
         assert res.stdout == run(argv).stdout
-        lines = res.stdout.splitlines()
-        assert f"positive_count {positives}" in lines
-        assert "obstruction_ok true" in lines
+        report = json.loads(res.stdout)
+        assert report["positive_count"] == positives
+        assert report["obstruction_ok"] is True
 
 
 def test_verify_exit_1_when_a_check_fails(monkeypatch):

@@ -11,7 +11,11 @@ that certifies non-positivity.  The obstruction comes in two forms:
 positivity_obstruction checks one pair (j, m) and returns its gamma trace,
 and _obstruction_step is the same verdict as a walk rule, so one walk lists
 the diagrams no pair trips; verify_word checks that they are exactly the
-positive ones.
+positive ones.  The walk rule works in root coordinates: it carries the
+ascent walk's matrix and the negated root each member read there, and a
+pair is violated exactly when the root read at j is one of those, so a step
+is one set lookup, not one reflection per member.  Under __debug__ each
+prune is re-derived with the beta-reflection recursion.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
@@ -377,36 +381,45 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
 
 
 def _obstruction_step(word: Word, j: int, state, size: int):
-    """The root-sum obstruction as a walk rule; start the walk at ((), ()).
+    """The root-sum obstruction as a walk rule in root coordinates; start
+    the walk at (identity matrix, {}).
 
-    state is (gs, rows), one entry per member m after j.  g starts at beta_m
-    and is reflected in beta_k at each position k between j and m outside
-    the diagram, so it is gamma_0 of the pair (j, m).  The accumulated sum
-    telescopes to beta_m - g, so the pair is violated exactly when
-    g == -beta_j; that needs g negative, hence an omitted position already
-    passed, which is when the obstruction applies.  Under __debug__ a row
-    carries alpha_{a_m} through the members passed, and every reflected g is
-    recomputed as that row under the prefix before j, an omitted product as
-    in positivity_obstruction; under python -O rows stay empty.
+    state is (m, ys): m is the ascent walk's matrix, the members after j
+    right to left, i.e. Z_j^{-1} for Z_j the product of those members left
+    to right, and ys maps -y_k to k for each member k, where
+    y_k = Z_k^{-1}(alpha_{a_k}) is row a_k of the matrix at k.  Let P_j be
+    the prefix product of the first j letters and g the gamma_0 of a pair
+    (j, k): beta_k reflected in beta_l at each omitted l between j and k,
+    as in positivity_obstruction.  The reflections in the omitted beta_l
+    telescope, so g = -(P_j Z_j)(y_k), while (P_j Z_j)(y_j) = P_j(alpha_{a_j})
+    = -beta_j; the pair is violated, g = -beta_j, exactly when y_j = -y_k,
+    i.e. when row a_j of m is a key of ys.  When the members' product is
+    reduced, as it is on every suffix the rule passes, the y_k are the
+    positive roots Z_j sends negative (Humphreys, Reflection Groups and
+    Coxeter Groups, 1.6-1.7): distinct, and never y_j, since
+    Z_j(y_j) = alpha_{a_j}.  So ys keeps one entry per member.
+
+    The rule reads only the ascent walk's matrices, so under __debug__ each
+    prune re-derives its pair (j, k) by the beta-reflection recursion on
+    word.coroot_rows and asserts that g = -beta_j: debug mode computes every
+    violation two ways.
     """
-    gs, rows = state
-    beta = word.betas[j - 1]
-    if tuple(-x for x in beta) in gs:
+    m, ys = state
+    a0 = word.letters[j - 1] - 1
+    y = m[a0]
+    if y in ys:
+        if __debug__:
+            k, members = ys[y], set(ys.values())
+            g = word.betas[k - 1]
+            for l in range(k - 1, j, -1):
+                if l not in members:
+                    c = sum(a * x for a, x in zip(word.coroot_rows[l - 1], g) if a)
+                    g = _reflect_by(word.betas[l - 1], c, g)
+            assert len(members) == size and g == tuple(-x for x in word.betas[j - 1]), (
+                f"pair ({j}, {k}) pruned but not violated over {word}"
+            )
         return None
-    coroot = word.coroot_rows[j - 1]
-    out = []
-    for g in gs:
-        c = sum(a * x for a, x in zip(coroot, g) if a)
-        out.append(_reflect_by(beta, c, g))
-    joined_rows = ()
-    if __debug__:
-        head = word.prefix_matrices[j - 1]
-        for g, row in zip(out, rows):
-            assert _apply(head, row) == g, f"gamma mismatch at position {j} over {word}"
-        a0 = word.letters[j - 1] - 1
-        joined_rows = _left_mul(rows, a0, word.system._cartan_rows)
-        joined_rows += (word.system.simple_roots[a0],)
-    return (tuple(out), rows), (gs + (beta,), joined_rows)
+    return state, (_right_mul(m, a0, word.system._cartan_rows), {**ys, tuple(-x for x in y): j})
 
 
 __all__ = [

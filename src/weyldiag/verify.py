@@ -234,7 +234,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
                 break
 
     # Exactly the positive diagrams trip no root-sum obstruction pair.
-    obstruction_ok = list(_walk(word, _obstruction_step, ((), ()))) == found
+    obstruction_ok = list(_walk(word, _obstruction_step, (ident, {}))) == found
 
     shape = detect_grid_shape(word)
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found

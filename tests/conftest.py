@@ -3,7 +3,7 @@ import random
 import pytest
 
 from weyldiag import CartanType, Word, build_root_system
-from weyldiag.roots import _identity_matrix
+from weyldiag.roots import _apply, _identity_matrix, _left_mul, _reflect_by
 
 CENSUS_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -68,6 +68,40 @@ def _invert_matrix(m):
         prev = pv
     assert prev in (1, -1), "Weyl matrices invert integrally"
     return tuple(tuple(prev * v for v in row[n:]) for row in aug)
+
+
+def obstruction_step_by_reflection(word, j, state, size):
+    """Reference for diagrams._obstruction_step, the walk rule that reflects
+    one root per member; start the walk at ((), ()).
+
+    state is (gs, rows), one entry per member m after j.  g starts at beta_m
+    and is reflected in beta_k at each position k between j and m outside
+    the diagram, so it is gamma_0 of the pair (j, m).  The accumulated sum
+    telescopes to beta_m - g, so the pair is violated exactly when
+    g == -beta_j; that needs g negative, hence an omitted position already
+    passed, which is when the obstruction applies.  Under __debug__ a row
+    carries alpha_{a_m} through the members passed, and every reflected g is
+    recomputed as that row under the prefix before j, an omitted product as
+    in positivity_obstruction; under python -O rows stay empty.
+    """
+    gs, rows = state
+    beta = word.betas[j - 1]
+    if tuple(-x for x in beta) in gs:
+        return None
+    coroot = word.coroot_rows[j - 1]
+    out = []
+    for g in gs:
+        c = sum(a * x for a, x in zip(coroot, g) if a)
+        out.append(_reflect_by(beta, c, g))
+    joined_rows = ()
+    if __debug__:
+        head = word.prefix_matrices[j - 1]
+        for g, row in zip(out, rows):
+            assert _apply(head, row) == g, f"gamma mismatch at position {j} over {word}"
+        a0 = word.letters[j - 1] - 1
+        joined_rows = _left_mul(rows, a0, word.system._cartan_rows)
+        joined_rows += (word.system.simple_roots[a0],)
+    return (tuple(out), rows), (gs + (beta,), joined_rows)
 
 
 def random_reduced_word(system, rng, max_len):

@@ -39,7 +39,12 @@ from weyldiag import (
 from weyldiag.diagrams import _ascent_step, _length_step, _obstruction_step, _walk
 from weyldiag.roots import _identity_matrix
 
-from conftest import CENSUS_TYPES, random_reduced_words, system_of
+from conftest import (
+    CENSUS_TYPES,
+    obstruction_step_by_reflection,
+    random_reduced_words,
+    system_of,
+)
 
 GRID_SHAPES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
 
@@ -189,7 +194,10 @@ def test_criterion_7_obstruction_soundness():
             found = [d.positions for d in positives_of(word)]
             for d in positives_of(word):
                 assert not any(_violated_pairs(d)), (word, d.positions)
-            assert list(_walk(word, _obstruction_step, ((), ()))) == found, word
+            ident = _identity_matrix(word.system.rank)
+            assert list(_walk(word, _obstruction_step, (ident, {}))) == found, word
+            # The walk rule that reflects one root per member, the reference.
+            assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word
             # The per-mask reference for the converse, bounded to keep 2^t
             # small: the masks no pair trips, in order, are the walk's list.
             if word.t <= 9:

@@ -22,8 +22,13 @@ from weyldiag import (
     zeta_prime,
 )
 
+from weyldiag import extend_to_w0, longest_word
+from weyldiag.diagrams import _ascent_step, _obstruction_step, _walk
+from weyldiag.roots import _identity_matrix
+
 from conftest import (
     diagram_positions_by_inverse,
+    obstruction_step_by_reflection,
     random_reduced_words,
     reduced_word_by_inverse,
     system_of,
@@ -270,6 +275,19 @@ def test_obstruction_soundness_sweep():
                             assert not positive
                         if positive:
                             assert not res.violated
+
+
+def test_obstruction_walk_equals_the_reflection_rule_on_f4_w0():
+    # t = 24, so only the pruned walks reach it: the canonical longest word
+    # and seeded words of w0 that extend a random reduced prefix.
+    system = system_of("F", 4)
+    ident = _identity_matrix(system.rank)
+    prefixes = random_reduced_words(system, 2, 12, seed=13)
+    for word in [longest_word(system)] + [extend_to_w0(p) for p in prefixes]:
+        found = list(_walk(word, _ascent_step, ident))
+        assert len(found) == 1152
+        assert list(_walk(word, _obstruction_step, (ident, {}))) == found, word
+        assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word
 
 
 def test_gamma_traces_check_against_omitted_products(a3):

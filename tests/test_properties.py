@@ -28,6 +28,7 @@ from weyldiag.roots import _count_inversions, _identity_matrix
 from conftest import (
     PROPERTY_TYPES,
     diagram_positions_by_inverse,
+    obstruction_step_by_reflection,
     random_reduced_word,
     reduced_word_by_inverse,
     system_of,
@@ -103,7 +104,10 @@ def ascent_walk(word):
 @given(words())
 def test_obstruction_walk_equals_ascent_walk(pair):
     _, walk = pair
-    assert list(_walk(walk, _obstruction_step, ((), ()))) == ascent_walk(walk)
+    found = ascent_walk(walk)
+    ident = _identity_matrix(walk.system.rank)
+    assert list(_walk(walk, _obstruction_step, (ident, {}))) == found
+    assert list(_walk(walk, obstruction_step_by_reflection, ((), ()))) == found
 
 
 @st.composite

@@ -22,7 +22,7 @@ from weyldiag import (
 )
 from weyldiag.verify import SWEEP_CAP_ENV, VerificationReport, sweep_cap
 
-from conftest import random_reduced_words, system_of
+from conftest import obstruction_step_by_reflection, random_reduced_words, system_of
 
 
 def test_enumerate_positive_a2_exactly(a2):
@@ -377,22 +377,21 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
     import weyldiag.verify as verify_mod
     from weyldiag.cli import run
 
-    # The rule reflects the members' roots at member positions as well as at
-    # the omitted ones.  The positive diagram (2, 3) then reaches
-    # g = -beta_1 at (j, m) = (1, 3) before any gamma recomputation disagrees.
+    # The rule keys each member k by +y_k instead of -y_k.  Over this word
+    # no y_j equals the y_k of a member after it, so the rule never trips,
+    # and the diagrams (3,) and (1, 3), where y_1 = -y_3, come through.
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
-    real = diagrams._obstruction_step
 
-    def reflecting_members(word, j, state, size):
-        pair = real(word, j, state, size)
-        if pair is None:
+    def plus_keyed(word, j, state, size):
+        m, ys = state
+        a0 = word.letters[j - 1] - 1
+        if m[a0] in ys:
             return None
-        (out, rows), (joined, joined_rows) = pair
-        return (out, rows), (out + joined[-1:], joined_rows)
+        return state, (diagrams._right_mul(m, a0, word.system._cartan_rows), {**ys, m[a0]: j})
 
-    assert list(diagrams._walk(word, reflecting_members, ((), ()))) == [(), (1,), (2,), (1, 2)]
-    monkeypatch.setattr(verify_mod, "_obstruction_step", reflecting_members)
+    assert len(diagrams._walk(word, plus_keyed, (diagrams._identity_matrix(2), {}))) == 8
+    monkeypatch.setattr(verify_mod, "_obstruction_step", plus_keyed)
     flags = _verify_flags(verify_word(word))
     assert flags["obstruction_ok"] is False
     assert flags == {**clean, "obstruction_ok": False}
@@ -402,20 +401,19 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
 
 
 def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
+    import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod
-    from weyldiag import reflect
     from weyldiag.cli import run
 
-    # The rule without its g == -beta_j test passes all 2^t diagrams.  No
-    # positive diagram trips the real rule either, so only a check that the
+    # The rule without its set lookup passes all 2^t diagrams.  No positive
+    # diagram trips the real rule either, so only a check that the
     # obstruction-free diagrams are exactly the positive ones can notice.
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
 
     def never_trips(word, j, state, size):
-        gs, _ = state
-        beta = word.betas[j - 1]
-        return (tuple(reflect(word.system, beta, g) for g in gs), ()), (gs + (beta,), ())
+        m, ys = state
+        return state, (diagrams._right_mul(m, word.letters[j - 1] - 1, word.system._cartan_rows), ys)
 
     monkeypatch.setattr(verify_mod, "_obstruction_step", never_trips)
     flags = _verify_flags(verify_word(word))
@@ -423,6 +421,63 @@ def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "obstruction_ok false" in res.stdout.splitlines()
+
+
+def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+
+    # The real rule, but a member also keys its own simple root, so a later
+    # position whose y is that root is pruned against it: a pair the
+    # beta-reflection recursion does not violate.  Under __debug__ the
+    # prune's re-derivation refuses it; without it, positive diagrams go
+    # missing.
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    clean = _verify_flags(verify_word(word))
+    real = diagrams._obstruction_step
+
+    def keying_simple_roots(word, j, state, size):
+        pair = real(word, j, state, size)
+        if pair is None:
+            return None
+        out, (m, ys) = pair
+        return out, (m, {**ys, word.system.simple_roots[word.letters[j - 1] - 1]: j})
+
+    monkeypatch.setattr(verify_mod, "_obstruction_step", keying_simple_roots)
+    if __debug__:  # the re-derivation at each prune is an assert
+        with pytest.raises(AssertionError, match=r"pair \(\d+, \d+\) pruned but not violated"):
+            verify_word(word)
+
+        def bypassed(word, j, state, size):
+            try:
+                return keying_simple_roots(word, j, state, size)
+            except AssertionError:
+                return None
+
+        monkeypatch.setattr(verify_mod, "_obstruction_step", bypassed)
+    assert _verify_flags(verify_word(word)) == {**clean, "obstruction_ok": False}
+
+
+def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
+    from weyldiag.diagrams import _identity_matrix, _obstruction_step, _walk
+
+    # The reference rule reflects the members' roots at member positions as
+    # well as at the omitted ones.  The positive diagram (2, 3) then reaches
+    # g = -beta_1 at (j, m) = (1, 3) before any gamma recomputation
+    # disagrees, so the reference loses it and no longer matches the walk.
+    word = Word(a2, (1, 2, 1))
+
+    def reflecting_members(word, j, state, size):
+        pair = obstruction_step_by_reflection(word, j, state, size)
+        if pair is None:
+            return None
+        (out, rows), (joined, joined_rows) = pair
+        return (out, rows), (out + joined[-1:], joined_rows)
+
+    found = list(_walk(word, _obstruction_step, (_identity_matrix(2), {})))
+    assert found == [(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3)]
+    assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found
+    assert list(_walk(word, reflecting_members, ((), ()))) == [(), (1,), (2,), (1, 2)]
 
 
 def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):

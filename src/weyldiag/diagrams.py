@@ -14,8 +14,13 @@ the diagrams no pair trips; verify_word checks that they are exactly the
 positive ones.  The walk rule works in root coordinates: it carries the
 ascent walk's matrix and the negated root each member read there, and a
 pair is violated exactly when the root read at j is one of those, so a step
-is one set lookup, not one reflection per member.  Under __debug__ each
-prune is re-derived with the beta-reflection recursion.
+is one set lookup, not one reflection per member.  On the suffixes it
+passes that happens exactly when the ascent test fails, so the walk is the
+ascent test in another form: under python -O the comparison checks the
+matrix arithmetic, not the theorem.  Under __debug__ each prune is
+re-derived with the beta-reflection recursion (non-positive implies
+obstructed); that positive diagrams trip no pair is checked independently
+only by the tests, against a per-member reflection rule.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
@@ -399,10 +404,16 @@ def _obstruction_step(word: Word, j: int, state, size: int):
     Coxeter Groups, 1.6-1.7): distinct, and never y_j, since
     Z_j(y_j) = alpha_{a_j}.  So ys keeps one entry per member.
 
-    The rule reads only the ascent walk's matrices, so under __debug__ each
-    prune re-derives its pair (j, k) by the beta-reflection recursion on
-    word.coroot_rows and asserts that g = -beta_j: debug mode computes every
-    violation two ways.
+    On a reduced suffix the keys are the -y_k for the roots y_k > 0 that
+    Z_j sends negative, so y_j is a key exactly when y_j < 0: the rule
+    prunes where _ascent_step does, from the same matrices, and the walk
+    restates the ascent test.  Under python -O verify_word's obstruction_ok
+    therefore checks only the matrix arithmetic.  Under __debug__ each prune
+    re-derives its pair (j, k) by the beta-reflection recursion on
+    word.coroot_rows, which does not read the matrices, and asserts that
+    g = -beta_j, so every violation is computed two ways.  The other
+    direction, that a positive diagram trips no pair, is left to the tests,
+    which compare the walk with a per-member reflection rule.
     """
     m, ys = state
     a0 = word.letters[j - 1] - 1
@@ -410,12 +421,13 @@ def _obstruction_step(word: Word, j: int, state, size: int):
     if y in ys:
         if __debug__:
             k, members = ys[y], set(ys.values())
+            assert len(members) == size, f"keys collide at position {j} over {word}"
             g = word.betas[k - 1]
             for l in range(k - 1, j, -1):
                 if l not in members:
                     c = sum(a * x for a, x in zip(word.coroot_rows[l - 1], g) if a)
                     g = _reflect_by(word.betas[l - 1], c, g)
-            assert len(members) == size and g == tuple(-x for x in word.betas[j - 1]), (
+            assert g == tuple(-x for x in word.betas[j - 1]), (
                 f"pair ({j}, {k}) pruned but not violated over {word}"
             )
         return None

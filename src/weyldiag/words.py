@@ -21,6 +21,7 @@ from .roots import (
     _identity_matrix,
     _left_descents,
     _right_mul,
+    coroot_pairing,
     element_of_word,
 )
 
@@ -64,18 +65,12 @@ class Word:
     @cached_property
     def coroot_rows(self) -> tuple[RootVector, ...]:
         """Row l holds (beta_l^vee, alpha_k) for k = 1..n, so its dot product
-        with x is (beta_l^vee, x) by linearity.  The form value
-        (beta_l, alpha_k) is the sum of symmetrizer[i] * a[i][k] * beta_l[i]
-        over the nonzero entries of sparse Cartan column k; the dot product
-        of these values with beta_l is (beta_l, beta_l), and each is divided
-        once by half of that."""
-        cols, d = self.system._cartan_cols, self.system.symmetrizer
-        out = []
-        for beta in self.betas:
-            form = [sum(beta[i] * d[i] * c for i, c in col) for col in cols]
-            half = sum(b * f for b, f in zip(beta, form)) // 2
-            out.append(tuple(f // half for f in form))
-        return tuple(out)
+        with x is (beta_l^vee, x) by linearity."""
+        simple = self.system.simple_roots
+        return tuple(
+            tuple(coroot_pairing(self.system, beta, alpha) for alpha in simple)
+            for beta in self.betas
+        )
 
     def __str__(self) -> str:
         return format_word(self)

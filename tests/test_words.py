@@ -6,7 +6,6 @@ from weyldiag import (
     Word,
     WeylElement,
     compose,
-    coroot_pairing,
     element_of_word,
     extend_to_w0,
     format_word,
@@ -18,7 +17,7 @@ from weyldiag import (
     root_sequence,
 )
 
-from conftest import CENSUS_TYPES, PROPERTY_TYPES, random_reduced_words, system_of
+from conftest import CENSUS_TYPES, random_reduced_words, system_of
 
 
 def extend_by_inverse_formula(word):
@@ -75,20 +74,6 @@ def test_root_sequence_set_is_word_independent(a2, a3):
     w3 = Word(a3, (1, 2, 3, 1, 2, 1))
     assert w1.element == w2.element == w3.element
     assert set(root_sequence(w1)) == set(root_sequence(w2)) == set(root_sequence(w3))
-
-
-@pytest.mark.parametrize("family,rank", PROPERTY_TYPES + [("B", 32), ("D", 32)])
-def test_coroot_rows_equal_coroot_pairings(family, rank):
-    # A longest word meets every positive root as some beta; at rank 32,
-    # seeded words of length <= 40 stand in for it.
-    system = system_of(family, rank)
-    words = random_reduced_words(system, 3, 40, seed=17)
-    if rank < 32:
-        words.append(longest_word(system))
-    for word in words:
-        assert len(word.coroot_rows) == word.t
-        for beta, row in zip(word.betas, word.coroot_rows):
-            assert row == tuple(coroot_pairing(system, beta, a) for a in system.simple_roots)
 
 
 def test_reduced_word_refuses_a_wrong_carried_length(a3):

@@ -12,15 +12,17 @@ positivity_obstruction checks one pair (j, m) and returns its gamma trace,
 and _obstruction_step is the same verdict as a walk rule, so one walk lists
 the diagrams no pair trips; verify_word checks that they are exactly the
 positive ones.  The walk rule works in root coordinates: it carries the
-ascent walk's matrix and the negated root each member read there, and a
-pair is violated exactly when the root read at j is one of those, so a step
-is one set lookup, not one reflection per member.  On the suffixes it
-passes that happens exactly when the ascent test fails, so the walk is the
-ascent test in another form: under python -O the comparison checks the
-matrix arithmetic, not the theorem.  Under __debug__ each prune is
-re-derived with the beta-reflection recursion (non-positive implies
-obstructed); that positive diagrams trip no pair is checked independently
-only by the tests, against a per-member reflection rule.
+matrix of the members after j, right to left, and the negated root each
+member read there, and a pair is violated exactly when the root read at j
+is one of those, so a step is one set lookup, not one reflection per
+member.  On the suffixes it passes that happens exactly when the ascent
+test fails, so the walk is the ascent test in another form.  The ascent
+walk carries only the heights of that matrix's rows, so under python -O the
+comparison checks the matrix arithmetic against the height recursion, not
+the theorem.  Under __debug__ each prune is re-derived with the
+beta-reflection recursion (non-positive implies obstructed); that positive
+diagrams trip no pair is checked independently only by the tests, against
+a per-member reflection rule.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
@@ -33,7 +35,8 @@ the diagrams a rule passes at a cost that grows with their number, not with
 walk pinned to one diagram, so _walk is the only reader of the rules.  A
 walk returns {positions: leaf state}, the state its rule built from all the
 members: the length walk's leaf is zeta(d) itself, so verify_word reads the
-zeta images off it instead of rebuilding them.  Both positivity tests run
+zeta images off it instead of rebuilding them; the ascent walk's is the row
+sums of zeta'(d), which census only counts.  Both positivity tests run
 and are compared whenever __debug__ is set (the normal interpreter and
 pytest); under python -O, enumerate_positive walks with the ascent test
 alone.
@@ -148,13 +151,20 @@ def zeta_prime(diagram: Diagram) -> WeylElement:
     return element_of_word(word.system, letters[::-1])
 
 
-def _ascent_step(word: Word, j: int, m: IntMatrix, size: int):
+def _ascent_step(word: Word, j: int, h: tuple[int, ...], size: int):
     # Marsh-Rietsch positivity: the trace ascends at every position, member or
-    # not, i.e. m (the members after j, right to left) keeps alpha_{a_j} positive.
+    # not, i.e. m (the members after j, right to left) keeps alpha_{a_j}
+    # positive.  Only the heights h[k] = sum(m[k]) are carried, from
+    # (1,) * rank: height is linear, so m s_a's row update
+    # m[k] - a[a0][k] m[a0] is h[k] - a[a0][k] h[a0] on the heights.
     a0 = word.letters[j - 1] - 1
-    if sum(m[a0]) < 0:
+    ha = h[a0]
+    if ha < 0:
         return None
-    return m, _right_mul(m, a0, word.system._cartan_rows)
+    joined = list(h)
+    for k, c in word.system._cartan_rows[a0]:
+        joined[k] -= c * ha
+    return h, tuple(joined)
 
 
 def _length_step(word: Word, j: int, m: IntMatrix, size: int):
@@ -176,12 +186,13 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
     either way, else (state if j is left out, state if j joins); a None
     entry drops that branch alone.  Depth-first from position t, leaving j
     out before putting it in.  The leaf state is the one built from all the
-    members: for _ascent_step the matrix of zeta'(d), the letters right to
-    left; for _length_step the matrix of zeta(d), left to right, whose
-    every suffix product was counted to have as many inversions as letters,
-    so the leaf has length len(positions).  This is the one reader of that
-    protocol: a test of a single diagram is the walk with a step pinned to
-    it (_passes).
+    members.  _ascent_step starts at (1,) * rank, the heights of the simple
+    roots, and its leaf is the row sums of the matrix of zeta'(d), the
+    letters right to left.  _length_step starts at the identity matrix and
+    its leaf is the matrix of zeta(d), left to right, whose every suffix
+    product was counted to have as many inversions as letters, so the leaf
+    has length len(positions).  This is the one reader of that protocol: a
+    test of a single diagram is the walk with a step pinned to it (_passes).
     """
     found = {}
     stack = [(word.t, start, ())]
@@ -198,7 +209,7 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
     return found
 
 
-def _passes(diagram: Diagram, step) -> bool:
+def _passes(diagram: Diagram, step, start) -> bool:
     # The walk with step pinned to the diagram: only the branch it takes.
     inside = set(diagram.positions)
 
@@ -208,15 +219,15 @@ def _passes(diagram: Diagram, step) -> bool:
             return None
         return (None, pair[1]) if j in inside else (pair[0], None)
 
-    return bool(_walk(diagram.word, pinned, _identity_matrix(diagram.word.system.rank)))
+    return bool(_walk(diagram.word, pinned, start))
 
 
 def _positive_by_ascents(diagram: Diagram) -> bool:
-    return _passes(diagram, _ascent_step)
+    return _passes(diagram, _ascent_step, (1,) * diagram.word.system.rank)
 
 
 def _positive_by_lengths(diagram: Diagram) -> bool:
-    return _passes(diagram, _length_step)
+    return _passes(diagram, _length_step, _identity_matrix(diagram.word.system.rank))
 
 
 def is_positive_by_ascents(diagram: Diagram) -> bool:
@@ -389,26 +400,29 @@ def _obstruction_step(word: Word, j: int, state, size: int):
     """The root-sum obstruction as a walk rule in root coordinates; start
     the walk at (identity matrix, {}).
 
-    state is (m, ys): m is the ascent walk's matrix, the members after j
-    right to left, i.e. Z_j^{-1} for Z_j the product of those members left
-    to right, and ys maps -y_k to k for each member k, where
-    y_k = Z_k^{-1}(alpha_{a_k}) is row a_k of the matrix at k.  Let P_j be
-    the prefix product of the first j letters and g the gamma_0 of a pair
-    (j, k): beta_k reflected in beta_l at each omitted l between j and k,
-    as in positivity_obstruction.  The reflections in the omitted beta_l
-    telescope, so g = -(P_j Z_j)(y_k), while (P_j Z_j)(y_j) = P_j(alpha_{a_j})
-    = -beta_j; the pair is violated, g = -beta_j, exactly when y_j = -y_k,
-    i.e. when row a_j of m is a key of ys.  When the members' product is
-    reduced, as it is on every suffix the rule passes, the y_k are the
-    positive roots Z_j sends negative (Humphreys, Reflection Groups and
-    Coxeter Groups, 1.6-1.7): distinct, and never y_j, since
-    Z_j(y_j) = alpha_{a_j}.  So ys keeps one entry per member.
+    state is (m, ys): m is the matrix of the members after j right to left,
+    i.e. Z_j^{-1} for Z_j the product of those members left to right (the
+    ascent walk carries only its row sums), and ys maps -y_k to k for each
+    member k, where y_k = Z_k^{-1}(alpha_{a_k}) is row a_k of the matrix at
+    k.  Let P_j be the prefix product of the first j letters and g the
+    gamma_0 of a pair (j, k): beta_k reflected in beta_l at each omitted l
+    between j and k, as in positivity_obstruction.  The reflections in the
+    omitted beta_l telescope, so g = -(P_j Z_j)(y_k), while
+    (P_j Z_j)(y_j) = P_j(alpha_{a_j}) = -beta_j; the pair is violated,
+    g = -beta_j, exactly when y_j = -y_k, i.e. when row a_j of m is a key
+    of ys.  When the members' product is reduced, as it is on every suffix
+    the rule passes, the y_k are the positive roots Z_j sends negative
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7): distinct,
+    and never y_j, since Z_j(y_j) = alpha_{a_j}.  So ys keeps one entry per
+    member.
 
     On a reduced suffix the keys are the -y_k for the roots y_k > 0 that
     Z_j sends negative, so y_j is a key exactly when y_j < 0: the rule
-    prunes where _ascent_step does, from the same matrices, and the walk
-    restates the ascent test.  Under python -O verify_word's obstruction_ok
-    therefore checks only the matrix arithmetic.  Under __debug__ each prune
+    prunes where _ascent_step does, and the walk restates the ascent test.
+    It builds its own matrices with _right_mul, while _ascent_step carries
+    only their row sums by a scalar recursion, so under python -O
+    verify_word's obstruction_ok checks the matrix arithmetic against the
+    height recursion, not the theorem.  Under __debug__ each prune
     re-derives its pair (j, k) by the beta-reflection recursion on
     word.coroot_rows, which does not read the matrices, and asserts that
     g = -beta_j, so every violation is computed two ways.  The other

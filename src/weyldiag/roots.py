@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add
+from operator import add, neg
 
 from .errors import DomainError, InvalidRankError
 
@@ -326,13 +326,18 @@ def _identity_matrix(n: int) -> IntMatrix:
 
 def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
     # Matrix of (elem . s_a): new row j = row j - a[a0][j] * row a0, so only
-    # the rows listed in Cartan row a0 change; the others stay shared.  Off
-    # the diagonal the entry is most often -1, and the new row a plain sum.
+    # the rows listed in Cartan row a0 change; the others stay shared.  The
+    # entry is 2 only on the diagonal, where the new row is -row a0; off it
+    # the entry is most often -1, and the new row a plain sum.
     arow = m[a0]
     out = list(m)
     for j, c in rows[a0]:
-        row = m[j]
-        out[j] = tuple(map(add, row, arow) if c == -1 else [v - c * w for v, w in zip(row, arow)])
+        if c == -1:
+            out[j] = tuple(map(add, m[j], arow))
+        elif c == 2:
+            out[j] = tuple(map(neg, arow))
+        else:
+            out[j] = tuple([v - c * w for v, w in zip(m[j], arow)])
     return tuple(out)
 
 

@@ -1,11 +1,13 @@
 """Diagram walks, counts, and machine-readable verification reports.
 
 Every walk (diagrams._walk) returns {positions: leaf state} in ascending
-bitmask order.  The ascent walk's leaf is the matrix of zeta'(d): census
-counts these leaves and enumerate_positive turns their positions into
-Diagram objects.  The length walk's leaf is the matrix of zeta(d), whose
-length is len(d) because each step counted it: verify_word takes the zeta
-images from there, and runs zeta only on interval elements outside the
+bitmask order.  The ascent walk starts at the heights (1,) * rank of the
+simple roots and its leaf is the row sums of zeta'(d), the heights of the
+roots it sends the simple roots to: census counts these leaves and
+enumerate_positive turns their positions into Diagram objects.  The length
+walk starts at the identity matrix and its leaf is the matrix of zeta(d),
+whose length is len(d) because each step counted it: verify_word takes the
+zeta images from there, and runs zeta only on interval elements outside the
 image.
 """
 
@@ -64,16 +66,16 @@ def _guard_sweep(t: int) -> None:
         )
 
 
-def _positive_leaves(word: Word) -> dict[tuple[int, ...], IntMatrix]:
-    """The ascent walk's leaves, {positions: zeta'(d).matrix}, in ascending
-    bitmask order; under __debug__ the length walk must pass the same
-    diagrams."""
+def _positive_leaves(word: Word) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The ascent walk's leaves, {positions: row sums of zeta'(d).matrix},
+    in ascending bitmask order; under __debug__ the length walk must pass
+    the same diagrams."""
     require_reduced(word)
     _guard_sweep(word.t)
-    ident = _identity_matrix(word.system.rank)
-    found = _walk(word, _ascent_step, ident)
+    rank = word.system.rank
+    found = _walk(word, _ascent_step, (1,) * rank)
     if __debug__:
-        differ = found.keys() ^ _walk(word, _length_step, ident).keys()
+        differ = found.keys() ^ _walk(word, _length_step, _identity_matrix(rank)).keys()
         assert not differ, (
             f"positivity tests disagree on "
             f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
@@ -211,7 +213,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     # Each verdict below is an AND over j of a rule on j and the members
     # after j, so each walk returns exactly the diagrams its rule passes.
     ident = _identity_matrix(word.system.rank)
-    found = list(_walk(word, _ascent_step, ident))
+    found = list(_walk(word, _ascent_step, (1,) * word.system.rank))
     by_lengths = _walk(word, _length_step, ident)
     dual_ok = found == list(by_lengths)
 

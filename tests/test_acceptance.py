@@ -134,9 +134,9 @@ def test_criterion_4_dual_positivity_tests_agree():
                 if by_ascents:
                     passed.append(d.positions)
             # The pruned suffix walks against the per-mask reference, in order.
-            ident = _identity_matrix(word.system.rank)
-            assert list(_walk(word, _ascent_step, ident)) == passed, word
-            assert list(_walk(word, _length_step, ident)) == passed, word
+            rank = word.system.rank
+            assert list(_walk(word, _ascent_step, (1,) * rank)) == passed, word
+            assert list(_walk(word, _length_step, _identity_matrix(rank))) == passed, word
 
 
 def test_criterion_5_bijection_and_oracle_agreement():
@@ -147,15 +147,18 @@ def test_criterion_5_bijection_and_oracle_agreement():
             interval = subword_products(word)
             assert len(set(images)) == len(images)
             assert set(images) == interval
-            # The walks' leaf states are the two products of each diagram:
-            # verify_word reads its zeta images off the length walk's.
-            ident = _identity_matrix(word.system.rank)
-            by_lengths = _walk(word, _length_step, ident)
-            by_ascents = _walk(word, _ascent_step, ident)
+            # The length walk's leaf state is zeta(d), which verify_word
+            # reads its images off; the ascent walk's is the row sums of
+            # zeta'(d), the heights of the roots zeta'(d) sends the simple
+            # roots to.
+            rank = word.system.rank
+            by_lengths = _walk(word, _length_step, _identity_matrix(rank))
+            by_ascents = _walk(word, _ascent_step, (1,) * rank)
             for d, u in zip(positives, images):
                 assert by_lengths[d.positions] == u.matrix, (word, d.positions)
                 assert u.length == d.size, (word, d.positions)
-                assert by_ascents[d.positions] == zeta_prime(d).matrix, (word, d.positions)
+                heights = tuple(map(sum, zeta_prime(d).matrix))
+                assert by_ascents[d.positions] == heights, (word, d.positions)
             # |W| <= 200 for every suite type, so the rank-4 sample covers W.
             for u in group_elements(word.system):
                 present = diagram_for(word, u) is not None

@@ -284,7 +284,7 @@ def test_obstruction_walk_equals_the_reflection_rule_on_f4_w0():
     ident = _identity_matrix(system.rank)
     prefixes = random_reduced_words(system, 2, 12, seed=13)
     for word in [longest_word(system)] + [extend_to_w0(p) for p in prefixes]:
-        found = list(_walk(word, _ascent_step, ident))
+        found = list(_walk(word, _ascent_step, (1,) * system.rank))
         assert len(found) == 1152
         assert list(_walk(word, _obstruction_step, (ident, {}))) == found, word
         assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word

@@ -1,7 +1,7 @@
 """Property tests: carried lengths, extension to w0 and zeta' over many
 types, the inversion count against its dot-product reference, the descent
-pairings against the inverse matrix, and the obstruction and Le walks
-against the ascent walk."""
+pairings against the inverse matrix, the ascent walk's heights against dense
+matrix products, and the obstruction and Le walks against the ascent walk."""
 
 import pytest
 
@@ -27,6 +27,7 @@ from weyldiag.roots import _count_inversions, _identity_matrix
 
 from conftest import (
     PROPERTY_TYPES,
+    dense_right_mul,
     diagram_positions_by_inverse,
     obstruction_step_by_reflection,
     random_reduced_word,
@@ -97,7 +98,30 @@ def test_descents_by_pairings_match_the_inverse_matrix(ctype, data):
 
 
 def ascent_walk(word):
-    return list(_walk(word, _ascent_step, _identity_matrix(word.system.rank)))
+    return list(_walk(word, _ascent_step, (1,) * word.system.rank))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(PROPERTY_TYPES + [("B", 16)]), st.data())
+def test_ascent_walk_leaves_are_heights_of_dense_products(ctype, data):
+    # Each leaf is the row sums of zeta'(d): the members' letters multiplied
+    # right to left in dense arithmetic, which shares no code with
+    # _right_mul or the height update.  Products are kept per member suffix,
+    # so each leaf costs one dense step.
+    system = system_of(*ctype)
+    walk = random_reduced_word(system, data.draw(st.randoms(use_true_random=False)), MAX_LEN)
+    products = {(): _identity_matrix(system.rank)}
+
+    def product(members):
+        if members not in products:
+            a0 = walk.letters[members[0] - 1] - 1
+            products[members] = dense_right_mul(product(members[1:]), a0, system.cartan)
+        return products[members]
+
+    leaves = _walk(walk, _ascent_step, (1,) * system.rank)
+    assert () in leaves
+    for members, heights in leaves.items():
+        assert heights == tuple(map(sum, product(members))), (walk, members)
 
 
 @settings(derandomize=True, database=None, deadline=None)

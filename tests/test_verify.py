@@ -286,6 +286,43 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
             enumerate_positive(word)
 
 
+def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
+    import weyldiag.verify as verify_mod
+    from weyldiag.cli import run
+
+    # The ascent step's height update without its diagonal entry, so h[a0]
+    # keeps its sign where m s_a negates row a0.  Over A2 1,2,1 the
+    # non-positive (3,) then passes.  The update read along the transposed
+    # row (_cartan_cols) would be no mutant to test with: it computes coroot
+    # heights, which have the same signs as the heights, so B3, C3, G2 and
+    # F4 pass all the same.
+    word = Word(a2, (1, 2, 1))
+    clean = _verify_flags(verify_word(word))
+
+    def skipping_the_diagonal(word, j, h, size):
+        a0 = word.letters[j - 1] - 1
+        if h[a0] < 0:
+            return None
+        joined = list(h)
+        for k, c in word.system._cartan_rows[a0]:
+            if k != a0:
+                joined[k] -= c * h[a0]
+        return h, tuple(joined)
+
+    monkeypatch.setattr(verify_mod, "_ascent_step", skipping_the_diagonal)
+    assert _verify_flags(verify_word(word)) == {
+        **clean, "dual_ok": False, "obstruction_ok": False, "bijection_ok": False,
+    }
+    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
+    assert res.exit_code == 1
+    assert "dual_ok false" in res.stdout.splitlines()
+    if __debug__:  # the walk comparison in _positive_leaves is an assert
+        with pytest.raises(AssertionError, match=r"positivity tests disagree on \(3,\)"):
+            longest_word_census(CartanType("A", 2))
+    else:
+        assert not longest_word_census(CartanType("A", 2)).ok
+
+
 def test_checks_fail_on_an_injected_root_edge_defect(monkeypatch):
     import weyldiag.roots as roots
     from weyldiag.cli import run

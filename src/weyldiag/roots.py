@@ -24,7 +24,11 @@ compose, the one product not built from letters, counts it as the number
 of positive roots sent negative.  That inversion count is otherwise left
 to the checks, as the independent length oracle.  invert reads a reduced
 word of the element off its left descents and multiplies it out
-backwards, so no matrix is ever inverted by elimination.
+backwards, so no matrix is ever inverted by elimination.  The ascent rule
+reads only the heights (row sums) of the matrix, and height is linear, so
+a caller that needs the rule and not the element carries the n heights
+alone (_right_mul_heights): reducedness and the extension to w0 in words
+do, and the matrix is built only for a caller that reads it.
 
 Left descents are read without inverting the matrix.  s_i is a left
 descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
@@ -339,6 +343,15 @@ def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
         else:
             out[j] = tuple([v - c * w for v, w in zip(m[j], arow)])
     return tuple(out)
+
+
+def _right_mul_heights(h: list[int], a0: int, rows: SparseLines) -> None:
+    # The row sums of _right_mul(m, a0, rows) from those of m, in place:
+    # height is linear, so row j - a[a0][j] * row a0 sums to
+    # h[j] - a[a0][j] * h[a0].
+    ha = h[a0]
+    for j, c in rows[a0]:
+        h[j] -= c * ha
 
 
 def _left_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:

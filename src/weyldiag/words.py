@@ -5,6 +5,13 @@ beta_i = s_{alpha_1} ... s_{alpha_{i-1}}(alpha_i) consists of positive
 roots, in which case the beta_i are automatically distinct and their set
 depends only on the group element.  root_sequence exploits this to report
 the precise position at which a non-reduced word fails.
+
+beta_i is row a_i of the prefix product s_{a_1} ... s_{a_{i-1}}, so its
+sign is the sign of that row's sum (its height), and the row sums of
+m s_a follow from those of m alone (roots._right_mul_heights).  So
+reducedness and the extension to w0 carry n heights, from (1,) * n, and
+multiply out no matrix; Word.element builds the word's matrix only when a
+caller reads it.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .roots import (
     _identity_matrix,
     _left_descents,
     _right_mul,
+    _right_mul_heights,
     coroot_pairing,
     element_of_word,
 )
@@ -42,11 +50,25 @@ class Word:
 
     @cached_property
     def element(self) -> WeylElement:
+        """The product s_{a_1} ... s_{a_t}, its matrix built on first read."""
         return element_of_word(self.system, self.letters)
 
     @cached_property
+    def _heights(self) -> tuple[int, ...] | None:
+        # Row sums of the word's matrix, or None at the first letter whose
+        # root beta_i has negative height: the word is then not reduced.
+        h = [1] * self.system.rank
+        rows = self.system._cartan_rows
+        for i in self.letters:
+            if h[i - 1] < 0:
+                return None
+            _right_mul_heights(h, i - 1, rows)
+        return tuple(h)
+
+    @cached_property
     def reduced(self) -> bool:
-        return self.element.length == self.t
+        """Whether every beta_i is positive, read off the heights alone."""
+        return self._heights is not None
 
     @cached_property
     def prefix_matrices(self) -> tuple[IntMatrix, ...]:
@@ -152,23 +174,32 @@ def extend_to_w0(word: Word) -> Word:
     """Extend a reduced word of w to a reduced word of w0 sharing its prefix.
 
     Appends the smallest right ascent of the running product until none is
-    left.  The suffix is the canonical reduced_word of w^{-1} w0: with
-    N = l(w0), l(s_i w^{-1} w0) = N - l(w s_i), so s_i is a left descent of
-    w^{-1} w0 exactly when it is a right ascent of w, and each greedy step
-    keeps this correspondence for the shorter remainder.
+    left.  s_i is a right ascent of m exactly when row i of m has positive
+    height, so only the heights are carried (no matrix is built).  The
+    suffix is the canonical reduced_word of w^{-1} w0: with N = l(w0),
+    l(s_i w^{-1} w0) = N - l(w s_i), so s_i is a left descent of w^{-1} w0
+    exactly when it is a right ascent of w, and each greedy step keeps this
+    correspondence for the shorter remainder.  There are exactly N - t
+    steps, so the loop runs at most that many times and an ascent left
+    after them (corrupt arithmetic) raises.
     """
     require_reduced(word)
     system = word.system
-    m = word.element.matrix
+    rows = system._cartan_rows
+    left = system.num_positive_roots - word.t
+    h = list(word._heights)
     letters = list(word.letters)
-    while True:
-        for i0 in range(system.rank):
-            if sum(m[i0]) > 0:
-                letters.append(i0 + 1)
-                m = _right_mul(m, i0, system._cartan_rows)
-                break
-        else:
+    for _ in range(left):
+        i0 = next((i for i, v in enumerate(h) if v > 0), -1)
+        if i0 < 0:
             break
+        letters.append(i0 + 1)
+        _right_mul_heights(h, i0, rows)
+    if any(v > 0 for v in h):
+        raise AssertionError(
+            f"extension to w0 over {system.ctype} still has a right ascent after "
+            f"l(w0) - t = {left} letters: heights {h}"
+        )
     extended = Word(system, tuple(letters))
     assert extended.t == system.num_positive_roots and extended.reduced
     return extended

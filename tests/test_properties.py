@@ -1,7 +1,8 @@
 """Property tests: carried lengths, extension to w0 and zeta' over many
-types, the inversion count against its dot-product reference, the descent
-pairings against the inverse matrix, the ascent walk's heights against dense
-matrix products, and the obstruction and Le walks against the ascent walk."""
+types, reducedness by heights against the carried length, the inversion
+count against its dot-product reference, the descent pairings against the
+inverse matrix, the ascent walk's heights against dense matrix products, and
+the obstruction and Le walks against the ascent walk."""
 
 import pytest
 
@@ -34,7 +35,7 @@ from conftest import (
     reduced_word_by_inverse,
     system_of,
 )
-from test_words import extend_by_inverse_formula
+from test_words import check_reduced_by_length, extend_by_inverse_formula
 
 MAX_LEN = 14
 
@@ -60,6 +61,21 @@ def test_carried_length_extension_and_zeta_prime(pair, data):
     inside = data.draw(st.lists(st.booleans(), min_size=walk.t, max_size=walk.t))
     d = Diagram(walk, tuple(p for p, keep in enumerate(inside, start=1) if keep))
     assert zeta_prime(d) == invert(zeta(d))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(words(), st.sampled_from([("A", 32), ("B", 32), ("C", 32), ("D", 32)]), st.data())
+def test_reducedness_by_heights_equals_carried_length(pair, ctype, data):
+    word, walk = pair
+    system = system_of(*ctype)
+    letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))
+    long_walk = random_reduced_word(system, data.draw(st.randoms(use_true_random=False)),
+                                    4 * MAX_LEN)
+    # One letter more: reduced exactly when it is a right ascent of the walk.
+    tail = data.draw(st.integers(1, system.rank))
+    for w in (word, walk, Word(system, letters), long_walk,
+              Word(system, long_walk.letters + (tail,))):
+        check_reduced_by_length(w.system, w.letters)
 
 
 def count_inversions_by_dot_products(system, m):

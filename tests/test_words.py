@@ -16,8 +16,9 @@ from weyldiag import (
     reduced_word,
     root_sequence,
 )
+from weyldiag.words import require_reduced
 
-from conftest import CENSUS_TYPES, random_reduced_words, system_of
+from conftest import CENSUS_TYPES, PROPERTY_TYPES, random_reduced_words, system_of
 
 
 def extend_by_inverse_formula(word):
@@ -26,6 +27,16 @@ def extend_by_inverse_formula(word):
     system = word.system
     rest = compose(system, invert(word.element), longest_element(system))
     return Word(system, word.letters + reduced_word(system, rest).letters)
+
+
+def check_reduced_by_length(system, letters):
+    """Word.reduced, read off the height recursion, against the length that
+    element_of_word carries with its matrix; for a reduced word, the
+    carried heights against the matrix's row sums."""
+    word = Word(system, letters)
+    assert word.reduced == (element_of_word(system, letters).length == len(letters)), word
+    if word.reduced:
+        assert word._heights == tuple(map(sum, word.element.matrix)), word
 
 
 def test_is_reduced_examples(a2):
@@ -116,17 +127,21 @@ def test_reduced_word_is_deterministic(a2):
 
 
 def test_longest_word_properties():
-    for family, rank in [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)]:
+    for family, rank in [("A", 2), ("B", 2), ("C", 3)] + PROPERTY_TYPES:
         system = system_of(family, rank)
         word = longest_word(system)
         assert word.t == system.num_positive_roots
         assert word.reduced
         w0 = word.element
+        assert w0.length == word.t
         # w0 sends every simple root to a negative root.
         from weyldiag import apply_element
 
         for alpha in system.simple_roots:
             assert sum(apply_element(w0, alpha)) < 0
+        # Greedy right ascents from e give w0's canonical word, greedy left
+        # descents (the suffix formula of extend_to_w0 at the empty word).
+        assert reduced_word(system, w0) == word
 
 
 def test_extend_to_w0_examples(a2, a3):
@@ -147,6 +162,37 @@ def test_extend_to_w0_examples(a2, a3):
         system = system_of(family, rank)
         for word in random_reduced_words(system, 8, system.num_positive_roots, seed=rank):
             assert extend_to_w0(word) == extend_by_inverse_formula(word)
+
+
+QUERY_TYPES = [("E", 7), ("E", 8), ("A", 16), ("B", 16), ("C", 16), ("D", 16), ("B", 32)]
+
+
+@pytest.mark.parametrize("ctype", QUERY_TYPES, ids=[f"{f}{r}" for f, r in QUERY_TYPES])
+def test_extend_to_w0_at_query_ranks(ctype):
+    system = system_of(*ctype)
+    for word in random_reduced_words(system, 3, 2 * system.rank, seed=system.rank):
+        assert extend_to_w0(word) == extend_by_inverse_formula(word)
+
+
+def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
+    import weyldiag.words as words_mod
+
+    # The height update without its diagonal entry, so h[a0] keeps its sign
+    # where m s_a negates row a0: every letter then reads as an ascent.
+    def skipping_the_diagonal(h, a0, rows):
+        ha = h[a0]
+        for j, c in rows[a0]:
+            if j != a0:
+                h[j] -= c * ha
+
+    monkeypatch.setattr(words_mod, "_right_mul_heights", skipping_the_diagonal)
+    with pytest.raises(AssertionError):
+        check_reduced_by_length(a2, (1, 1))
+    require_reduced(Word(a2, (1, 1)))
+    # The extension is bounded by l(w0) - t letters, so it raises, under
+    # python -O too, where it would otherwise append ascents for ever.
+    with pytest.raises(AssertionError, match="over A2 still has a right ascent"):
+        extend_to_w0(Word(a2, ()))
 
 
 def test_extend_to_w0_rejects_non_reduced(a2):

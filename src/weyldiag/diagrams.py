@@ -11,18 +11,13 @@ that certifies non-positivity.  The obstruction comes in two forms:
 positivity_obstruction checks one pair (j, m) and returns its gamma trace,
 and _obstruction_step is the same verdict as a walk rule, so one walk lists
 the diagrams no pair trips; verify_word checks that they are exactly the
-positive ones.  The walk rule works in root coordinates: it carries the
-matrix of the members after j, right to left, and the negated root each
-member read there, and a pair is violated exactly when the root read at j
-is one of those, so a step is one set lookup, not one reflection per
-member.  On the suffixes it passes that happens exactly when the ascent
-test fails, so the walk is the ascent test in another form.  The ascent
-walk carries only the heights of that matrix's rows, so under python -O the
-comparison checks the matrix arithmetic against the height recursion, not
-the theorem.  Under __debug__ each prune is re-derived with the
-beta-reflection recursion (non-positive implies obstructed); that positive
-diagrams trip no pair is checked independently only by the tests, against
-a per-member reflection rule.
+positive ones.  The walk rule works in the frame of the betas: it starts
+from w^{-1}, reflects it in beta_j at each position left out, and keeps the
+root each member read there, so a step is one matrix-vector product and one
+set lookup.  It reads only w^{-1}, the betas and their coroot rows, never
+the members' simple reflections, so it shares no arithmetic with the ascent
+walk, which reads the Cartan rows alone; comparing the two checks the
+theorem both ways, and the same under python and python -O.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
@@ -46,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 from .errors import DomainError
 from .roots import (
@@ -265,6 +261,12 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
     the final residual fixes 2 rho and so is the identity.
     """
     require_reduced(word)
+    positions = _descent_positions(word, u)
+    return None if positions is None else Diagram(word, positions)
+
+
+def _descent_positions(word: Word, u: WeylElement) -> tuple[int, ...] | None:
+    # diagram_for's recursion, positions only.
     system = word.system
     p = _descent_pairings(system, u.matrix)
     positions = []
@@ -272,9 +274,7 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
         if p[i - 1] < 0:
             positions.append(pos)
             _strip_descent(p, i - 1, system._cartan_cols)
-    if p != [2] * system.rank:
-        return None
-    return Diagram(word, tuple(positions))
+    return tuple(positions) if p == [2] * system.rank else None
 
 
 # Entries kept by subword_products; each benchmark pass fills at most 14.
@@ -396,56 +396,40 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     return ObstructionCheck(True, violated, trace)
 
 
+def _obstruction_start(word: Word):
+    # (w^{-1}, no members): the word's letters reversed, multiplied out.
+    return element_of_word(word.system, word.letters[::-1]).matrix, frozenset()
+
+
 def _obstruction_step(word: Word, j: int, state, size: int):
-    """The root-sum obstruction as a walk rule in root coordinates; start
-    the walk at (identity matrix, {}).
+    """The root-sum obstruction as a walk rule in the frame of the betas;
+    start the walk at _obstruction_start(word).
 
-    state is (m, ys): m is the matrix of the members after j right to left,
-    i.e. Z_j^{-1} for Z_j the product of those members left to right (the
-    ascent walk carries only its row sums), and ys maps -y_k to k for each
-    member k, where y_k = Z_k^{-1}(alpha_{a_k}) is row a_k of the matrix at
-    k.  Let P_j be the prefix product of the first j letters and g the
-    gamma_0 of a pair (j, k): beta_k reflected in beta_l at each omitted l
-    between j and k, as in positivity_obstruction.  The reflections in the
-    omitted beta_l telescope, so g = -(P_j Z_j)(y_k), while
-    (P_j Z_j)(y_j) = P_j(alpha_{a_j}) = -beta_j; the pair is violated,
-    g = -beta_j, exactly when y_j = -y_k, i.e. when row a_j of m is a key
-    of ys.  When the members' product is reduced, as it is on every suffix
-    the rule passes, the y_k are the positive roots Z_j sends negative
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7): distinct,
-    and never y_j, since Z_j(y_j) = alpha_{a_j}.  So ys keeps one entry per
-    member.
+    Let P_j be the product of the first j letters and Z_j that of the
+    members after j, left to right, and M_j = P_j Z_j.  For a member k let
+    y_k = Z_k^{-1}(alpha_{a_k}).  Since beta_j = P_{j-1}(alpha_{a_j}) =
+    -P_j(alpha_{a_j}), M_k^{-1}(beta_k) = -y_k.  The gamma_0 of a pair
+    (j, k), beta_k reflected in beta_l at each omitted l between j and k as
+    in positivity_obstruction, telescopes to -M_j(y_k), so the pair is
+    violated, gamma_0 = -beta_j, exactly when y_k = M_j^{-1}(beta_j).
+    M_t = w.  When j joins, P_{j-1} Z_{j-1} = P_j s_{a_j} s_{a_j} Z_j, so
+    M_{j-1} = M_j; when j is left out, P_{j-1} = s_{beta_j} P_j, so
+    M_{j-1} = s_{beta_j} M_j.
 
-    On a reduced suffix the keys are the -y_k for the roots y_k > 0 that
-    Z_j sends negative, so y_j is a key exactly when y_j < 0: the rule
-    prunes where _ascent_step does, and the walk restates the ascent test.
-    It builds its own matrices with _right_mul, while _ascent_step carries
-    only their row sums by a scalar recursion, so under python -O
-    verify_word's obstruction_ok checks the matrix arithmetic against the
-    height recursion, not the theorem.  Under __debug__ each prune
-    re-derives its pair (j, k) by the beta-reflection recursion on
-    word.coroot_rows, which does not read the matrices, and asserts that
-    g = -beta_j, so every violation is computed two ways.  The other
-    direction, that a positive diagram trips no pair, is left to the tests,
-    which compare the walk with a per-member reflection rule.
+    So state is (n, ys): n is the matrix of M_j^{-1}, from w^{-1}, and ys
+    is the set of y_k over the members after j.  At j the rule computes
+    x = n(beta_j) and prunes when x is in ys.  Joining adds -x = y_j and
+    keeps n; leaving j out sets n <- n s_{beta_j}, whose row i loses
+    (beta_j^vee, alpha_i) x, for the nonzero entries of word.coroot_rows.
     """
-    m, ys = state
-    a0 = word.letters[j - 1] - 1
-    y = m[a0]
-    if y in ys:
-        if __debug__:
-            k, members = ys[y], set(ys.values())
-            assert len(members) == size, f"keys collide at position {j} over {word}"
-            g = word.betas[k - 1]
-            for l in range(k - 1, j, -1):
-                if l not in members:
-                    c = sum(a * x for a, x in zip(word.coroot_rows[l - 1], g) if a)
-                    g = _reflect_by(word.betas[l - 1], c, g)
-            assert g == tuple(-x for x in word.betas[j - 1]), (
-                f"pair ({j}, {k}) pruned but not violated over {word}"
-            )
+    n, ys = state
+    x = _apply(n, word.betas[j - 1])
+    if x in ys:
         return None
-    return state, (_right_mul(m, a0, word.system._cartan_rows), {**ys, tuple(-x for x in y): j})
+    out = list(n)
+    for i, c in word.coroot_rows[j - 1]:
+        out[i] = _reflect_by(x, c, n[i])
+    return (tuple(out), ys), (n, ys | {tuple(map(neg, x))})
 
 
 __all__ = [

@@ -309,7 +309,7 @@ def reflect(system: RootSystem, beta: RootVector, x: RootVector) -> RootVector:
 
 def _reflect_by(beta: RootVector, k: int, x: RootVector) -> RootVector:
     # x - k beta, for a caller that already holds k = (beta^vee, x).
-    return tuple(xi - k * bi for xi, bi in zip(x, beta)) if k else tuple(x)
+    return tuple([xi - k * bi for xi, bi in zip(x, beta)]) if k else tuple(x)
 
 
 # -- Weyl group elements ----------------------------------------------------

@@ -33,7 +33,9 @@ from .words import Word, format_word, longest_word, reduced_word, require_reduce
 from .diagrams import (
     Diagram,
     _ascent_step,
+    _descent_positions,
     _length_step,
+    _obstruction_start,
     _obstruction_step,
     _walk,
     diagram_for,
@@ -212,9 +214,9 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
 
     # Each verdict below is an AND over j of a rule on j and the members
     # after j, so each walk returns exactly the diagrams its rule passes.
-    ident = _identity_matrix(word.system.rank)
-    found = list(_walk(word, _ascent_step, (1,) * word.system.rank))
-    by_lengths = _walk(word, _length_step, ident)
+    rank = word.system.rank
+    found = list(_walk(word, _ascent_step, (1,) * rank))
+    by_lengths = _walk(word, _length_step, _identity_matrix(rank))
     dual_ok = found == list(by_lengths)
 
     interval = subword_products(word)
@@ -222,10 +224,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     image_set = set(images.values())
     bijection_ok = len(image_set) == len(found) and image_set == interval
 
-    roundtrip_ok = all(
-        (d := diagram_for(word, u)) is not None and d.positions == p
-        for p, u in images.items()
-    )
+    roundtrip_ok = all(_descent_positions(word, u) == p for p, u in images.items())
     if roundtrip_ok:
         # Every image already round-trips, so only elements outside the
         # image can fail; when the bijection holds there are none.
@@ -235,8 +234,10 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
                 roundtrip_ok = False
                 break
 
-    # Exactly the positive diagrams trip no root-sum obstruction pair.
-    obstruction_ok = list(_walk(word, _obstruction_step, (ident, {}))) == found
+    # Exactly the positive diagrams trip no root-sum obstruction pair.  The
+    # obstruction walk reads the betas and their coroot rows, the ascent
+    # walk the Cartan rows alone, so each checks the other.
+    obstruction_ok = list(_walk(word, _obstruction_step, _obstruction_start(word))) == found
 
     shape = detect_grid_shape(word)
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found

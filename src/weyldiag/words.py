@@ -24,6 +24,7 @@ from .roots import (
     IntMatrix,
     RootSystem,
     RootVector,
+    SparseLines,
     WeylElement,
     _identity_matrix,
     _left_descents,
@@ -85,14 +86,15 @@ class Word:
         return root_sequence(self)
 
     @cached_property
-    def coroot_rows(self) -> tuple[RootVector, ...]:
-        """Row l holds (beta_l^vee, alpha_k) for k = 1..n, so its dot product
-        with x is (beta_l^vee, x) by linearity."""
+    def coroot_rows(self) -> SparseLines:
+        """Row l lists the nonzero (k, (beta_l^vee, alpha_k)), so its dot
+        product with x is (beta_l^vee, x) by linearity.  The obstruction walk
+        reads them at every position it leaves out, so they are built on
+        first read: t * n coroot pairings, at most 24 * 32 for a word that
+        verify accepts (t <= 24 by default) at rank 32."""
         simple = self.system.simple_roots
-        return tuple(
-            tuple(coroot_pairing(self.system, beta, alpha) for alpha in simple)
-            for beta in self.betas
-        )
+        pairings = ((coroot_pairing(self.system, b, a) for a in simple) for b in self.betas)
+        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in pairings)
 
     def __str__(self) -> str:
         return format_word(self)

@@ -91,7 +91,7 @@ def obstruction_step_by_reflection(word, j, state, size):
     coroot = word.coroot_rows[j - 1]
     out = []
     for g in gs:
-        c = sum(a * x for a, x in zip(coroot, g) if a)
+        c = sum(a * g[k] for k, a in coroot)
         out.append(_reflect_by(beta, c, g))
     joined_rows = ()
     if __debug__:

@@ -36,7 +36,13 @@ from weyldiag import (
     zeta,
     zeta_prime,
 )
-from weyldiag.diagrams import _ascent_step, _length_step, _obstruction_step, _walk
+from weyldiag.diagrams import (
+    _ascent_step,
+    _length_step,
+    _obstruction_start,
+    _obstruction_step,
+    _walk,
+)
 from weyldiag.roots import _identity_matrix
 
 from conftest import (
@@ -197,8 +203,8 @@ def test_criterion_7_obstruction_soundness():
             found = [d.positions for d in positives_of(word)]
             for d in positives_of(word):
                 assert not any(_violated_pairs(d)), (word, d.positions)
-            ident = _identity_matrix(word.system.rank)
-            assert list(_walk(word, _obstruction_step, (ident, {}))) == found, word
+            start = _obstruction_start(word)
+            assert list(_walk(word, _obstruction_step, start)) == found, word
             # The walk rule that reflects one root per member, the reference.
             assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word
             # The per-mask reference for the converse, bounded to keep 2^t

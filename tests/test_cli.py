@@ -257,8 +257,8 @@ def test_e6_census_under_python_O():
 
 
 def test_verify_under_python_O():
-    # Without __debug__ the obstruction walk skips the re-derivation of its
-    # prunes and no walk is cross-checked; the report must not change.
+    # Without __debug__ no assert runs; the report must not change.  F4 w0
+    # reads coroot pairings of 2 in the obstruction walk.
     f4_w0 = "1,2,1,3,2,1,3,2,3,4,3,2,1,3,2,3,4,3,2,1,3,2,3,4"
     for argv, positives in (
         (["verify", "--type", "D", "--rank", "4", "--word", "1,2,1,3,2,1,4,2,1,3,2,4"], 192),

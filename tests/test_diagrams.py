@@ -23,8 +23,7 @@ from weyldiag import (
 )
 
 from weyldiag import extend_to_w0, longest_word
-from weyldiag.diagrams import _ascent_step, _obstruction_step, _walk
-from weyldiag.roots import _identity_matrix
+from weyldiag.diagrams import _ascent_step, _obstruction_start, _obstruction_step, _walk
 
 from conftest import (
     diagram_positions_by_inverse,
@@ -281,12 +280,11 @@ def test_obstruction_walk_equals_the_reflection_rule_on_f4_w0():
     # t = 24, so only the pruned walks reach it: the canonical longest word
     # and seeded words of w0 that extend a random reduced prefix.
     system = system_of("F", 4)
-    ident = _identity_matrix(system.rank)
     prefixes = random_reduced_words(system, 2, 12, seed=13)
     for word in [longest_word(system)] + [extend_to_w0(p) for p in prefixes]:
         found = list(_walk(word, _ascent_step, (1,) * system.rank))
         assert len(found) == 1152
-        assert list(_walk(word, _obstruction_step, (ident, {}))) == found, word
+        assert list(_walk(word, _obstruction_step, _obstruction_start(word))) == found, word
         assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word
 
 

@@ -22,7 +22,7 @@ from weyldiag import (
     zeta,
     zeta_prime,
 )
-from weyldiag.diagrams import _ascent_step, _obstruction_step, _walk
+from weyldiag.diagrams import _ascent_step, _obstruction_start, _obstruction_step, _walk
 from weyldiag.grid import _le_walk
 from weyldiag.roots import _count_inversions, _identity_matrix
 
@@ -145,8 +145,7 @@ def test_ascent_walk_leaves_are_heights_of_dense_products(ctype, data):
 def test_obstruction_walk_equals_ascent_walk(pair):
     _, walk = pair
     found = ascent_walk(walk)
-    ident = _identity_matrix(walk.system.rank)
-    assert list(_walk(walk, _obstruction_step, (ident, {}))) == found
+    assert list(_walk(walk, _obstruction_step, _obstruction_start(walk))) == found
     assert list(_walk(walk, obstruction_step_by_reflection, ((), ()))) == found
 
 

@@ -357,21 +357,18 @@ def _verify_flags(report):
 
 def test_roundtrip_check_fails_on_an_injected_descent_defect(monkeypatch, a3):
     import weyldiag.verify as verify_mod
-    from weyldiag import Diagram
     from weyldiag.cli import run
 
     # The descent recursion loses the last position of every non-empty diagram.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     clean = _verify_flags(verify_word(word))
-    real = verify_mod.diagram_for
+    real = verify_mod._descent_positions
 
     def dropping_last(word, u):
-        d = real(word, u)
-        if d is None or not d.positions:
-            return d
-        return Diagram(word, d.positions[:-1])
+        positions = real(word, u)
+        return positions and positions[:-1]
 
-    monkeypatch.setattr(verify_mod, "diagram_for", dropping_last)
+    monkeypatch.setattr(verify_mod, "_descent_positions", dropping_last)
     flags = _verify_flags(verify_word(word))
     assert flags["roundtrip_ok"] is False
     assert flags == {**clean, "roundtrip_ok": False}
@@ -414,20 +411,23 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
     import weyldiag.verify as verify_mod
     from weyldiag.cli import run
 
-    # The rule keys each member k by +y_k instead of -y_k.  Over this word
-    # no y_j equals the y_k of a member after it, so the rule never trips,
-    # and the diagrams (3,) and (1, 3), where y_1 = -y_3, come through.
+    # A joining member k puts x = -y_k in the set instead of y_k, so the rule
+    # prunes where y_j = y_k.  Over this word no y_j equals the y_k of a
+    # member after it, so the rule never trips, and the diagrams (3,) and
+    # (1, 3), where y_1 = -y_3, come through.
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
+    real = diagrams._obstruction_step
 
     def plus_keyed(word, j, state, size):
-        m, ys = state
-        a0 = word.letters[j - 1] - 1
-        if m[a0] in ys:
+        pair = real(word, j, state, size)
+        if pair is None:
             return None
-        return state, (diagrams._right_mul(m, a0, word.system._cartan_rows), {**ys, m[a0]: j})
+        out, (n, ys) = pair
+        return out, (n, state[1] | {diagrams._apply(n, word.betas[j - 1])})
 
-    assert len(diagrams._walk(word, plus_keyed, (diagrams._identity_matrix(2), {}))) == 8
+    found = diagrams._walk(word, plus_keyed, diagrams._obstruction_start(word))
+    assert len(found) == 8
     monkeypatch.setattr(verify_mod, "_obstruction_step", plus_keyed)
     flags = _verify_flags(verify_word(word))
     assert flags["obstruction_ok"] is False
@@ -442,15 +442,15 @@ def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
     import weyldiag.verify as verify_mod
     from weyldiag.cli import run
 
-    # The rule without its set lookup passes all 2^t diagrams.  No positive
-    # diagram trips the real rule either, so only a check that the
-    # obstruction-free diagrams are exactly the positive ones can notice.
+    # The rule looks x up in an empty set, so it passes all 2^t diagrams.
+    # No positive diagram trips the real rule either, so only a check that
+    # the obstruction-free diagrams are exactly the positive ones can notice.
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
+    real = diagrams._obstruction_step
 
     def never_trips(word, j, state, size):
-        m, ys = state
-        return state, (diagrams._right_mul(m, word.letters[j - 1] - 1, word.system._cartan_rows), ys)
+        return real(word, j, (state[0], frozenset()), size)
 
     monkeypatch.setattr(verify_mod, "_obstruction_step", never_trips)
     flags = _verify_flags(verify_word(word))
@@ -464,39 +464,84 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod
 
-    # The real rule, but a member also keys its own simple root, so a later
-    # position whose y is that root is pruned against it: a pair the
-    # beta-reflection recursion does not violate.  Under __debug__ the
-    # prune's re-derivation refuses it; without it, positive diagrams go
-    # missing.
+    # The real rule, but a joining member j also puts -beta_j in the set, a
+    # root of the wrong frame, so a later position whose x is -beta_j is
+    # pruned against it: a pair the beta-reflection recursion does not
+    # violate.  Positive diagrams go missing, under python and python -O.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     clean = _verify_flags(verify_word(word))
     real = diagrams._obstruction_step
 
-    def keying_simple_roots(word, j, state, size):
+    def adding_minus_beta(word, j, state, size):
         pair = real(word, j, state, size)
         if pair is None:
             return None
-        out, (m, ys) = pair
-        return out, (m, {**ys, word.system.simple_roots[word.letters[j - 1] - 1]: j})
+        out, (n, ys) = pair
+        return out, (n, ys | {tuple(-v for v in word.betas[j - 1])})
 
-    monkeypatch.setattr(verify_mod, "_obstruction_step", keying_simple_roots)
-    if __debug__:  # the re-derivation at each prune is an assert
-        with pytest.raises(AssertionError, match=r"pair \(\d+, \d+\) pruned but not violated"):
-            verify_word(word)
-
-        def bypassed(word, j, state, size):
-            try:
-                return keying_simple_roots(word, j, state, size)
-            except AssertionError:
-                return None
-
-        monkeypatch.setattr(verify_mod, "_obstruction_step", bypassed)
+    found = diagrams._walk(word, adding_minus_beta, diagrams._obstruction_start(word))
+    assert set(found) < set(diagrams._walk(word, real, diagrams._obstruction_start(word)))
+    monkeypatch.setattr(verify_mod, "_obstruction_step", adding_minus_beta)
     assert _verify_flags(verify_word(word)) == {**clean, "obstruction_ok": False}
 
 
+# Words of t <= 6 over A2, A3, B2 and G2, so that pairings of 2 and 3 are
+# read.  A rule that stops pruning walks all 2^t diagrams, which is out of
+# reach on F4 w0 (t = 24): keep mutant words this short.
+BETA_FRAME_WORDS = [
+    (("A", 2), (1, 2, 1)),
+    (("A", 3), (1, 2, 1, 3, 2, 1)),
+    (("B", 2), (1, 2, 1, 2)),
+    (("G", 2), (1, 2, 1, 2, 1, 2)),
+]
+
+
+def _only_obstruction_fails(monkeypatch, target, name, mutant):
+    # Only the obstruction walk reads the coroot rows or runs
+    # _obstruction_step, so every other check must come out as it was.
+    words = [Word(system_of(*ctype), letters) for ctype, letters in BETA_FRAME_WORDS]
+    clean = [_verify_flags(verify_word(w)) for w in words]
+    monkeypatch.setattr(target, name, mutant)
+    for word, flags in zip(words, clean):
+        assert _verify_flags(verify_word(word)) == {**flags, "obstruction_ok": False}, word
+
+
+def test_obstruction_check_fails_on_an_injected_coroot_sign_defect(monkeypatch):
+    from weyldiag.cli import run
+
+    # The coroot row of position 2 has its first entry's sign flipped.  Row 1
+    # would be no mutant to test with: the leave-out update at j = 1 builds a
+    # matrix that no position reads.
+    real = Word.coroot_rows.func
+
+    def flipped(word):
+        rows = list(real(word))
+        (k, c), *rest = rows[1]
+        rows[1] = ((k, -c), *rest)
+        return tuple(rows)
+
+    _only_obstruction_fails(monkeypatch, Word, "coroot_rows", property(flipped))
+    res = run(["verify", "--type", "G", "--rank", "2", "--word", "1,2,1,2,1,2"])
+    assert res.exit_code == 1
+    assert "obstruction_ok false" in res.stdout.splitlines()
+
+
+def test_obstruction_check_fails_on_an_injected_skipped_reflection(monkeypatch):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+
+    # Leaving j out keeps n where it should become n s_{beta_j}.
+    real = diagrams._obstruction_step
+
+    def skipping_the_reflection(word, j, state, size):
+        pair = real(word, j, state, size)
+        return None if pair is None else (state, pair[1])
+
+    _only_obstruction_fails(monkeypatch, verify_mod, "_obstruction_step", skipping_the_reflection)
+
+
 def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
-    from weyldiag.diagrams import _identity_matrix, _obstruction_step, _walk
+    from weyldiag.diagrams import _obstruction_start, _obstruction_step, _walk
 
     # The reference rule reflects the members' roots at member positions as
     # well as at the omitted ones.  The positive diagram (2, 3) then reaches
@@ -511,7 +556,7 @@ def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
         (out, rows), (joined, joined_rows) = pair
         return (out, rows), (out + joined[-1:], joined_rows)
 
-    found = list(_walk(word, _obstruction_step, (_identity_matrix(2), {})))
+    found = list(_walk(word, _obstruction_step, _obstruction_start(word)))
     assert found == [(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3)]
     assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found
     assert list(_walk(word, reflecting_members, ((), ()))) == [(), (1,), (2,), (1, 2)]

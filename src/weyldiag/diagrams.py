@@ -7,32 +7,28 @@ length test on per-position products), the maps zeta / zeta' onto the
 Bruhat intervals below w and w^{-1}, the left-to-right recursion that
 reconstructs the unique positive diagram of an interval element, an
 independent subword-product Bruhat oracle, and the root-sum obstruction
-that certifies non-positivity.  The obstruction comes in two forms:
-positivity_obstruction checks one pair (j, m) and returns its gamma trace,
-and _obstruction_step is the same verdict as a walk rule, so one walk lists
-the diagrams no pair trips; verify_word checks that they are exactly the
-positive ones.  The walk rule works in the frame of the betas: it starts
-from w^{-1}, reflects it in beta_j at each position left out, and keeps the
-root each member read there, so a step is one matrix-vector product and one
-set lookup.  It reads only w^{-1}, the betas and their coroot rows, never
-the members' simple reflections, so it shares no arithmetic with the ascent
-walk, which reads the Cartan rows alone; comparing the two checks the
-theorem both ways, and the same under python and python -O.
+that certifies non-positivity.  positivity_obstruction checks one pair
+(j, m) and returns its gamma trace; _obstruction_step is the same verdict
+as a walk rule in the frame of the betas, which reads only w^{-1}, the
+betas and their coroot rows, never the members' simple reflections, so it
+shares no arithmetic with the ascent rule and comparing the two checks the
+theorem both ways, under python and python -O alike.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
 "positive" throughout.
 
-Each positivity test, and the obstruction, is a rule at one position j
-that reads only the members after j, so one pruned walk over suffixes finds
-the diagrams a rule passes at a cost that grows with their number, not with
-2^t.  The per-diagram tests (is_positive and its two halves) are that same
-walk pinned to one diagram, so _walk is the only reader of the rules.  A
-walk returns {positions: leaf state}, the state its rule built from all the
-members: the length walk's leaf is zeta(d) itself, so verify_word reads the
-zeta images off it instead of rebuilding them; the ascent walk's is the row
-sums of zeta'(d), which census only counts.  Both positivity tests run
-and are compared whenever __debug__ is set (the normal interpreter and
+Each positivity test, and the obstruction, is a rule step(word, j, state)
+at one position j that reads only the state built from the members after
+j; the function that builds its start state from the word sits beside it
+(_ascent_start, _length_start, _obstruction_start).  One pruned walk over
+suffixes (_walk) finds the diagrams a rule passes at a cost that grows
+with their number, not with 2^t, and returns the state each one ends
+with; the per-diagram tests (is_positive and its two halves) are the same
+walk pinned to one diagram.  The length walk's leaf is (zeta(d),
+len(d)), so verify_word reads the zeta images off it; the ascent walk's is
+the row sums of zeta'(d), which census only counts.  Both positivity tests
+run and are compared whenever __debug__ is set (the normal interpreter and
 pytest); under python -O, enumerate_positive walks with the ascent test
 alone.
 """
@@ -55,7 +51,7 @@ from .roots import (
     _left_mul,
     _reflect_by,
     _right_mul,
-    _strip_descent,
+    _simple_update,
     coroot_pairing,
     element_of_word,
 )
@@ -147,29 +143,39 @@ def zeta_prime(diagram: Diagram) -> WeylElement:
     return element_of_word(word.system, letters[::-1])
 
 
-def _ascent_step(word: Word, j: int, h: tuple[int, ...], size: int):
+def _ascent_start(word: Word) -> tuple[int, ...]:
+    # The heights of the simple roots.
+    return (1,) * word.system.rank
+
+
+def _ascent_step(word: Word, j: int, h: tuple[int, ...]):
     # Marsh-Rietsch positivity: the trace ascends at every position, member or
     # not, i.e. m (the members after j, right to left) keeps alpha_{a_j}
-    # positive.  Only the heights h[k] = sum(m[k]) are carried, from
-    # (1,) * rank: height is linear, so m s_a's row update
-    # m[k] - a[a0][k] m[a0] is h[k] - a[a0][k] h[a0] on the heights.
+    # positive.  Only the heights h[k] = sum(m[k]) are carried, and a joining
+    # letter updates them as m s_a updates the rows; the leaf is the row sums
+    # of zeta'(d), the letters right to left.
     a0 = word.letters[j - 1] - 1
-    ha = h[a0]
-    if ha < 0:
+    if h[a0] < 0:
         return None
     joined = list(h)
-    for k, c in word.system._cartan_rows[a0]:
-        joined[k] -= c * ha
+    _simple_update(joined, a0, word.system._cartan_rows)
     return h, tuple(joined)
 
 
-def _length_step(word: Word, j: int, m: IntMatrix, size: int):
-    # Length characterization: s_{alpha_j} times the product m of the size
-    # member letters after j must have length 1 + size, by inversion counting.
+def _length_start(word: Word) -> tuple[IntMatrix, int]:
+    # The identity and its length.
+    return _identity_matrix(word.system.rank), 0
+
+
+def _length_step(word: Word, j: int, state: tuple[IntMatrix, int]):
+    # Length characterization: s_{alpha_j} times the product m of the n
+    # member letters after j must have n + 1 inversions.  The leaf is
+    # (zeta(d), len(d)), the letters left to right with the length counted.
+    m, n = state
     candidate = _left_mul(m, word.letters[j - 1] - 1, word.system._cartan_rows)
-    if _count_inversions(word.system, candidate) != 1 + size:
+    if _count_inversions(word.system, candidate) != n + 1:
         return None
-    return m, candidate
+    return state, (candidate, n + 1)
 
 
 def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
@@ -177,18 +183,13 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
     positions, in ascending bitmask order (a dict keeps insertion order, so
     list(...) of it is the ordered list of positions).
 
-    step(word, j, state, size) sees the state built from the members after j
-    (size of them, start when there are none) and returns None when j fails
-    either way, else (state if j is left out, state if j joins); a None
-    entry drops that branch alone.  Depth-first from position t, leaving j
-    out before putting it in.  The leaf state is the one built from all the
-    members.  _ascent_step starts at (1,) * rank, the heights of the simple
-    roots, and its leaf is the row sums of the matrix of zeta'(d), the
-    letters right to left.  _length_step starts at the identity matrix and
-    its leaf is the matrix of zeta(d), left to right, whose every suffix
-    product was counted to have as many inversions as letters, so the leaf
-    has length len(positions).  This is the one reader of that protocol: a
-    test of a single diagram is the walk with a step pinned to it (_passes).
+    step(word, j, state) sees the state built from the members after j
+    (start when there are none) and returns None when j fails either way,
+    else (state if j is left out, state if j joins); a None entry drops
+    that branch alone.  Depth-first from position t, leaving j out before
+    putting it in.  The leaf state is the one built from all the members.
+    This is the one reader of that protocol: a test of a single diagram is
+    the walk with a step pinned to it (_passes).
     """
     found = {}
     stack = [(word.t, start, ())]
@@ -196,7 +197,7 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
         j, state, members = stack.pop()
         if not j:
             found[members] = state
-        elif (pair := step(word, j, state, len(members))) is not None:
+        elif (pair := step(word, j, state)) is not None:
             out, joined = pair
             if joined is not None:
                 stack.append((j - 1, joined, (j,) + members))
@@ -209,8 +210,8 @@ def _passes(diagram: Diagram, step, start) -> bool:
     # The walk with step pinned to the diagram: only the branch it takes.
     inside = set(diagram.positions)
 
-    def pinned(word, j, state, size):
-        pair = step(word, j, state, size)
+    def pinned(word, j, state):
+        pair = step(word, j, state)
         if pair is None:
             return None
         return (None, pair[1]) if j in inside else (pair[0], None)
@@ -219,11 +220,11 @@ def _passes(diagram: Diagram, step, start) -> bool:
 
 
 def _positive_by_ascents(diagram: Diagram) -> bool:
-    return _passes(diagram, _ascent_step, (1,) * diagram.word.system.rank)
+    return _passes(diagram, _ascent_step, _ascent_start(diagram.word))
 
 
 def _positive_by_lengths(diagram: Diagram) -> bool:
-    return _passes(diagram, _length_step, _identity_matrix(diagram.word.system.rank))
+    return _passes(diagram, _length_step, _length_start(diagram.word))
 
 
 def is_positive_by_ascents(diagram: Diagram) -> bool:
@@ -273,7 +274,7 @@ def _descent_positions(word: Word, u: WeylElement) -> tuple[int, ...] | None:
     for pos, i in enumerate(word.letters, start=1):
         if p[i - 1] < 0:
             positions.append(pos)
-            _strip_descent(p, i - 1, system._cartan_cols)
+            _simple_update(p, i - 1, system._cartan_cols)
     return tuple(positions) if p == [2] * system.rank else None
 
 
@@ -401,7 +402,7 @@ def _obstruction_start(word: Word):
     return element_of_word(word.system, word.letters[::-1]).matrix, frozenset()
 
 
-def _obstruction_step(word: Word, j: int, state, size: int):
+def _obstruction_step(word: Word, j: int, state):
     """The root-sum obstruction as a walk rule in the frame of the betas;
     start the walk at _obstruction_start(word).
 

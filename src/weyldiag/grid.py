@@ -32,7 +32,6 @@ the wires, using only the characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import DomainError, UsageError
 from .roots import CartanType, RootSystem, WeylElement, root_system
@@ -137,16 +136,19 @@ def is_le_diagram(grid: GridDiagram) -> bool:
     return True
 
 
-def _le_step(shape: GridShape, word: Word, j: int, filled: int, size: int):
+def _le_step(word: Word, j: int, filled: int):
     # Walk index j stands for box position k = t+1-j, so the members after j
     # are the boxes before k in column-major order, among them every box
     # above k and every box to its left; filled has bit k'-1 per member k'.
     # Box k may join when its column above it or its row to its left is full.
-    c, r = divmod(shape.size - j, shape.p)
-    above = ((1 << r) - 1) << (c * shape.p)
-    left = sum(1 << (i * shape.p + r) for i in range(c))
+    # The grid word opens with the run p, ..., 1, so p is its first letter.
+    # The walk starts at 0, the empty filling.
+    p = word.letters[0]
+    c, r = divmod(word.t - j, p)
+    above = ((1 << r) - 1) << (c * p)
+    left = sum(1 << (i * p + r) for i in range(c))
     if filled & above == above or filled & left == left:
-        return filled, filled | 1 << (shape.size - j)
+        return filled, filled | 1 << (word.t - j)
     return filled, None
 
 
@@ -157,7 +159,7 @@ def _le_walk(shape: GridShape) -> list[tuple[int, ...]]:
     filling's own bitmask (see _le_step), so the sorted leaves are the
     answer."""
     t = shape.size
-    masks = sorted(_walk(quantum_matrices_word(shape), partial(_le_step, shape), 0).values())
+    masks = sorted(_walk(quantum_matrices_word(shape), _le_step, 0).values())
     return [tuple(k for k in range(1, t + 1) if mask >> (k - 1) & 1) for mask in masks]
 
 
@@ -169,15 +171,11 @@ def pipe_dream_permutation(grid: GridDiagram) -> tuple[int, ...]:
     from the right; the result is zeta' of the linearized diagram.
     """
     shape = grid.shape
-    size = shape.n + 1
-    sigma = list(range(1, size + 1))
+    sigma = list(range(1, shape.n + 2))
     for r, c in sorted(grid.boxes, key=lambda box: box[::-1]):
         e = shape.p + c - r
-        for idx in range(size):
-            if sigma[idx] == e:
-                sigma[idx] = e + 1
-            elif sigma[idx] == e + 1:
-                sigma[idx] = e
+        i, k = sigma.index(e), sigma.index(e + 1)
+        sigma[i], sigma[k] = e + 1, e
     return tuple(sigma)
 
 
@@ -239,41 +237,15 @@ def render_wiring(grid: GridDiagram) -> str:
     shape = grid.shape
     p, m = shape.p, shape.m
     gut = len(str(shape.n + 1)) + 1
-    width = gut + 3 * m + 1 + gut
-
-    def blank() -> list[str]:
-        return [" "] * width
-
-    def put(line: list[str], col: int, text: str) -> None:
-        for k, ch in enumerate(text):
-            line[col + k] = ch
-
-    lines: list[list[str]] = []
-    top = blank()
-    for c in range(1, m + 1):
-        put(top, gut + 3 * (c - 1) + 1, str(p + c))
-    lines.append(top)
-
+    # Column c's labels and stubs sit over its tile's center, gut + 3c - 2.
+    pad = " " * (gut + 1)
+    stub = pad + "|  " * m
+    lines = [pad + "".join(str(p + c).ljust(3) for c in range(1, m + 1))]
     for r in range(1, p + 1):
-        stub = blank()
-        for c in range(1, m + 1):
-            put(stub, gut + 3 * (c - 1) + 1, "|")
-        mid = blank()
-        put(mid, 0, str(p + 1 - r).rjust(gut - 1))
-        for c in range(1, m + 1):
-            core = "+" if (r, c) in grid.boxes else "."
-            put(mid, gut + 3 * (c - 1), f"-{core}-")
-        put(mid, gut + 3 * m + 1, str(p + m + 1 - r))
-        lines.append(stub)
-        lines.append(mid)
-        lines.append([ch for ch in stub])
-
-    bottom = blank()
-    for c in range(1, m + 1):
-        put(bottom, gut + 3 * (c - 1) + 1, str(c))
-    lines.append(bottom)
-
-    return "\n".join("".join(line).rstrip() for line in lines) + "\n"
+        tiles = "".join("-+-" if (r, c) in grid.boxes else "-.-" for c in range(1, m + 1))
+        lines += [stub, f"{str(p + 1 - r).rjust(gut - 1)} {tiles} {p + m + 1 - r}", stub]
+    lines.append(pad + "".join(str(c).ljust(3) for c in range(1, m + 1)))
+    return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
 def trace_rendered_wiring(text: str) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ word of the element off its left descents and multiplies it out
 backwards, so no matrix is ever inverted by elimination.  The ascent rule
 reads only the heights (row sums) of the matrix, and height is linear, so
 a caller that needs the rule and not the element carries the n heights
-alone (_right_mul_heights): reducedness and the extension to w0 in words
+alone (_simple_update): reducedness and the extension to w0 in words
 do, and the matrix is built only for a caller that reads it.
 
 Left descents are read without inverting the matrix.  s_i is a left
@@ -345,15 +345,6 @@ def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
     return tuple(out)
 
 
-def _right_mul_heights(h: list[int], a0: int, rows: SparseLines) -> None:
-    # The row sums of _right_mul(m, a0, rows) from those of m, in place:
-    # height is linear, so row j - a[a0][j] * row a0 sums to
-    # h[j] - a[a0][j] * h[a0].
-    ha = h[a0]
-    for j, c in rows[a0]:
-        h[j] -= c * ha
-
-
 def _left_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
     # Matrix of (s_a . elem): s_a applied to every row vector.
     return tuple(_simple_image(row, a0, rows) for row in m)
@@ -393,12 +384,15 @@ def _descent_pairings(system: RootSystem, m: IntMatrix) -> list[int]:
     return [sum(c * x[j] for j, c in row) for row in system._cartan_rows]
 
 
-def _strip_descent(p: list[int], a0: int, cols: SparseLines) -> None:
-    # u <- s_a . u in place: u(2 rho) loses p_a alpha_a, so p_i -= a[i][a0] p_a
-    # for the i listed in Cartan column a0.
-    pa = p[a0]
-    for i, c in cols[a0]:
-        p[i] -= c * pa
+def _simple_update(v: list[int], a0: int, lines: SparseLines) -> None:
+    # v[k] -= c * v[a0] in place for each (k, c) in lines[a0].  Over the
+    # Cartan rows it takes the heights (row sums) of m to those of m s_a:
+    # height is linear, and row k of m s_a is row k - a[a0][k] * row a0.
+    # Over the Cartan columns it takes the descent pairings of u to those of
+    # s_a u: u(2 rho) loses p_a alpha_a, so p_i drops by a[i][a0] p_a.
+    va = v[a0]
+    for k, c in lines[a0]:
+        v[k] -= c * va
 
 
 def _left_descents(system: RootSystem, m: IntMatrix, bound: int) -> tuple[list[int], list[int]]:
@@ -412,7 +406,7 @@ def _left_descents(system: RootSystem, m: IntMatrix, bound: int) -> tuple[list[i
         if i0 < 0:
             break
         letters.append(i0 + 1)
-        _strip_descent(p, i0, system._cartan_cols)
+        _simple_update(p, i0, system._cartan_cols)
     return letters, p
 
 

@@ -1,14 +1,11 @@
 """Diagram walks, counts, and machine-readable verification reports.
 
-Every walk (diagrams._walk) returns {positions: leaf state} in ascending
-bitmask order.  The ascent walk starts at the heights (1,) * rank of the
-simple roots and its leaf is the row sums of zeta'(d), the heights of the
-roots it sends the simple roots to: census counts these leaves and
-enumerate_positive turns their positions into Diagram objects.  The length
-walk starts at the identity matrix and its leaf is the matrix of zeta(d),
-whose length is len(d) because each step counted it: verify_word takes the
-zeta images from there, and runs zeta only on interval elements outside the
-image.
+Every walk (diagrams._walk) runs one rule from the start state built beside
+it and returns {positions: leaf state} in ascending bitmask order.  census
+counts the ascent walk's leaves and enumerate_positive turns their
+positions into Diagram objects.  verify_word takes the zeta images and
+their lengths from the length walk's leaves, and runs zeta only on
+interval elements outside the image.
 """
 
 from __future__ import annotations
@@ -32,8 +29,10 @@ from .roots import (
 from .words import Word, format_word, longest_word, reduced_word, require_reduced
 from .diagrams import (
     Diagram,
+    _ascent_start,
     _ascent_step,
     _descent_positions,
+    _length_start,
     _length_step,
     _obstruction_start,
     _obstruction_step,
@@ -74,10 +73,9 @@ def _positive_leaves(word: Word) -> dict[tuple[int, ...], tuple[int, ...]]:
     the same diagrams."""
     require_reduced(word)
     _guard_sweep(word.t)
-    rank = word.system.rank
-    found = _walk(word, _ascent_step, (1,) * rank)
+    found = _walk(word, _ascent_step, _ascent_start(word))
     if __debug__:
-        differ = found.keys() ^ _walk(word, _length_step, _identity_matrix(rank)).keys()
+        differ = found.keys() ^ _walk(word, _length_step, _length_start(word)).keys()
         assert not differ, (
             f"positivity tests disagree on "
             f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
@@ -203,8 +201,8 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     """Run every diagram-level check over one reduced word.
 
     The zeta images are the length walk's leaves (see the module
-    docstring); bijection_ok compares them, left products whose lengths the
-    length test counted, with subword_products, right products with
+    docstring); bijection_ok compares them, left products with the lengths
+    the length test counted, with subword_products, right products with
     counted lengths.  The lengths element_of_word carries are not reached
     here; bruhat_interval checks them under __debug__.
     """
@@ -214,13 +212,12 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
 
     # Each verdict below is an AND over j of a rule on j and the members
     # after j, so each walk returns exactly the diagrams its rule passes.
-    rank = word.system.rank
-    found = list(_walk(word, _ascent_step, (1,) * rank))
-    by_lengths = _walk(word, _length_step, _identity_matrix(rank))
+    found = list(_walk(word, _ascent_step, _ascent_start(word)))
+    by_lengths = _walk(word, _length_step, _length_start(word))
     dual_ok = found == list(by_lengths)
 
     interval = subword_products(word)
-    images = {p: WeylElement(m, len(p)) for p, m in by_lengths.items()}
+    images = {p: WeylElement(m, n) for p, (m, n) in by_lengths.items()}
     image_set = set(images.values())
     bijection_ok = len(image_set) == len(found) and image_set == interval
 

@@ -8,7 +8,7 @@ the precise position at which a non-reduced word fails.
 
 beta_i is row a_i of the prefix product s_{a_1} ... s_{a_{i-1}}, so its
 sign is the sign of that row's sum (its height), and the row sums of
-m s_a follow from those of m alone (roots._right_mul_heights).  So
+m s_a follow from those of m alone (roots._simple_update).  So
 reducedness and the extension to w0 carry n heights, from (1,) * n, and
 multiply out no matrix; Word.element builds the word's matrix only when a
 caller reads it.
@@ -29,7 +29,7 @@ from .roots import (
     _identity_matrix,
     _left_descents,
     _right_mul,
-    _right_mul_heights,
+    _simple_update,
     coroot_pairing,
     element_of_word,
 )
@@ -63,7 +63,7 @@ class Word:
         for i in self.letters:
             if h[i - 1] < 0:
                 return None
-            _right_mul_heights(h, i - 1, rows)
+            _simple_update(h, i - 1, rows)
         return tuple(h)
 
     @cached_property
@@ -196,7 +196,7 @@ def extend_to_w0(word: Word) -> Word:
         if i0 < 0:
             break
         letters.append(i0 + 1)
-        _right_mul_heights(h, i0, rows)
+        _simple_update(h, i0, rows)
     if any(v > 0 for v in h):
         raise AssertionError(
             f"extension to w0 over {system.ctype} still has a right ascent after "

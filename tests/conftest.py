@@ -70,9 +70,13 @@ def _invert_matrix(m):
     return tuple(tuple(prev * v for v in row[n:]) for row in aug)
 
 
-def obstruction_step_by_reflection(word, j, state, size):
+# The start state of obstruction_step_by_reflection: no members, no rows.
+REFLECTION_START = ((), ())
+
+
+def obstruction_step_by_reflection(word, j, state):
     """Reference for diagrams._obstruction_step, the walk rule that reflects
-    one root per member; start the walk at ((), ()).
+    one root per member; start the walk at REFLECTION_START.
 
     state is (gs, rows), one entry per member m after j.  g starts at beta_m
     and is reflected in beta_k at each position k between j and m outside

@@ -37,16 +37,18 @@ from weyldiag import (
     zeta_prime,
 )
 from weyldiag.diagrams import (
+    _ascent_start,
     _ascent_step,
+    _length_start,
     _length_step,
     _obstruction_start,
     _obstruction_step,
     _walk,
 )
-from weyldiag.roots import _identity_matrix
 
 from conftest import (
     CENSUS_TYPES,
+    REFLECTION_START,
     obstruction_step_by_reflection,
     random_reduced_words,
     system_of,
@@ -140,9 +142,8 @@ def test_criterion_4_dual_positivity_tests_agree():
                 if by_ascents:
                     passed.append(d.positions)
             # The pruned suffix walks against the per-mask reference, in order.
-            rank = word.system.rank
-            assert list(_walk(word, _ascent_step, (1,) * rank)) == passed, word
-            assert list(_walk(word, _length_step, _identity_matrix(rank))) == passed, word
+            assert list(_walk(word, _ascent_step, _ascent_start(word))) == passed, word
+            assert list(_walk(word, _length_step, _length_start(word))) == passed, word
 
 
 def test_criterion_5_bijection_and_oracle_agreement():
@@ -153,15 +154,14 @@ def test_criterion_5_bijection_and_oracle_agreement():
             interval = subword_products(word)
             assert len(set(images)) == len(images)
             assert set(images) == interval
-            # The length walk's leaf state is zeta(d), which verify_word
-            # reads its images off; the ascent walk's is the row sums of
-            # zeta'(d), the heights of the roots zeta'(d) sends the simple
-            # roots to.
-            rank = word.system.rank
-            by_lengths = _walk(word, _length_step, _identity_matrix(rank))
-            by_ascents = _walk(word, _ascent_step, (1,) * rank)
+            # The length walk's leaf state is (zeta(d), its length), which
+            # verify_word reads its images off; the ascent walk's is the row
+            # sums of zeta'(d), the heights of the roots zeta'(d) sends the
+            # simple roots to.
+            by_lengths = _walk(word, _length_step, _length_start(word))
+            by_ascents = _walk(word, _ascent_step, _ascent_start(word))
             for d, u in zip(positives, images):
-                assert by_lengths[d.positions] == u.matrix, (word, d.positions)
+                assert by_lengths[d.positions] == (u.matrix, u.length), (word, d.positions)
                 assert u.length == d.size, (word, d.positions)
                 heights = tuple(map(sum, zeta_prime(d).matrix))
                 assert by_ascents[d.positions] == heights, (word, d.positions)
@@ -206,7 +206,8 @@ def test_criterion_7_obstruction_soundness():
             start = _obstruction_start(word)
             assert list(_walk(word, _obstruction_step, start)) == found, word
             # The walk rule that reflects one root per member, the reference.
-            assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word
+            by_reflection = _walk(word, obstruction_step_by_reflection, REFLECTION_START)
+            assert list(by_reflection) == found, word
             # The per-mask reference for the converse, bounded to keep 2^t
             # small: the masks no pair trips, in order, are the walk's list.
             if word.t <= 9:

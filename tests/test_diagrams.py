@@ -23,9 +23,16 @@ from weyldiag import (
 )
 
 from weyldiag import extend_to_w0, longest_word
-from weyldiag.diagrams import _ascent_step, _obstruction_start, _obstruction_step, _walk
+from weyldiag.diagrams import (
+    _ascent_start,
+    _ascent_step,
+    _obstruction_start,
+    _obstruction_step,
+    _walk,
+)
 
 from conftest import (
+    REFLECTION_START,
     diagram_positions_by_inverse,
     obstruction_step_by_reflection,
     random_reduced_words,
@@ -282,17 +289,46 @@ def test_obstruction_walk_equals_the_reflection_rule_on_f4_w0():
     system = system_of("F", 4)
     prefixes = random_reduced_words(system, 2, 12, seed=13)
     for word in [longest_word(system)] + [extend_to_w0(p) for p in prefixes]:
-        found = list(_walk(word, _ascent_step, (1,) * system.rank))
+        found = list(_walk(word, _ascent_step, _ascent_start(word)))
         assert len(found) == 1152
         assert list(_walk(word, _obstruction_step, _obstruction_start(word))) == found, word
-        assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found, word
+        assert list(_walk(word, obstruction_step_by_reflection, REFLECTION_START)) == found, word
 
 
-def test_gamma_traces_check_against_omitted_products(a3):
-    # The internal gamma assertions run on construction; exercise them densely.
-    word = Word(a3, (2, 1, 3, 2, 1, 3))
-    assert word.reduced
+def check_gamma_traces(word):
+    """Every applicable gamma trace over the word against products built
+    letter by letter: gamma_i is row a_m of the first m-1 letters with
+    l_i..l_p left out (gamma_{p+1} = beta_m, none left out), and the pair is
+    violated exactly when gamma_1 = -beta_j.  positivity_obstruction asserts
+    the first under __debug__ too, but this check runs under python -O."""
     for d in all_diagrams(word):
         for m in d.positions:
             for j in range(1, m):
-                positivity_obstruction(d, j, m)
+                check = positivity_obstruction(d, j, m)
+                if not check.applicable:
+                    continue
+                gammas, ls = check.trace.gammas, check.trace.complement_positions
+                for i in range(1, len(ls) + 2):
+                    kept = [word.letters[k - 1] for k in range(1, m) if k not in ls[i - 1:]]
+                    row = element_of_word(word.system, kept).matrix[word.letters[m - 1] - 1]
+                    assert gammas[i - 1] == row, (d.positions, j, m, i)
+                minus_beta_j = tuple(-x for x in word.betas[j - 1])
+                assert check.violated == (gammas[0] == minus_beta_j), (d.positions, j, m)
+
+
+def test_gamma_traces_check_against_omitted_products(a3):
+    word = Word(a3, (2, 1, 3, 2, 1, 3))
+    assert word.reduced
+    check_gamma_traces(word)
+
+
+def test_gamma_trace_check_fails_on_an_injected_reflection_defect(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+
+    # Every reflection inside positivity_obstruction adds k beta where it
+    # should subtract it.  Under __debug__ the library's own recomputation
+    # raises first; under python -O only the explicit comparison sees it.
+    real = diagrams._reflect_by
+    monkeypatch.setattr(diagrams, "_reflect_by", lambda beta, k, x: real(beta, -k, x))
+    with pytest.raises(AssertionError):
+        check_gamma_traces(Word(a3, (2, 1, 3, 2, 1, 3)))

@@ -214,6 +214,22 @@ GOLDEN_FULL_2X2 = (
     "   1  2\n"
 )
 
+# 11 wires: two-digit labels on the top and right edges, and a left gutter
+# wide enough for them.
+GOLDEN_3X8 = (
+    "    4  5  6  7  8  9  10 11\n"
+    "    |  |  |  |  |  |  |  |\n"
+    " 3 -+--.--.--.--+--.--.--+- 11\n"
+    "    |  |  |  |  |  |  |  |\n"
+    "    |  |  |  |  |  |  |  |\n"
+    " 2 -.--+--+--.--.--.--.--.- 10\n"
+    "    |  |  |  |  |  |  |  |\n"
+    "    |  |  |  |  |  |  |  |\n"
+    " 1 -.--.--.--.--.--+--.--+- 9\n"
+    "    |  |  |  |  |  |  |  |\n"
+    "    1  2  3  4  5  6  7  8\n"
+)
+
 
 def test_render_golden_files():
     assert render_wiring(grid(1, 1)) == GOLDEN_EMPTY_1X1
@@ -221,6 +237,9 @@ def test_render_golden_files():
     assert render_wiring(
         grid(2, 2, (1, 1), (1, 2), (2, 1), (2, 2))
     ) == GOLDEN_FULL_2X2
+    filled = grid(3, 8, (1, 1), (2, 2), (2, 3), (1, 5), (3, 6), (1, 8), (3, 8))
+    assert render_wiring(filled) == GOLDEN_3X8
+    assert pipe_dream_permutation(filled) == (1, 2, 3, 5, 4, 7, 9, 6, 8, 11, 10)
 
 
 def test_render_charset_and_trailing_newline():

@@ -22,12 +22,19 @@ from weyldiag import (
     zeta,
     zeta_prime,
 )
-from weyldiag.diagrams import _ascent_step, _obstruction_start, _obstruction_step, _walk
+from weyldiag.diagrams import (
+    _ascent_start,
+    _ascent_step,
+    _obstruction_start,
+    _obstruction_step,
+    _walk,
+)
 from weyldiag.grid import _le_walk
 from weyldiag.roots import _count_inversions, _identity_matrix
 
 from conftest import (
     PROPERTY_TYPES,
+    REFLECTION_START,
     dense_right_mul,
     diagram_positions_by_inverse,
     obstruction_step_by_reflection,
@@ -114,7 +121,7 @@ def test_descents_by_pairings_match_the_inverse_matrix(ctype, data):
 
 
 def ascent_walk(word):
-    return list(_walk(word, _ascent_step, (1,) * word.system.rank))
+    return list(_walk(word, _ascent_step, _ascent_start(word)))
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -134,7 +141,7 @@ def test_ascent_walk_leaves_are_heights_of_dense_products(ctype, data):
             products[members] = dense_right_mul(product(members[1:]), a0, system.cartan)
         return products[members]
 
-    leaves = _walk(walk, _ascent_step, (1,) * system.rank)
+    leaves = _walk(walk, _ascent_step, _ascent_start(walk))
     assert () in leaves
     for members, heights in leaves.items():
         assert heights == tuple(map(sum, product(members))), (walk, members)
@@ -146,7 +153,7 @@ def test_obstruction_walk_equals_ascent_walk(pair):
     _, walk = pair
     found = ascent_walk(walk)
     assert list(_walk(walk, _obstruction_step, _obstruction_start(walk))) == found
-    assert list(_walk(walk, obstruction_step_by_reflection, ((), ()))) == found
+    assert list(_walk(walk, obstruction_step_by_reflection, REFLECTION_START)) == found
 
 
 @st.composite

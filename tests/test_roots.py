@@ -29,7 +29,7 @@ from weyldiag.roots import (
     _identity_matrix,
     _left_mul,
     _simple_image,
-    _strip_descent,
+    _simple_update,
 )
 from weyldiag.verify import group_elements, group_order
 
@@ -165,10 +165,16 @@ def _sparse_mismatches(system, seed):
         expected = [sum(a * v for a, v in zip(crow, x)) for crow in cartan]
         if _descent_pairings(system, m) != expected:
             bad.add("_descent_pairings")
+        # The one sparse update, over the columns on descent pairings and
+        # over the rows on heights.
         p = list(expected)
-        _strip_descent(p, a0, cols)
+        _simple_update(p, a0, cols)
         if p != [v - crow[a0] * expected[a0] for v, crow in zip(expected, cartan)]:
-            bad.add("_strip_descent")
+            bad.add("_simple_update")
+        h = list(map(sum, m))
+        _simple_update(h, a0, rows)
+        if h != list(map(sum, dense_right_mul(m, a0, cartan))):
+            bad.add("_simple_update")
         y = tuple(rng.randint(-3, 3) for _ in range(n))
         if any(bilinear(system, row, y) != dense_bilinear(row, y, system.form) for row in m):
             bad.add("bilinear")
@@ -182,8 +188,8 @@ def test_sparse_cartan_lines_match_dense_arithmetic(family, rank):
 
 @pytest.mark.parametrize("attr,entry,caught", [
     ("_cartan_rows", 1, {"rows", "element_of_word", "_left_mul", "_simple_image",
-                         "_descent_pairings", "bilinear"}),
-    ("_cartan_cols", 0, {"cols", "_strip_descent"}),
+                         "_descent_pairings", "_simple_update", "bilinear"}),
+    ("_cartan_cols", 0, {"cols", "_simple_update"}),
 ])
 def test_sparse_comparison_fails_on_a_dropped_entry(attr, entry, caught):
     # A fresh A3 system (not the cached one) with one nonzero Cartan entry

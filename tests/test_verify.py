@@ -22,7 +22,12 @@ from weyldiag import (
 )
 from weyldiag.verify import SWEEP_CAP_ENV, VerificationReport, sweep_cap
 
-from conftest import obstruction_step_by_reflection, random_reduced_words, system_of
+from conftest import (
+    REFLECTION_START,
+    obstruction_step_by_reflection,
+    random_reduced_words,
+    system_of,
+)
 
 
 def test_enumerate_positive_a2_exactly(a2):
@@ -299,7 +304,7 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
 
-    def skipping_the_diagonal(word, j, h, size):
+    def skipping_the_diagonal(word, j, h):
         a0 = word.letters[j - 1] - 1
         if h[a0] < 0:
             return None
@@ -419,8 +424,8 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
     clean = _verify_flags(verify_word(word))
     real = diagrams._obstruction_step
 
-    def plus_keyed(word, j, state, size):
-        pair = real(word, j, state, size)
+    def plus_keyed(word, j, state):
+        pair = real(word, j, state)
         if pair is None:
             return None
         out, (n, ys) = pair
@@ -449,8 +454,8 @@ def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
     clean = _verify_flags(verify_word(word))
     real = diagrams._obstruction_step
 
-    def never_trips(word, j, state, size):
-        return real(word, j, (state[0], frozenset()), size)
+    def never_trips(word, j, state):
+        return real(word, j, (state[0], frozenset()))
 
     monkeypatch.setattr(verify_mod, "_obstruction_step", never_trips)
     flags = _verify_flags(verify_word(word))
@@ -472,8 +477,8 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
     clean = _verify_flags(verify_word(word))
     real = diagrams._obstruction_step
 
-    def adding_minus_beta(word, j, state, size):
-        pair = real(word, j, state, size)
+    def adding_minus_beta(word, j, state):
+        pair = real(word, j, state)
         if pair is None:
             return None
         out, (n, ys) = pair
@@ -533,8 +538,8 @@ def test_obstruction_check_fails_on_an_injected_skipped_reflection(monkeypatch):
     # Leaving j out keeps n where it should become n s_{beta_j}.
     real = diagrams._obstruction_step
 
-    def skipping_the_reflection(word, j, state, size):
-        pair = real(word, j, state, size)
+    def skipping_the_reflection(word, j, state):
+        pair = real(word, j, state)
         return None if pair is None else (state, pair[1])
 
     _only_obstruction_fails(monkeypatch, verify_mod, "_obstruction_step", skipping_the_reflection)
@@ -549,8 +554,8 @@ def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
     # disagrees, so the reference loses it and no longer matches the walk.
     word = Word(a2, (1, 2, 1))
 
-    def reflecting_members(word, j, state, size):
-        pair = obstruction_step_by_reflection(word, j, state, size)
+    def reflecting_members(word, j, state):
+        pair = obstruction_step_by_reflection(word, j, state)
         if pair is None:
             return None
         (out, rows), (joined, joined_rows) = pair
@@ -558,8 +563,8 @@ def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
 
     found = list(_walk(word, _obstruction_step, _obstruction_start(word)))
     assert found == [(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3)]
-    assert list(_walk(word, obstruction_step_by_reflection, ((), ()))) == found
-    assert list(_walk(word, reflecting_members, ((), ()))) == [(), (1,), (2,), (1, 2)]
+    assert list(_walk(word, obstruction_step_by_reflection, REFLECTION_START)) == found
+    assert list(_walk(word, reflecting_members, REFLECTION_START)) == [(), (1,), (2,), (1, 2)]
 
 
 def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
@@ -573,10 +578,11 @@ def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
     clean = _verify_flags(verify_word(word))
     assert clean["le_equivalence_ok"] is True
 
-    def above_only(shape, word, j, filled, size):
-        c, r = divmod(shape.size - j, shape.p)
-        above = ((1 << r) - 1) << (c * shape.p)
-        return filled, (filled | 1 << (shape.size - j) if filled & above == above else None)
+    def above_only(word, j, filled):
+        p = word.letters[0]
+        c, r = divmod(word.t - j, p)
+        above = ((1 << r) - 1) << (c * p)
+        return filled, (filled | 1 << (word.t - j) if filled & above == above else None)
 
     monkeypatch.setattr(grid_mod, "_le_step", above_only)
     assert (2,) not in grid_mod._le_walk(GridShape(2, 2))
@@ -585,6 +591,36 @@ def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "2,1,3,2"])
     assert res.exit_code == 1
     assert "le_equivalence_ok false" in res.stdout.splitlines()
+
+
+def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag.cli import run
+
+    # The length rule joins with the count n where it should carry n + 1, so
+    # the next joining letter's product, of length n + 2, fails the test and
+    # every diagram of two or more members goes missing.  The leaves that
+    # are left carry lengths one short, so their images leave the interval
+    # too; the round trip reads matrices only and the other walks never run
+    # the length rule.
+    word = Word(a2, (1, 2, 1))
+    clean = _verify_flags(verify_word(word))
+    real = diagrams._length_step
+
+    def keeping_the_count(word, j, state):
+        pair = real(word, j, state)
+        return pair and (pair[0], (pair[1][0], state[1]))
+
+    monkeypatch.setattr(verify_mod, "_length_step", keeping_the_count)
+    assert _verify_flags(verify_word(word)) == {**clean, "dual_ok": False, "bijection_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
+    assert res.exit_code == 1
+    lines = res.stdout.splitlines()
+    assert "dual_ok false" in lines and "bijection_ok false" in lines
+    if __debug__:  # the walk comparison in _positive_leaves is an assert
+        with pytest.raises(AssertionError, match=r"positivity tests disagree on \(2,\)"):
+            longest_word_census(CartanType("A", 2))
 
 
 def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):
@@ -600,11 +636,12 @@ def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch,
     clean = _verify_flags(verify_word(word))
     real = diagrams._length_step
 
-    def wrong_side_at_1(word, j, m, size):
-        pair = real(word, j, m, size)
+    def wrong_side_at_1(word, j, state):
+        pair = real(word, j, state)
         if j != 1 or pair is None:
             return pair
-        return m, diagrams._right_mul(m, word.letters[0] - 1, word.system._cartan_rows)
+        m, n = state
+        return state, (diagrams._right_mul(m, word.letters[0] - 1, word.system._cartan_rows), n + 1)
 
     monkeypatch.setattr(verify_mod, "_length_step", wrong_side_at_1)
     flags = _verify_flags(verify_word(word))

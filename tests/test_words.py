@@ -185,7 +185,7 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
             if j != a0:
                 h[j] -= c * ha
 
-    monkeypatch.setattr(words_mod, "_right_mul_heights", skipping_the_diagonal)
+    monkeypatch.setattr(words_mod, "_simple_update", skipping_the_diagonal)
     with pytest.raises(AssertionError):
         check_reduced_by_length(a2, (1, 1))
     require_reduced(Word(a2, (1, 1)))

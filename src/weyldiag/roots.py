@@ -42,9 +42,13 @@ The positive roots form a poset under beta < beta + alpha_i, and it is
 built level by level in height: beta + alpha_i is a root exactly when
 q = p - <alpha_i^vee, beta> > 0, where beta - p alpha_i, ..., beta + q alpha_i
 is the alpha_i-string through beta (Humphreys, Introduction to Lie Algebras
-and Representation Theory, 9.4).  Every non-simple positive root keeps one
-edge to a parent of height one less, so the inversion count finds each
-root's image height with one addition, from its parent's.
+and Representation Theory, 9.4).  So only two kinds of i can succeed: those
+with <alpha_i^vee, beta> < 0, and those with beta - alpha_i a root (p > 0).
+Each root carries its n pairings, its parent's plus one sparse Cartan
+column, with the set of the negative ones, and is tested against that set
+and the steps up to it, a few i and not all n.  Every non-simple positive
+root keeps one edge to a parent of height one less, so the inversion count
+finds each root's image height with one addition, from its parent's.
 
 Simple roots are numbered 1..n following Bourbaki:
 
@@ -63,7 +67,7 @@ simple reflection acts by s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import add, neg
 
 from .errors import DomainError, InvalidRankError
@@ -75,9 +79,9 @@ SparseLines = tuple[tuple[tuple[int, int], ...], ...]
 
 FAMILIES = "ABCDEFG"
 
-# Classical ranks stop at 64: B64 and C64 (4096 positive roots) still build
-# in a fraction of a second, and a rank far beyond is refused, not left to
-# build for minutes.
+# Classical ranks stop at 64: B64 and C64 (4096 positive roots) build in
+# about 45 ms, as the alpha-string rule tests a few candidates per root, and
+# a rank far beyond is refused, not left to build without bound.
 MAX_CLASSICAL_RANK = 64
 
 _RANK_RULES: dict[str, tuple[int, int, str]] = {
@@ -169,11 +173,13 @@ class RootSystem:
     """Immutable root-system data for one Cartan type.
 
     Positive roots are generated height by height from the simple roots by
-    the alpha-string rule, and ordered by height, then lexicographically, so
-    every downstream output is reproducible bit for bit.  root_edges[k] is
+    the alpha-string rule, trying beta + alpha_i only for the i where
+    <alpha_i^vee, beta> < 0 or beta - alpha_i is a root (see the module
+    docstring), and ordered by height, then lexicographically, so every
+    downstream output is reproducible bit for bit.  root_edges[k] is
     (parent, i) with positive_roots[k] = positive_roots[parent] + alpha_i,
     the parent coming earlier, or (-1, i) when positive_roots[k] = alpha_i.
-    roots holds the positive roots and their negatives.
+    roots, the positive roots and their negatives, is built on first read.
     """
 
     def __init__(self, ctype: CartanType):
@@ -210,35 +216,46 @@ class RootSystem:
         # Alpha-strings, height by height (see the module docstring).  p is
         # read off lower levels: below[k] maps i to the index of
         # positive[k] - alpha_i whenever that is a root, and is complete once
-        # the level before positive[k] is done.
+        # the level before positive[k] is done.  pairings[k] holds the n
+        # pairings <alpha_j^vee, positive[k]> and the set of j where they are
+        # negative, for the last level only: the parent's plus Cartan column
+        # i, for the step alpha_i up to positive[k].
         positive: list[RootVector] = []
         edges: list[tuple[int, int]] = []
         below: list[dict[int, int]] = []
+        pairings: dict[int, tuple[list[int], set[int]]] = {}
+        origin: tuple[list[int], set[int]] = ([0] * n, set())
         level: dict[RootVector, dict[int, int]] = {x: {} for x in self.simple_roots}
         while level:
-            start = len(positive)
-            for x in sorted(level):
+            last, pairings = pairings, {}
+            for k, x in enumerate(sorted(level), len(positive)):
                 down = level[x]
                 # The first step found up to x; a simple root has none.
                 i, parent = next(iter(down.items())) if down else (x.index(1), -1)
+                pair, negative = last[parent] if down else origin
+                pair, negative = pair.copy(), negative.copy()
+                for j, c in self._cartan_cols[i]:
+                    pair[j] += c
+                    if pair[j] < 0:
+                        negative.add(j)
+                    else:
+                        negative.discard(j)
                 positive.append(x)
                 edges.append((parent, i))
                 below.append(down)
+                pairings[k] = pair, negative
             level = {}
-            for k in range(start, len(positive)):
+            for k, (pair, negative) in pairings.items():
                 beta = positive[k]
-                for i, row in enumerate(self._cartan_rows):
-                    pairing = 0
-                    for j, c in row:
-                        pairing += c * beta[j]
-                    if pairing >= 0 and not beta[i]:
-                        continue  # then p = 0, so q <= 0
+                # q = p - pairing > 0 needs a negative pairing or p > 0, and
+                # p > 0 exactly when i is in below[k].
+                for i in negative.union(below[k]):
                     p = 0
                     d = below[k].get(i)
                     while d is not None:
                         p += 1
                         d = below[d].get(i)
-                    if p > pairing:
+                    if p > pair[i]:
                         up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
                         level.setdefault(up, {})[i] = k
 
@@ -246,12 +263,15 @@ class RootSystem:
         self.root_edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.num_positive_roots = len(positive)
         self.two_rho: RootVector = tuple(map(sum, zip(*positive)))
-        self.roots: frozenset[RootVector] = frozenset(
-            positive + [tuple(-c for c in x) for x in positive]
-        )
         self.warnings: tuple[str, ...] = ()
         if ctype.family == "D" and ctype.rank == 3:
             self.warnings = ("D3 is isomorphic to A3; accepted for cross-checks only",)
+
+    @cached_property
+    def roots(self) -> frozenset[RootVector]:
+        """The positive roots and their negatives, read only by reflect."""
+        positive = self.positive_roots
+        return frozenset(positive).union(tuple(map(neg, x)) for x in positive)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype})"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import NotReducedError
 from .roots import (
@@ -30,7 +31,6 @@ from .roots import (
     _left_descents,
     _right_mul,
     _simple_update,
-    coroot_pairing,
     element_of_word,
 )
 
@@ -91,10 +91,18 @@ class Word:
         product with x is (beta_l^vee, x) by linearity.  The obstruction walk
         reads them at every position it leaves out, so they are built on
         first read: t * n coroot pairings, at most 24 * 32 for a word that
-        verify accepts (t <= 24 by default) at rank 32."""
-        simple = self.system.simple_roots
-        pairings = ((coroot_pairing(self.system, b, a) for a in simple) for b in self.betas)
-        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in pairings)
+        verify accepts (t <= 24 by default) at rank 32.  The form values
+        (beta_l, alpha_k) come off the sparse Cartan columns scaled by the
+        symmetrizer, and the norm ||beta_l||^2 = sum_k beta_l[k] (beta_l,
+        alpha_k) from them, so a row costs O(n) and no bilinear call."""
+        cols, sym = self.system._cartan_cols, self.system.symmetrizer
+        rows = []
+        for b in self.betas:
+            form = [sum(sym[i] * c * b[i] for i, c in col) for col in cols]
+            d = sum(map(mul, b, form)) // 2
+            assert all(v % d == 0 for v in form), "coroot pairings must be integral"
+            rows.append(tuple((k, v // d) for k, v in enumerate(form) if v))
+        return tuple(rows)
 
     def __str__(self) -> str:
         return format_word(self)

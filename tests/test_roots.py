@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -120,18 +121,53 @@ ORACLE_TYPES = [
 ] + [(f, 32) for f in "ABCD"]
 
 
+def _assert_edges_step_up(system):
+    """Each root_edges entry points at an earlier root, or at 0 for a simple
+    root, that is one simple root below."""
+    assert len(system.root_edges) == system.num_positive_roots
+    zero = (0,) * system.rank
+    for k, (parent, i) in enumerate(system.root_edges):
+        assert -1 <= parent < k
+        below = system.positive_roots[parent] if parent >= 0 else zero
+        assert tuple(c + (j == i) for j, c in enumerate(below)) == system.positive_roots[k]
+
+
 @pytest.mark.parametrize("family,rank", ORACLE_TYPES)
 def test_roots_by_height_match_orbit_closure_and_edges_step_up(family, rank):
     system = RootSystem(CartanType(family, rank))
     positive, roots = _orbit_closure(system)
     assert system.positive_roots == positive
     assert system.roots == roots
-    assert len(system.root_edges) == system.num_positive_roots
-    zero = (0,) * rank
-    for k, (parent, i) in enumerate(system.root_edges):
-        assert -1 <= parent < k
-        below = system.positive_roots[parent] if parent >= 0 else zero
-        assert tuple(c + (j == i) for j, c in enumerate(below)) == positive[k]
+    _assert_edges_step_up(system)
+
+
+# The orbit closure is too slow at the rank cap, so there the checks are the
+# classical counts and highest roots (Bourbaki, Plates I-VII).
+RANK_CAP_TYPES = [
+    ("A", 64, 2080, (1,) * 64),
+    ("B", 64, 4096, (1,) + (2,) * 63),
+    ("C", 64, 4096, (2,) * 63 + (1,)),
+    ("D", 64, 4032, (1,) + (2,) * 61 + (1, 1)),
+    ("E", 8, 120, (2, 3, 4, 6, 5, 4, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("family,rank,count,highest", RANK_CAP_TYPES)
+def test_rank_cap_root_counts_highest_roots_and_edges(family, rank, count, highest):
+    system = system_of(family, rank)
+    assert system.num_positive_roots == len(system.positive_roots) == count
+    assert system.positive_roots[-1] == highest
+    _assert_edges_step_up(system)
+
+
+@pytest.mark.parametrize(
+    "family,rank", ORACLE_TYPES + [(f, r) for f, r, _, _ in RANK_CAP_TYPES if r == 64]
+)
+def test_simple_coroots_pair_to_two_with_two_rho(family, rank):
+    # <alpha_i^vee, 2 rho> = 2 for every i; one missing or extra positive
+    # root beta moves some pairing, by <alpha_i^vee, beta> != 0.
+    system = system_of(family, rank)
+    assert [sum(map(mul, crow, system.two_rho)) for crow in system.cartan] == [2] * rank
 
 
 def _sparse_mismatches(system, seed):

@@ -6,6 +6,7 @@ from weyldiag import (
     Word,
     WeylElement,
     compose,
+    coroot_pairing,
     element_of_word,
     extend_to_w0,
     format_word,
@@ -172,6 +173,15 @@ def test_extend_to_w0_at_query_ranks(ctype):
     system = system_of(*ctype)
     for word in random_reduced_words(system, 3, 2 * system.rank, seed=system.rank):
         assert extend_to_w0(word) == extend_by_inverse_formula(word)
+
+
+@pytest.mark.parametrize("family,rank", PROPERTY_TYPES + [(f, 32) for f in "ABCD"])
+def test_coroot_rows_match_coroot_pairing(family, rank):
+    system = system_of(family, rank)
+    for word in random_reduced_words(system, 4, 2 * rank + 4, seed=rank):
+        pairings = [[coroot_pairing(system, b, a) for a in system.simple_roots] for b in word.betas]
+        expected = tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in pairings)
+        assert word.coroot_rows == expected, word
 
 
 def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):

@@ -31,13 +31,19 @@ the row sums of zeta'(d), which census only counts.  Both positivity tests
 run and are compared whenever __debug__ is set (the normal interpreter and
 pytest); under python -O, enumerate_positive walks with the ascent test
 alone.
+
+The length and obstruction rules work on packed integers: O(n) big-int
+operations per node and no loop over the positive roots.  The length rule
+counts inversions from the candidate's row sums with the packed height
+table (roots._inversions_of_sums) and builds the candidate matrix only
+when the count passes; the obstruction rule keeps its rows and its set
+as roots packed one signed byte per coordinate (roots._pack).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
 
 from .errors import DomainError
 from .roots import (
@@ -48,7 +54,9 @@ from .roots import (
     _count_inversions,
     _descent_pairings,
     _identity_matrix,
+    _inversions_of_sums,
     _left_mul,
+    _pack,
     _reflect_by,
     _right_mul,
     _simple_update,
@@ -171,11 +179,29 @@ def _length_step(word: Word, j: int, state: tuple[IntMatrix, int]):
     # Length characterization: s_{alpha_j} times the product m of the n
     # member letters after j must have n + 1 inversions.  The leaf is
     # (zeta(d), len(d)), the letters left to right with the length counted.
+    # Row r of s_a m is row r of m less d_r alpha_a, where d_r is its
+    # pairing with alpha_a^vee, so the count reads the row sums less d and
+    # the candidate is built only when it passes.
     m, n = state
-    candidate = _left_mul(m, word.letters[j - 1] - 1, word.system._cartan_rows)
-    if _count_inversions(word.system, candidate) != n + 1:
+    system = word.system
+    a0 = word.letters[j - 1] - 1
+    arow = system._cartan_rows[a0]
+    deltas = []
+    sums = []
+    for row in m:
+        d = 0
+        for k, c in arow:
+            d += c * row[k]
+        deltas.append(d)
+        sums.append(sum(row) - d)
+    if _inversions_of_sums(system, sums) != n + 1:
         return None
-    return state, (candidate, n + 1)
+    candidate = list(m)
+    for r, d in enumerate(deltas):
+        if d:
+            row = m[r]
+            candidate[r] = row[:a0] + (row[a0] - d,) + row[a0 + 1 :]
+    return state, (tuple(candidate), n + 1)
 
 
 def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
@@ -289,7 +315,8 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
     Independent of the diagram machinery: a left-to-right dynamic scan over
     the set of reachable matrices.  Lengths are counted as inversions, not
     carried.  verify_word's images take their lengths from the length walk,
-    which counts them with the same _count_inversions, so comparing the two
+    which counts them with the same packed count (_inversions_of_sums, the
+    body of _count_inversions), so comparing the two
     sets checks the products, not the carried lengths of element_of_word;
     those are checked by bruhat_interval under __debug__ and by the tests.
     """
@@ -398,8 +425,9 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
 
 
 def _obstruction_start(word: Word):
-    # (w^{-1}, no members): the word's letters reversed, multiplied out.
-    return element_of_word(word.system, word.letters[::-1]).matrix, frozenset()
+    # (w^{-1} packed row by row, no members): the word's letters reversed,
+    # multiplied out.
+    return tuple(map(_pack, element_of_word(word.system, word.letters[::-1]).matrix)), frozenset()
 
 
 def _obstruction_step(word: Word, j: int, state):
@@ -417,20 +445,25 @@ def _obstruction_step(word: Word, j: int, state):
     M_{j-1} = M_j; when j is left out, P_{j-1} = s_{beta_j} P_j, so
     M_{j-1} = s_{beta_j} M_j.
 
-    So state is (n, ys): n is the matrix of M_j^{-1}, from w^{-1}, and ys
-    is the set of y_k over the members after j.  At j the rule computes
-    x = n(beta_j) and prunes when x is in ys.  Joining adds -x = y_j and
-    keeps n; leaving j out sets n <- n s_{beta_j}, whose row i loses
-    (beta_j^vee, alpha_i) x, for the nonzero entries of word.coroot_rows.
+    So state is (rows, ys), every vector in it a root packed into one int
+    (roots._pack), which keeps sums and multiples exact: rows[i] is
+    M_j^{-1}(alpha_i), from w^{-1}, and ys the set of y_k over the members
+    after j.  At j the rule computes x = M_j^{-1}(beta_j), the sum of
+    beta_j[i] rows[i] over word.sparse_betas, and prunes when x is in ys.
+    Joining adds -x = y_j and keeps rows; leaving j out reflects them in
+    beta_j, so rows[i] loses (beta_j^vee, alpha_i) x, for the nonzero
+    entries of word.coroot_rows.
     """
-    n, ys = state
-    x = _apply(n, word.betas[j - 1])
+    rows, ys = state
+    x = 0
+    for i, c in word.sparse_betas[j - 1]:
+        x += c * rows[i]
     if x in ys:
         return None
-    out = list(n)
+    out = list(rows)
     for i, c in word.coroot_rows[j - 1]:
-        out[i] = _reflect_by(x, c, n[i])
-    return (tuple(out), ys), (n, ys | {tuple(map(neg, x))})
+        out[i] -= c * x
+    return (tuple(out), ys), (rows, ys | {-x})
 
 
 __all__ = [

@@ -22,13 +22,24 @@ The Coxeter length travels with the matrix.  element_of_word carries it
 by the ascent rule, one step of +-1 per letter, and invert keeps it;
 compose, the one product not built from letters, counts it as the number
 of positive roots sent negative.  That inversion count is otherwise left
-to the checks, as the independent length oracle.  invert reads a reduced
-word of the element off its left descents and multiplies it out
-backwards, so no matrix is ever inverted by elimination.  The ascent rule
-reads only the heights (row sums) of the matrix, and height is linear, so
-a caller that needs the rule and not the element carries the n heights
-alone (_simple_update): reducedness and the extension to w0 in words
-do, and the matrix is built only for a caller that reads it.
+to the checks and the length walk, as the independent length oracle.
+invert reads a reduced word of the element off its left descents and
+multiplies it out backwards, so no matrix is ever inverted by elimination.
+The ascent rule reads only the heights (row sums) of the matrix, and
+height is linear, so a caller that needs the rule and not the element
+carries the n heights alone (_simple_update): reducedness and the
+extension to w0 in words do, and the matrix is built only for a caller
+that reads it.
+
+The inversion count reads the row sums s too: the image height of a root
+is its dot product with s.  So the image heights of all N positive roots
+are sum_i s_i E_i, where E_i packs the i-th coefficients of the positive
+roots into one int, one byte per root (_pack, _height_table).  Every
+image height lies in -127..127 (the highest root of B64 and C64 has
+height 127, which the table asserts when it is built), so each byte holds
+its height exactly, and adding 128 to every byte sets its top bit exactly
+where the height is positive: n big-int products and one popcount, no
+loop over the roots.
 
 Left descents are read without inverting the matrix.  s_i is a left
 descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
@@ -47,8 +58,7 @@ with <alpha_i^vee, beta> < 0, and those with beta - alpha_i a root (p > 0).
 Each root carries its n pairings, its parent's plus one sparse Cartan
 column, with the set of the negative ones, and is tested against that set
 and the steps up to it, a few i and not all n.  Every non-simple positive
-root keeps one edge to a parent of height one less, so the inversion count
-finds each root's image height with one addition, from its parent's.
+root keeps one edge to a parent of height one less (root_edges).
 
 Simple roots are numbered 1..n following Bourbaki:
 
@@ -68,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import add, neg
+from operator import add, mul, neg
 
 from .errors import DomainError, InvalidRankError
 
@@ -155,6 +165,14 @@ def _cartan_and_symmetrizer(ctype: CartanType) -> tuple[IntMatrix, tuple[int, ..
     else:  # G
         d = [1, 3]
     return tuple(tuple(row) for row in a), tuple(d)
+
+
+def _pack(v: RootVector) -> int:
+    # sum_k v[k] << 8k, one signed byte per coordinate.  Packing is linear,
+    # so packed vectors add and scale coordinate by coordinate, and it is
+    # one-to-one on vectors whose coordinates lie in -128..127, as those of
+    # every root do.
+    return sum(c << 8 * k for k, c in enumerate(v))
 
 
 def _simple_image(x: tuple[int, ...], i0: int, rows: SparseLines) -> RootVector:
@@ -273,6 +291,15 @@ class RootSystem:
         positive = self.positive_roots
         return frozenset(positive).union(tuple(map(neg, x)) for x in positive)
 
+    @cached_property
+    def _height_table(self) -> tuple[tuple[int, ...], int]:
+        """(E, mask) for the inversion count (see the module docstring):
+        E[i] packs the i-th coefficients of the positive roots, one byte per
+        root, and mask holds the top bit of every byte."""
+        assert sum(self.positive_roots[-1]) < 128, "image heights must fit a signed byte"
+        columns = tuple(int.from_bytes(bytes(col), "little") for col in zip(*self.positive_roots))
+        return columns, int.from_bytes(b"\x80" * self.num_positive_roots, "little")
+
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype})"
 
@@ -380,17 +407,19 @@ def _apply(m: IntMatrix, x: RootVector) -> RootVector:
     return tuple(acc)
 
 
+def _inversions_of_sums(system: RootSystem, sums) -> int:
+    # The number of positive roots whose image height is negative, for an
+    # element whose matrix has row sums sums: mask + sum_i s_i E_i holds
+    # each image height plus 128 in its own byte (see the module docstring).
+    columns, mask = system._height_table
+    return system.num_positive_roots - (sum(map(mul, sums, columns), mask) & mask).bit_count()
+
+
 def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
     # Image of a root is a root, so the sign of its height (coefficient sum)
-    # decides.  That height is linear in the root, with the row sums of m as
-    # weights, so beta' + alpha_i has height h(beta') + s_i: one addition per
-    # positive root along root_edges.  The spare last slot is the 0 that a
-    # simple root's parent index, -1, reads.
-    sums = [sum(row) for row in m]
-    heights = [0] * (system.num_positive_roots + 1)
-    for k, (parent, i) in enumerate(system.root_edges):
-        heights[k] = heights[parent] + sums[i]
-    return sum(1 for h in heights if h < 0)
+    # decides, and that height is linear in the root, with the row sums of
+    # m as weights.
+    return _inversions_of_sums(system, map(sum, m))
 
 
 def _descent_pairings(system: RootSystem, m: IntMatrix) -> list[int]:

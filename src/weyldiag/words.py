@@ -86,6 +86,12 @@ class Word:
         return root_sequence(self)
 
     @cached_property
+    def sparse_betas(self) -> SparseLines:
+        """Row l lists the nonzero (k, beta_l[k]); the obstruction walk
+        reads them at every position."""
+        return tuple(tuple((k, c) for k, c in enumerate(b) if c) for b in self.betas)
+
+    @cached_property
     def coroot_rows(self) -> SparseLines:
         """Row l lists the nonzero (k, (beta_l^vee, alpha_k)), so its dot
         product with x is (beta_l^vee, x) by linearity.  The obstruction walk

@@ -44,6 +44,16 @@ def dense_bilinear(x, y, form):
     return sum(xi * f * yj for xi, frow in zip(x, form) for f, yj in zip(frow, y))
 
 
+def count_inversions_by_dot_products(system, m):
+    """Reference inversion count: each positive root's image height is its
+    dot product with the row sums of m."""
+    sums = [sum(row) for row in m]
+    return sum(
+        1 for beta in system.positive_roots
+        if sum(b * s for b, s in zip(beta, sums) if b) < 0
+    )
+
+
 def _invert_matrix(m):
     """Inverse of an integer matrix with determinant +-1, in integers only.
 

@@ -35,6 +35,7 @@ from weyldiag.roots import _count_inversions, _identity_matrix
 from conftest import (
     PROPERTY_TYPES,
     REFLECTION_START,
+    count_inversions_by_dot_products,
     dense_right_mul,
     diagram_positions_by_inverse,
     obstruction_step_by_reflection,
@@ -85,18 +86,10 @@ def test_reducedness_by_heights_equals_carried_length(pair, ctype, data):
         check_reduced_by_length(w.system, w.letters)
 
 
-def count_inversions_by_dot_products(system, m):
-    """Reference inversion count: each positive root's image height is its
-    dot product with the row sums of m."""
-    sums = [sum(row) for row in m]
-    return sum(
-        1 for beta in system.positive_roots
-        if sum(b * s for b, s in zip(beta, sums) if b) < 0
-    )
-
-
 @settings(derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(PROPERTY_TYPES + [("B", 16), ("A", 32)]), st.data())
+@given(
+    st.sampled_from(PROPERTY_TYPES + [("B", 16), ("A", 32), ("B", 64), ("C", 64)]), st.data()
+)
 def test_inversion_count_along_root_edges_equals_dot_products(ctype, data):
     system = system_of(*ctype)
     letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))

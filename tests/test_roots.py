@@ -17,6 +17,7 @@ from weyldiag import (
     element_of_word,
     identity_element,
     invert,
+    longest_word,
     reduced_word,
     reflect,
     simple_reflection,
@@ -29,14 +30,17 @@ from weyldiag.roots import (
     _descent_pairings,
     _identity_matrix,
     _left_mul,
+    _pack,
     _simple_image,
     _simple_update,
 )
+from weyldiag.diagrams import _obstruction_start
 from weyldiag.verify import group_elements, group_order
 
 from conftest import (
     PROPERTY_TYPES,
     _invert_matrix,
+    count_inversions_by_dot_products,
     dense_bilinear,
     dense_right_mul,
     dense_simple_image,
@@ -536,6 +540,58 @@ def test_cached_length_matches_recount():
         for word in random_reduced_words(system, count, system.num_positive_roots, seed=rank):
             w = word.element
             assert w.length == _count_inversions(system, w.matrix) == word.t
+
+
+# The packed inversion count at the rank cap and on the exceptional types:
+# B64 and C64 send their highest root, of height 127, to one of height
+# -127, the edge of a signed byte.
+PACKED_COUNT_TYPES = [("A", 64), ("B", 64), ("C", 64), ("D", 64), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", PACKED_COUNT_TYPES)
+def test_packed_inversion_count_matches_dot_products_at_the_rank_cap(family, rank):
+    system = system_of(family, rank)
+    w0 = longest_word(system).element
+    highest = system.positive_roots[-1]
+    assert sum(apply_element(w0, highest)) == -sum(highest)
+    assert _count_inversions(system, w0.matrix) == system.num_positive_roots
+    assert count_inversions_by_dot_products(system, w0.matrix) == system.num_positive_roots
+    rng = random.Random(rank)
+    for _ in range(30):
+        letters = [rng.randint(1, rank) for _ in range(rng.randint(0, system.num_positive_roots))]
+        m = element_of_word(system, letters).matrix
+        assert _count_inversions(system, m) == count_inversions_by_dot_products(system, m)
+
+
+def _unpack(x, n):
+    """The n signed-byte coordinates of a packed vector, lowest first."""
+    out = []
+    for _ in range(n):
+        low = (x + 128) % 256 - 128
+        out.append(low)
+        x = (x - low) >> 8
+    assert x == 0, "a packed vector has no coordinates beyond its rank"
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "family,rank", ORACLE_TYPES + [(f, r) for f, r, _, _ in RANK_CAP_TYPES if r == 64]
+)
+def test_roots_pack_one_to_one_and_obstruction_start_rows_are_packed_inverse(family, rank):
+    system = system_of(family, rank)
+    packed = {}
+    for beta in system.positive_roots:
+        minus = tuple(-c for c in beta)
+        assert _pack(minus) == -_pack(beta)
+        for v in (beta, minus):
+            packed[_pack(v)] = v
+            assert _unpack(_pack(v), rank) == v
+    assert len(packed) == 2 * system.num_positive_roots
+    for word in random_reduced_words(system, 2, 2 * rank, seed=rank):
+        rows, ys = _obstruction_start(word)
+        backwards = element_of_word(system, word.letters[::-1]).matrix
+        assert rows == tuple(map(_pack, backwards)) and ys == frozenset()
+        assert tuple(_unpack(x, rank) for x in rows) == _invert_matrix(word.element.matrix)
 
 
 @pytest.mark.parametrize("family,rank,order", [

@@ -265,17 +265,23 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
     from weyldiag.cli import run
 
-    # Over-count the inversions of w0 alone. Only the length step at position 1
-    # over members 2..6 builds that matrix, so the two diagrams with those
-    # members fail the length test, and the first of them in mask order is named.
+    # Over-count the inversions of w0 alone, the one element whose row sums
+    # are all -1 (it sends every simple root to a negative simple root).
+    # Only the length step at position 1 over members 2..6 counts that
+    # candidate, so the two diagrams with those members fail the length
+    # test, and the first of them in mask order is named.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
-    w0 = word.element.matrix
-    # The interval oracle counts inversions too; the clean run builds (and
-    # caches) it first, so that the defect reaches the length walk alone.
+    assert [sum(row) for row in word.element.matrix] == [-1, -1, -1]
+    # The interval oracle counts inversions too, but through
+    # roots._count_inversions, which the patch does not reach, so the defect
+    # reaches the length walk alone.
     clean = _verify_flags(verify_word(word))
-    real = diagrams._count_inversions
-    monkeypatch.setattr(diagrams, "_count_inversions",
-                        lambda system, m: real(system, m) + (m == w0))
+    real = diagrams._inversions_of_sums
+
+    def over_counting_w0(system, sums):
+        return real(system, sums) + (sums == [-1, -1, -1])
+
+    monkeypatch.setattr(diagrams, "_inversions_of_sums", over_counting_w0)
 
     # The zeta images are the length walk's leaves, so the two pruned
     # diagrams leave two interval elements without an image; the descent
@@ -328,22 +334,21 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
         assert not longest_word_census(CartanType("A", 2)).ok
 
 
-def test_checks_fail_on_an_injected_root_edge_defect(monkeypatch):
+def test_checks_fail_on_an_injected_height_table_defect(monkeypatch):
     import weyldiag.roots as roots
     from weyldiag.cli import run
 
-    # A fresh A3 (so no cached interval or group is reused) whose top root
-    # (1,1,1) claims the parent (0,1,1) with alpha_2 in place of alpha_1, so
-    # the inversion count reads the height of (0,2,1) for it.  The CLI finds
-    # the same system through the root-system cache.
+    # A fresh A3 (so no cached interval or group is reused) whose packed
+    # height table holds the alpha_2 coefficient of the top root (1,1,1) as
+    # 2, so the inversion count reads the height of (1,2,1) for it.  The
+    # CLI finds the same system through the root-system cache.
     ctype = CartanType("A", 3)
     system = roots.RootSystem(ctype)
     top = system.positive_roots.index((1, 1, 1))
-    parent, i = system.root_edges[top]
-    assert (parent, i) == (system.positive_roots.index((0, 1, 1)), 0)
-    edges = list(system.root_edges)
-    edges[top] = (parent, 1)
-    monkeypatch.setattr(system, "root_edges", tuple(edges))
+    columns, mask = system._height_table
+    assert columns[1] >> 8 * top & 255 == 1
+    columns = (columns[0], columns[1] + (1 << 8 * top), columns[2])
+    monkeypatch.setattr(system, "_height_table", (columns, mask))
     monkeypatch.setitem(roots._SYSTEMS, ctype, system)
 
     # The length walk and the interval oracle both count inversions; the
@@ -428,8 +433,9 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
         pair = real(word, j, state)
         if pair is None:
             return None
-        out, (n, ys) = pair
-        return out, (n, state[1] | {diagrams._apply(n, word.betas[j - 1])})
+        out, (rows, ys) = pair
+        x = sum(c * rows[i] for i, c in word.sparse_betas[j - 1])
+        return out, (rows, state[1] | {x})
 
     found = diagrams._walk(word, plus_keyed, diagrams._obstruction_start(word))
     assert len(found) == 8
@@ -481,8 +487,8 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
         pair = real(word, j, state)
         if pair is None:
             return None
-        out, (n, ys) = pair
-        return out, (n, ys | {tuple(-v for v in word.betas[j - 1])})
+        out, (rows, ys) = pair
+        return out, (rows, ys | {-diagrams._pack(word.betas[j - 1])})
 
     found = diagrams._walk(word, adding_minus_beta, diagrams._obstruction_start(word))
     assert set(found) < set(diagrams._walk(word, real, diagrams._obstruction_start(word)))
@@ -535,7 +541,8 @@ def test_obstruction_check_fails_on_an_injected_skipped_reflection(monkeypatch):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod
 
-    # Leaving j out keeps n where it should become n s_{beta_j}.
+    # Leaving j out keeps the rows of M_j^{-1} where they should be
+    # reflected in beta_j.
     real = diagrams._obstruction_step
 
     def skipping_the_reflection(word, j, state):
@@ -621,6 +628,37 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
     if __debug__:  # the walk comparison in _positive_leaves is an assert
         with pytest.raises(AssertionError, match=r"positivity tests disagree on \(2,\)"):
             longest_word_census(CartanType("A", 2))
+
+
+def test_checks_fail_when_the_length_step_joins_with_the_parent(monkeypatch, a2):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag.cli import run
+
+    real = diagrams._length_step
+
+    def joining_the_parent(word, j, state):
+        pair = real(word, j, state)
+        return pair and (pair[0], (state[0], pair[1][1]))
+
+    # The length rule counts s_a m as before but joins with m, not with the
+    # candidate it built, so a member's letter never reaches the leaf.  The
+    # count n + 1 travels on, and once a letter has joined, every candidate
+    # before it has length 1, not n + 1: only () and (1,) pass.  The leaf
+    # of (1,) holds the identity at length 1, an element of no interval,
+    # which the descent recursion does not send back to (1,).
+    word = Word(a2, (1, 2, 1))
+    assert list(diagrams._walk(word, joining_the_parent, diagrams._length_start(word))) == [
+        (), (1,),
+    ]
+    clean = _verify_flags(verify_word(word))
+    monkeypatch.setattr(verify_mod, "_length_step", joining_the_parent)
+    flags = _verify_flags(verify_word(word))
+    assert flags["bijection_ok"] is False
+    assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False, "dual_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
+    assert res.exit_code == 1
+    assert "bijection_ok false" in res.stdout.splitlines()
 
 
 def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):

@@ -25,19 +25,23 @@ j; the function that builds its start state from the word sits beside it
 suffixes (_walk) finds the diagrams a rule passes at a cost that grows
 with their number, not with 2^t, and returns the state each one ends
 with; the per-diagram tests (is_positive and its two halves) are the same
-walk pinned to one diagram.  The length walk's leaf is (zeta(d),
-len(d)), so verify_word reads the zeta images off it; the ascent walk's is
-the row sums of zeta'(d), which census only counts.  Both positivity tests
-run and are compared whenever __debug__ is set (the normal interpreter and
-pytest); under python -O, enumerate_positive walks with the ascent test
-alone.
+walk pinned to one diagram.  The length walk's leaf is zeta(d) as packed
+image columns with len(d), so verify_word decodes the zeta images from
+it; the ascent walk's is the row sums of zeta'(d), which census only
+counts.  Both positivity tests run and are compared whenever __debug__ is
+set (the normal interpreter and pytest); under python -O,
+enumerate_positive walks with the ascent test alone.
 
-The length and obstruction rules work on packed integers: O(n) big-int
-operations per node and no loop over the positive roots.  The length rule
-counts inversions from the candidate's row sums with the packed height
-table (roots._inversions_of_sums) and builds the candidate matrix only
-when the count passes; the obstruction rule keeps its rows and its set
-as roots packed one signed byte per coordinate (roots._pack).
+The length and obstruction rules work on packed integers, with no loop
+over the positive roots.  The length rule carries its product m as packed
+image columns, F_k holding the k-th coefficient of m(beta) for every
+positive root beta, one byte per root (roots._height_table), and their
+sum, the packed image heights.  A letter lowers every image by its
+pairing with alpha_a^vee, itself packed from at most four columns, so a
+node costs a few big-int operations and one popcount whatever the rank;
+roots._unpack_columns decodes the matrix at a leaf.  The obstruction rule
+keeps its rows and its set as roots packed one signed byte per
+coordinate (roots._pack).
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .roots import (
     _count_inversions,
     _descent_pairings,
     _identity_matrix,
-    _inversions_of_sums,
     _left_mul,
     _pack,
     _reflect_by,
@@ -170,38 +173,33 @@ def _ascent_step(word: Word, j: int, h: tuple[int, ...]):
     return h, tuple(joined)
 
 
-def _length_start(word: Word) -> tuple[IntMatrix, int]:
-    # The identity and its length.
-    return _identity_matrix(word.system.rank), 0
+def _length_start(word: Word) -> tuple[tuple[int, ...], int, int]:
+    # The identity's image columns (the height table's own), its packed
+    # heights and its length.
+    columns = word.system._height_table[0]
+    return columns, sum(columns), 0
 
 
-def _length_step(word: Word, j: int, state: tuple[IntMatrix, int]):
+def _length_step(word: Word, j: int, state: tuple[tuple[int, ...], int, int]):
     # Length characterization: s_{alpha_j} times the product m of the n
-    # member letters after j must have n + 1 inversions.  The leaf is
-    # (zeta(d), len(d)), the letters left to right with the length counted.
-    # Row r of s_a m is row r of m less d_r alpha_a, where d_r is its
-    # pairing with alpha_a^vee, so the count reads the row sums less d and
-    # the candidate is built only when it passes.
-    m, n = state
+    # member letters after j must have n + 1 inversions.  state is (F, H, n):
+    # the packed image columns of m, their sum H, the packed heights of the
+    # images m(beta), and n.  s_a m(beta) is m(beta) less p alpha_a, where
+    # p packs the pairings of the images with alpha_a^vee, so the candidate's
+    # heights are H - p, and joining lowers column a and H by p.  A
+    # diagram's leaf is its zeta image in that form (the letters left to
+    # right) with its size.
+    F, H, n = state
     system = word.system
     a0 = word.letters[j - 1] - 1
-    arow = system._cartan_rows[a0]
-    deltas = []
-    sums = []
-    for row in m:
-        d = 0
-        for k, c in arow:
-            d += c * row[k]
-        deltas.append(d)
-        sums.append(sum(row) - d)
-    if _inversions_of_sums(system, sums) != n + 1:
+    p = 0
+    for k, c in system._cartan_rows[a0]:
+        p += c * F[k]
+    H -= p
+    mask = system._height_table[1]
+    if system.num_positive_roots - ((mask + H) & mask).bit_count() != n + 1:
         return None
-    candidate = list(m)
-    for r, d in enumerate(deltas):
-        if d:
-            row = m[r]
-            candidate[r] = row[:a0] + (row[a0] - d,) + row[a0 + 1 :]
-    return state, (tuple(candidate), n + 1)
+    return state, (F[:a0] + (F[a0] - p,) + F[a0 + 1 :], H, n + 1)
 
 
 def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
@@ -315,10 +313,12 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
     Independent of the diagram machinery: a left-to-right dynamic scan over
     the set of reachable matrices.  Lengths are counted as inversions, not
     carried.  verify_word's images take their lengths from the length walk,
-    which counts them with the same packed count (_inversions_of_sums, the
-    body of _count_inversions), so comparing the two
-    sets checks the products, not the carried lengths of element_of_word;
-    those are checked by bruhat_interval under __debug__ and by the tests.
+    whose rule tests each one against the popcount of its own carried image
+    heights, while _count_inversions here multiplies the height table by
+    the row sums of the matrix, so the two lengths are computed
+    independently and comparing the two sets checks the products and the
+    walk's lengths; the carried lengths of element_of_word are checked by
+    bruhat_interval under __debug__ and by the tests.
     """
     require_reduced(word)
     system = word.system

@@ -32,6 +32,7 @@ the wires, using only the characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import DomainError, UsageError
 from .roots import CartanType, RootSystem, WeylElement, root_system
@@ -136,6 +137,20 @@ def is_le_diagram(grid: GridDiagram) -> bool:
     return True
 
 
+@cache
+def _le_boxes(p: int, t: int) -> tuple[tuple[int, int, int], ...]:
+    # (above, left, bit) for each walk index j of the p-row grid word of
+    # length t, at index j - 1: the masks of the boxes above box k = t+1-j
+    # and to its left, and box k's own bit, k-1.
+    boxes = []
+    for j in range(1, t + 1):
+        c, r = divmod(t - j, p)
+        above = ((1 << r) - 1) << (c * p)
+        left = sum(1 << (i * p + r) for i in range(c))
+        boxes.append((above, left, 1 << (t - j)))
+    return tuple(boxes)
+
+
 def _le_step(word: Word, j: int, filled: int):
     # Walk index j stands for box position k = t+1-j, so the members after j
     # are the boxes before k in column-major order, among them every box
@@ -143,12 +158,9 @@ def _le_step(word: Word, j: int, filled: int):
     # Box k may join when its column above it or its row to its left is full.
     # The grid word opens with the run p, ..., 1, so p is its first letter.
     # The walk starts at 0, the empty filling.
-    p = word.letters[0]
-    c, r = divmod(word.t - j, p)
-    above = ((1 << r) - 1) << (c * p)
-    left = sum(1 << (i * p + r) for i in range(c))
+    above, left, bit = _le_boxes(word.letters[0], word.t)[j - 1]
     if filled & above == above or filled & left == left:
-        return filled, filled | 1 << (word.t - j)
+        return filled, filled | bit
     return filled, None
 
 

@@ -39,7 +39,12 @@ image height lies in -127..127 (the highest root of B64 and C64 has
 height 127, which the table asserts when it is built), so each byte holds
 its height exactly, and adding 128 to every byte sets its top bit exactly
 where the height is positive: n big-int products and one popcount, no
-loop over the roots.
+loop over the roots.  A caller that carries the packed image columns of
+an element, F_k = sum_i m[i][k] E_i (the k-th coefficients of the images
+of all N roots), has the packed heights as sum_k F_k and needs no
+product at all; the lowest n bytes of the columns are the images of the
+simple roots, alpha_n first, so the matrix decodes from them
+(_unpack_columns).
 
 Left descents are read without inverting the matrix.  s_i is a left
 descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
@@ -57,8 +62,7 @@ and Representation Theory, 9.4).  So only two kinds of i can succeed: those
 with <alpha_i^vee, beta> < 0, and those with beta - alpha_i a root (p > 0).
 Each root carries its n pairings, its parent's plus one sparse Cartan
 column, with the set of the negative ones, and is tested against that set
-and the steps up to it, a few i and not all n.  Every non-simple positive
-root keeps one edge to a parent of height one less (root_edges).
+and the steps up to it, a few i and not all n.
 
 Simple roots are numbered 1..n following Bourbaki:
 
@@ -194,10 +198,9 @@ class RootSystem:
     the alpha-string rule, trying beta + alpha_i only for the i where
     <alpha_i^vee, beta> < 0 or beta - alpha_i is a root (see the module
     docstring), and ordered by height, then lexicographically, so every
-    downstream output is reproducible bit for bit.  root_edges[k] is
-    (parent, i) with positive_roots[k] = positive_roots[parent] + alpha_i,
-    the parent coming earlier, or (-1, i) when positive_roots[k] = alpha_i.
-    roots, the positive roots and their negatives, is built on first read.
+    downstream output is reproducible bit for bit; the simple roots come
+    first, alpha_n to alpha_1.  roots, the positive roots and their
+    negatives, is built on first read.
     """
 
     def __init__(self, ctype: CartanType):
@@ -239,7 +242,6 @@ class RootSystem:
         # negative, for the last level only: the parent's plus Cartan column
         # i, for the step alpha_i up to positive[k].
         positive: list[RootVector] = []
-        edges: list[tuple[int, int]] = []
         below: list[dict[int, int]] = []
         pairings: dict[int, tuple[list[int], set[int]]] = {}
         origin: tuple[list[int], set[int]] = ([0] * n, set())
@@ -259,7 +261,6 @@ class RootSystem:
                     else:
                         negative.discard(j)
                 positive.append(x)
-                edges.append((parent, i))
                 below.append(down)
                 pairings[k] = pair, negative
             level = {}
@@ -278,7 +279,6 @@ class RootSystem:
                         level.setdefault(up, {})[i] = k
 
         self.positive_roots: tuple[RootVector, ...] = tuple(positive)
-        self.root_edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.num_positive_roots = len(positive)
         self.two_rho: RootVector = tuple(map(sum, zip(*positive)))
         self.warnings: tuple[str, ...] = ()
@@ -297,6 +297,8 @@ class RootSystem:
         E[i] packs the i-th coefficients of the positive roots, one byte per
         root, and mask holds the top bit of every byte."""
         assert sum(self.positive_roots[-1]) < 128, "image heights must fit a signed byte"
+        # _unpack_columns reads the simple roots off the lowest n bytes.
+        assert self.positive_roots[: self.rank] == self.simple_roots[::-1]
         columns = tuple(int.from_bytes(bytes(col), "little") for col in zip(*self.positive_roots))
         return columns, int.from_bytes(b"\x80" * self.num_positive_roots, "little")
 
@@ -407,30 +409,51 @@ def _apply(m: IntMatrix, x: RootVector) -> RootVector:
     return tuple(acc)
 
 
-def _inversions_of_sums(system: RootSystem, sums) -> int:
-    # The number of positive roots whose image height is negative, for an
-    # element whose matrix has row sums sums: mask + sum_i s_i E_i holds
-    # each image height plus 128 in its own byte (see the module docstring).
-    columns, mask = system._height_table
-    return system.num_positive_roots - (sum(map(mul, sums, columns), mask) & mask).bit_count()
-
-
 def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
     # Image of a root is a root, so the sign of its height (coefficient sum)
     # decides, and that height is linear in the root, with the row sums of
-    # m as weights.
-    return _inversions_of_sums(system, map(sum, m))
+    # m as weights: mask + sum_i s_i E_i holds each image height plus 128 in
+    # its own byte (see the module docstring).
+    columns, mask = system._height_table
+    heights = sum(map(mul, map(sum, m), columns), mask)
+    return system.num_positive_roots - (heights & mask).bit_count()
+
+
+def _unpack_columns(system: RootSystem, columns) -> IntMatrix:
+    # The matrix whose packed image columns are columns (see the module
+    # docstring).  Byte b of column k is coordinate k of the image of
+    # positive_roots[b], and the lowest n bytes are alpha_n, ..., alpha_1,
+    # so read big-endian they run down column k.  Adding 128 to every byte
+    # makes it nonnegative, so no borrow crosses a byte, and flipping the
+    # top bit back leaves each coordinate as one two's-complement byte.
+    # The columns go end to end into one int, column-major.
+    n = system.rank
+    low = (1 << 8 * n) - 1
+    bias = system._height_table[1] & low
+    x = 0
+    for f in columns:
+        x = x << 8 * n | (((f & low) + bias) & low) ^ bias
+    flat = memoryview(x.to_bytes(n * n, "big")).cast("b").tolist()
+    return tuple([tuple(flat[i::n]) for i in range(n)])
 
 
 def _descent_pairings(system: RootSystem, m: IntMatrix) -> list[int]:
     # p_i = <alpha_i^vee, u(2 rho)>, negative exactly when s_i is a left
     # descent of u, and all 2 exactly when u = e (see the module docstring).
+    # Coordinate k of u(2 rho) is 2 rho dotted with column k of m.
     if len(m) != system.rank:
         raise DomainError(
             f"element of rank {len(m)} does not act on {system.ctype} (rank {system.rank})"
         )
-    x = _apply(m, system.two_rho)
-    return [sum(c * x[j] for j, c in row) for row in system._cartan_rows]
+    two_rho = system.two_rho
+    x = [sum(map(mul, two_rho, col)) for col in zip(*m)]
+    p = []
+    for row in system._cartan_rows:
+        v = 0
+        for j, c in row:
+            v += c * x[j]
+        p.append(v)
+    return p
 
 
 def _simple_update(v: list[int], a0: int, lines: SparseLines) -> None:

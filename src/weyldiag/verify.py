@@ -3,9 +3,9 @@
 Every walk (diagrams._walk) runs one rule from the start state built beside
 it and returns {positions: leaf state} in ascending bitmask order.  census
 counts the ascent walk's leaves and enumerate_positive turns their
-positions into Diagram objects.  verify_word takes the zeta images and
-their lengths from the length walk's leaves, and runs zeta only on
-interval elements outside the image.
+positions into Diagram objects.  verify_word decodes the zeta images
+and takes their lengths from the length walk's leaves, and runs zeta only
+on interval elements outside the image.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .roots import (
     WeylElement,
     _identity_matrix,
     _right_mul,
+    _unpack_columns,
     build_root_system,
 )
 from .words import Word, format_word, longest_word, reduced_word, require_reduced
@@ -200,10 +201,10 @@ def order_preservation_stats(word: Word, images: dict) -> dict:
 def verify_word(word: Word, include_order_stats: bool = False) -> VerificationReport:
     """Run every diagram-level check over one reduced word.
 
-    The zeta images are the length walk's leaves (see the module
-    docstring); bijection_ok compares them, left products with the lengths
-    the length test counted, with subword_products, right products with
-    counted lengths.  The lengths element_of_word carries are not reached
+    The zeta images are decoded from the length walk's leaves (see the
+    module docstring); bijection_ok compares them, left products with the
+    lengths the length test counted, with subword_products, right products
+    with counted lengths.  The lengths element_of_word carries are not reached
     here; bruhat_interval checks them under __debug__.
     """
     require_reduced(word)
@@ -217,7 +218,11 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     dual_ok = found == list(by_lengths)
 
     interval = subword_products(word)
-    images = {p: WeylElement(m, n) for p, (m, n) in by_lengths.items()}
+    system = word.system
+    images = {
+        p: WeylElement(_unpack_columns(system, columns), n)
+        for p, (columns, _, n) in by_lengths.items()
+    }
     image_set = set(images.values())
     bijection_ok = len(image_set) == len(found) and image_set == interval
 

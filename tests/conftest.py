@@ -54,6 +54,22 @@ def count_inversions_by_dot_products(system, m):
     )
 
 
+def pack_image_columns(system, m):
+    """(F, H) for the matrix m, as the length walk carries it: F[k] holds the
+    k-th coefficient of the image of every positive root, one signed byte
+    per root in the order of system.positive_roots, and H their sum, the
+    packed image heights.  Built from dense images, not from the height
+    table."""
+    images = [
+        [sum(b * row[k] for b, row in zip(beta, m) if b) for k in range(system.rank)]
+        for beta in system.positive_roots
+    ]
+    columns = tuple(
+        sum(image[k] << 8 * b for b, image in enumerate(images)) for k in range(system.rank)
+    )
+    return columns, sum(columns)
+
+
 def _invert_matrix(m):
     """Inverse of an integer matrix with determinant +-1, in integers only.
 

@@ -45,11 +45,13 @@ from weyldiag.diagrams import (
     _obstruction_step,
     _walk,
 )
+from weyldiag.roots import _unpack_columns
 
 from conftest import (
     CENSUS_TYPES,
     REFLECTION_START,
     obstruction_step_by_reflection,
+    pack_image_columns,
     random_reduced_words,
     system_of,
 )
@@ -154,14 +156,19 @@ def test_criterion_5_bijection_and_oracle_agreement():
             interval = subword_products(word)
             assert len(set(images)) == len(images)
             assert set(images) == interval
-            # The length walk's leaf state is (zeta(d), its length), which
-            # verify_word reads its images off; the ascent walk's is the row
-            # sums of zeta'(d), the heights of the roots zeta'(d) sends the
-            # simple roots to.
+            # The length walk's leaf state is zeta(d) as packed image
+            # columns, their packed heights and its length, which verify_word
+            # decodes its images from; the ascent walk's is the row sums of
+            # zeta'(d), the heights of the roots zeta'(d) sends the simple
+            # roots to.
             by_lengths = _walk(word, _length_step, _length_start(word))
             by_ascents = _walk(word, _ascent_step, _ascent_start(word))
             for d, u in zip(positives, images):
-                assert by_lengths[d.positions] == (u.matrix, u.length), (word, d.positions)
+                columns, packed_heights, n = by_lengths[d.positions]
+                assert (columns, packed_heights) == pack_image_columns(word.system, u.matrix)
+                assert (_unpack_columns(word.system, columns), n) == (u.matrix, u.length), (
+                    word, d.positions,
+                )
                 assert u.length == d.size, (word, d.positions)
                 heights = tuple(map(sum, zeta_prime(d).matrix))
                 assert by_ascents[d.positions] == heights, (word, d.positions)

@@ -90,7 +90,7 @@ def test_reducedness_by_heights_equals_carried_length(pair, ctype, data):
 @given(
     st.sampled_from(PROPERTY_TYPES + [("B", 16), ("A", 32), ("B", 64), ("C", 64)]), st.data()
 )
-def test_inversion_count_along_root_edges_equals_dot_products(ctype, data):
+def test_packed_inversion_count_equals_dot_products_on_random_words(ctype, data):
     system = system_of(*ctype)
     letters = data.draw(st.lists(st.integers(1, system.rank), max_size=4 * MAX_LEN))
     m = element_of_word(system, letters).matrix

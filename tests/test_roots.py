@@ -33,8 +33,17 @@ from weyldiag.roots import (
     _pack,
     _simple_image,
     _simple_update,
+    _unpack_columns,
 )
-from weyldiag.diagrams import _obstruction_start
+from weyldiag.diagrams import (
+    Diagram,
+    _length_start,
+    _length_step,
+    _obstruction_start,
+    _walk,
+    diagram_for,
+    is_positive_by_ascents,
+)
 from weyldiag.verify import group_elements, group_order
 
 from conftest import (
@@ -44,6 +53,7 @@ from conftest import (
     dense_bilinear,
     dense_right_mul,
     dense_simple_image,
+    pack_image_columns,
     random_reduced_words,
     system_of,
 )
@@ -126,14 +136,17 @@ ORACLE_TYPES = [
 
 
 def _assert_edges_step_up(system):
-    """Each root_edges entry points at an earlier root, or at 0 for a simple
-    root, that is one simple root below."""
-    assert len(system.root_edges) == system.num_positive_roots
-    zero = (0,) * system.rank
-    for k, (parent, i) in enumerate(system.root_edges):
-        assert -1 <= parent < k
-        below = system.positive_roots[parent] if parent >= 0 else zero
-        assert tuple(c + (j == i) for j, c in enumerate(below)) == system.positive_roots[k]
+    """Each non-simple positive root steps up from an earlier one: it is an
+    earlier root plus one simple root.  The simple roots come first."""
+    positive = system.positive_roots
+    assert positive[: system.rank] == system.simple_roots[::-1]
+    index = {beta: k for k, beta in enumerate(positive)}
+    for k, beta in enumerate(positive[system.rank :], system.rank):
+        parents = [
+            index[down] for i, c in enumerate(beta)
+            if c and (down := beta[:i] + (c - 1,) + beta[i + 1 :]) in index
+        ]
+        assert parents and min(parents) < k, beta
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_TYPES)
@@ -561,6 +574,56 @@ def test_packed_inversion_count_matches_dot_products_at_the_rank_cap(family, ran
         letters = [rng.randint(1, rank) for _ in range(rng.randint(0, system.num_positive_roots))]
         m = element_of_word(system, letters).matrix
         assert _count_inversions(system, m) == count_inversions_by_dot_products(system, m)
+
+
+def _length_leaf(diagram):
+    """The leaf state of the length walk pinned to one diagram, or None
+    when the length test refuses it."""
+    inside = set(diagram.positions)
+
+    def pinned(word, j, state):
+        pair = _length_step(word, j, state)
+        return pair and ((None, pair[1]) if j in inside else (pair[0], None))
+
+    word = diagram.word
+    return _walk(word, pinned, _length_start(word)).get(diagram.positions)
+
+
+@pytest.mark.parametrize("family,rank", PACKED_COUNT_TYPES)
+def test_length_walk_leaves_decode_to_zeta_at_the_rank_cap(family, rank):
+    system = system_of(family, rank)
+    columns, heights, n = _length_start(Word(system, ()))
+    assert _unpack_columns(system, columns) == _identity_matrix(rank) and n == 0
+    assert heights == sum(columns)
+    # The whole longest word: its leaf is w0, which negates every height,
+    # 127 at B64 and C64 included.
+    w0 = longest_word(system)
+    diagrams = [Diagram(w0, tuple(range(1, w0.t + 1)))]
+    rng = random.Random(rank)
+    for word in random_reduced_words(system, 4, 3 * rank, seed=rank):
+        inside = [rng.random() < 0.5 for _ in range(word.t)]
+        diagrams.append(Diagram(word, tuple(k + 1 for k, keep in enumerate(inside) if keep)))
+        # The positive diagram of a subword product, which the length test
+        # must pass.
+        subword = [i for i, keep in zip(word.letters, inside) if keep]
+        diagrams.append(diagram_for(word, element_of_word(system, subword)))
+    leaves = [_length_leaf(d) for d in diagrams]
+    for d, leaf in zip(diagrams, leaves):
+        assert (leaf is not None) == is_positive_by_ascents(d), d
+        if leaf is None:
+            continue
+        columns, heights, n = leaf
+        u = element_of_word(system, [d.word.letters[p - 1] for p in d.positions])
+        assert _unpack_columns(system, columns) == u.matrix, d
+        assert n == u.length == d.size and heights == sum(columns)
+        # All the columns, not only their lowest bytes, are those of the
+        # product; the dense packing is too slow at rank 64.
+        if rank <= 8:
+            assert (columns, heights) == pack_image_columns(system, u.matrix)
+    assert len(leaves) - leaves.count(None) >= 5
+    top = _length_start(w0)[1]
+    assert leaves[0][1] == -top
+    assert top >> 8 * (system.num_positive_roots - 1) == sum(system.positive_roots[-1])
 
 
 def _unpack(x, n):

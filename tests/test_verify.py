@@ -11,6 +11,7 @@ from weyldiag import (
     bruhat_interval,
     detect_grid_shape,
     enumerate_positive,
+    format_word,
     group_elements,
     group_order,
     longest_word,
@@ -20,11 +21,13 @@ from weyldiag import (
     zeta,
     GridShape,
 )
+from weyldiag.roots import _unpack_columns
 from weyldiag.verify import SWEEP_CAP_ENV, VerificationReport, sweep_cap
 
 from conftest import (
     REFLECTION_START,
     obstruction_step_by_reflection,
+    pack_image_columns,
     random_reduced_words,
     system_of,
 )
@@ -263,25 +266,30 @@ def test_group_order_never_hardcoded_matches_factorials():
 
 def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
     from weyldiag.cli import run
 
-    # Over-count the inversions of w0 alone, the one element whose row sums
-    # are all -1 (it sends every simple root to a negative simple root).
-    # Only the length step at position 1 over members 2..6 counts that
-    # candidate, so the two diagrams with those members fail the length
+    # Over-count the inversions of w0 alone: the length rule refuses the
+    # candidate whose packed image heights are the identity's negated, as
+    # only w0 sends every positive root to a negative root of the same
+    # height.  Only the length step at position 1 over members 2..6 counts
+    # that candidate, so the two diagrams with those members fail the length
     # test, and the first of them in mask order is named.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
-    assert [sum(row) for row in word.element.matrix] == [-1, -1, -1]
+    real = diagrams._length_step
+    start = diagrams._length_start(word)
+    top = start[1]
+    assert diagrams._walk(word, real, start)[(1, 2, 3, 4, 5, 6)][1] == -top
     # The interval oracle counts inversions too, but through
     # roots._count_inversions, which the patch does not reach, so the defect
     # reaches the length walk alone.
     clean = _verify_flags(verify_word(word))
-    real = diagrams._inversions_of_sums
 
-    def over_counting_w0(system, sums):
-        return real(system, sums) + (sums == [-1, -1, -1])
+    def over_counting_w0(word, j, state):
+        pair = real(word, j, state)
+        return None if pair and pair[1][1] == -top else pair
 
-    monkeypatch.setattr(diagrams, "_inversions_of_sums", over_counting_w0)
+    monkeypatch.setattr(verify_mod, "_length_step", over_counting_w0)
 
     # The zeta images are the length walk's leaves, so the two pruned
     # diagrams leave two interval elements without an image; the descent
@@ -617,7 +625,7 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
 
     def keeping_the_count(word, j, state):
         pair = real(word, j, state)
-        return pair and (pair[0], (pair[1][0], state[1]))
+        return pair and (pair[0], (*pair[1][:2], state[2]))
 
     monkeypatch.setattr(verify_mod, "_length_step", keeping_the_count)
     assert _verify_flags(verify_word(word)) == {**clean, "dual_ok": False, "bijection_ok": False}
@@ -639,14 +647,14 @@ def test_checks_fail_when_the_length_step_joins_with_the_parent(monkeypatch, a2)
 
     def joining_the_parent(word, j, state):
         pair = real(word, j, state)
-        return pair and (pair[0], (state[0], pair[1][1]))
+        return pair and (pair[0], (*state[:2], pair[1][2]))
 
-    # The length rule counts s_a m as before but joins with m, not with the
-    # candidate it built, so a member's letter never reaches the leaf.  The
-    # count n + 1 travels on, and once a letter has joined, every candidate
-    # before it has length 1, not n + 1: only () and (1,) pass.  The leaf
-    # of (1,) holds the identity at length 1, an element of no interval,
-    # which the descent recursion does not send back to (1,).
+    # The length rule counts s_a m as before but joins with the columns and
+    # heights of m, not with the candidate's, so a member's letter never
+    # reaches the leaf.  The count n + 1 travels on, and once a letter has
+    # joined, every candidate before it has length 1, not n + 1: only () and
+    # (1,) pass.  The leaf of (1,) holds the identity at length 1, an element
+    # of no interval, which the descent recursion does not send back to (1,).
     word = Word(a2, (1, 2, 1))
     assert list(diagrams._walk(word, joining_the_parent, diagrams._length_start(word))) == [
         (), (1,),
@@ -661,6 +669,61 @@ def test_checks_fail_when_the_length_step_joins_with_the_parent(monkeypatch, a2)
     assert "bijection_ok false" in res.stdout.splitlines()
 
 
+def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag.cli import run
+
+    real = diagrams._length_step
+
+    def heights_alone(word, j, state):
+        pair = real(word, j, state)
+        return pair and (pair[0], (state[0], *pair[1][1:]))
+
+    # The join lowers the packed heights and the count but leaves column a
+    # as it was, so every pairing is read off the identity's columns and the
+    # heights drift from any product's: once a letter has joined, every
+    # position before it fails the test, and only () and (1,) pass, the
+    # latter with the identity's columns at length 1.
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    assert list(diagrams._walk(word, heights_alone, diagrams._length_start(word))) == [
+        (), (1,),
+    ]
+    clean = _verify_flags(verify_word(word))
+    monkeypatch.setattr(verify_mod, "_length_step", heights_alone)
+    flags = _verify_flags(verify_word(word))
+    assert flags["bijection_ok"] is False
+    assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False, "dual_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    assert "bijection_ok false" in res.stdout.splitlines()
+
+
+def test_bijection_check_fails_when_the_leaf_decode_reverses_the_simple_roots(monkeypatch):
+    import weyldiag.roots as roots
+    import weyldiag.verify as verify_mod
+    from weyldiag.cli import run
+
+    # The lowest bytes of each column hold the simple roots alpha_n first;
+    # a decode that reads them alpha_1 first reverses the rows of every
+    # image.  Over G2 w0 the images then leave the interval and no longer
+    # round-trip; the walks themselves never decode.
+    word = longest_word(system_of("G", 2))
+    clean = _verify_flags(verify_word(word))
+    real = roots._unpack_columns
+
+    def alpha_1_first(system, columns):
+        return real(system, columns)[::-1]
+
+    monkeypatch.setattr(verify_mod, "_unpack_columns", alpha_1_first)
+    flags = _verify_flags(verify_word(word))
+    assert flags["bijection_ok"] is False
+    assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False}
+    res = run(["verify", "--type", "G", "--rank", "2", "--word", format_word(word)])
+    assert res.exit_code == 1
+    assert "bijection_ok false" in res.stdout.splitlines()
+
+
 def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod
@@ -668,8 +731,9 @@ def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch,
     from weyldiag.cli import run
 
     # The length rule tests s_a m at position 1 as before, but carries the
-    # product built on the wrong side, m s_a.  It passes the same diagrams,
-    # yet the leaves holding position 1, the zeta images, are other elements.
+    # product built on the wrong side, m s_a, packed as image columns.  It
+    # passes the same diagrams, yet the leaves holding position 1, the zeta
+    # images, are other elements.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     clean = _verify_flags(verify_word(word))
     real = diagrams._length_step
@@ -678,8 +742,10 @@ def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch,
         pair = real(word, j, state)
         if j != 1 or pair is None:
             return pair
-        m, n = state
-        return state, (diagrams._right_mul(m, word.letters[0] - 1, word.system._cartan_rows), n + 1)
+        system = word.system
+        m = _unpack_columns(system, state[0])
+        wrong = diagrams._right_mul(m, word.letters[0] - 1, system._cartan_rows)
+        return state, (*pack_image_columns(system, wrong), state[2] + 1)
 
     monkeypatch.setattr(verify_mod, "_length_step", wrong_side_at_1)
     flags = _verify_flags(verify_word(word))

@@ -26,11 +26,11 @@ suffixes (_walk) finds the diagrams a rule passes at a cost that grows
 with their number, not with 2^t, and returns the state each one ends
 with; the per-diagram tests (is_positive and its two halves) are the same
 walk pinned to one diagram.  The length walk's leaf is zeta(d) as packed
-image columns with len(d), so verify_word decodes the zeta images from
-it; the ascent walk's is the row sums of zeta'(d), which census only
-counts.  Both positivity tests run and are compared whenever __debug__ is
-set (the normal interpreter and pytest); under python -O,
-enumerate_positive walks with the ascent test alone.
+image columns with len(d), from which verify_word reads its key u(2 rho);
+the ascent walk's is the row sums of zeta'(d), which census only counts.
+Both positivity tests run and are compared whenever __debug__ is set (the
+normal interpreter and pytest); under python -O, enumerate_positive walks
+with the ascent test alone.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed
@@ -38,10 +38,9 @@ image columns, F_k holding the k-th coefficient of m(beta) for every
 positive root beta, one byte per root (roots._height_table), and their
 sum, the packed image heights.  A letter lowers every image by its
 pairing with alpha_a^vee, itself packed from at most four columns, so a
-node costs a few big-int operations and one popcount whatever the rank;
-roots._unpack_columns decodes the matrix at a leaf.  The obstruction rule
-keeps its rows and its set as roots packed one signed byte per
-coordinate (roots._pack).
+node costs a few big-int operations and one popcount whatever the rank.
+The obstruction rule keeps its rows and its set as roots packed one
+signed byte per coordinate (roots._pack).
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from .roots import (
     _descent_pairings,
     _identity_matrix,
     _left_mul,
+    _orbit_point,
     _pack,
     _reflect_by,
     _right_mul,
@@ -286,14 +286,14 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
     the final residual fixes 2 rho and so is the identity.
     """
     require_reduced(word)
-    positions = _descent_positions(word, u)
+    positions = _descent_positions(word, _orbit_point(word.system, u.matrix))
     return None if positions is None else Diagram(word, positions)
 
 
-def _descent_positions(word: Word, u: WeylElement) -> tuple[int, ...] | None:
-    # diagram_for's recursion, positions only.
+def _descent_positions(word: Word, x: RootVector) -> tuple[int, ...] | None:
+    # diagram_for's recursion, positions only, from x = u(2 rho).
     system = word.system
-    p = _descent_pairings(system, u.matrix)
+    p = _descent_pairings(system, x)
     positions = []
     for pos, i in enumerate(word.letters, start=1):
         if p[i - 1] < 0:
@@ -312,13 +312,14 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
 
     Independent of the diagram machinery: a left-to-right dynamic scan over
     the set of reachable matrices.  Lengths are counted as inversions, not
-    carried.  verify_word's images take their lengths from the length walk,
-    whose rule tests each one against the popcount of its own carried image
-    heights, while _count_inversions here multiplies the height table by
-    the row sums of the matrix, so the two lengths are computed
-    independently and comparing the two sets checks the products and the
-    walk's lengths; the carried lengths of element_of_word are checked by
-    bruhat_interval under __debug__ and by the tests.
+    carried.  verify_word compares these elements with the zeta images by
+    the key (u(2 rho), length).  Here u(2 rho) is 2 rho dotted with the
+    columns of the matrix and _count_inversions multiplies the height table
+    by its row sums; the length walk sums the bytes of its packed image
+    columns and tests each length against the popcount of its own carried
+    heights.  So the keys are computed independently; the carried lengths
+    of element_of_word are checked by bruhat_interval under __debug__ and
+    by the tests.
     """
     require_reduced(word)
     system = word.system

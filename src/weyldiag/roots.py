@@ -42,9 +42,7 @@ where the height is positive: n big-int products and one popcount, no
 loop over the roots.  A caller that carries the packed image columns of
 an element, F_k = sum_i m[i][k] E_i (the k-th coefficients of the images
 of all N roots), has the packed heights as sum_k F_k and needs no
-product at all; the lowest n bytes of the columns are the images of the
-simple roots, alpha_n first, so the matrix decodes from them
-(_unpack_columns).
+product at all.
 
 Left descents are read without inverting the matrix.  s_i is a left
 descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
@@ -53,6 +51,9 @@ p_i = <alpha_i^vee, u(2 rho)> < 0; u is the identity exactly when every
 p_i equals <alpha_i^vee, 2 rho> = 2 (Humphreys, Reflection Groups and
 Coxeter Groups, 1.6-1.7).  Passing from u to s_a u reflects u(2 rho) in
 alpha_a, so each p_i drops by a[i][a] p_a: one Cartan column per letter.
+By regularity u(2 rho) is a one-to-one key of u (ibid. 1.12): 2 rho dotted
+with the columns of the matrix (_orbit_point), or the byte sums of packed
+image columns, the images of all N roots summed (_orbit_point_of_columns).
 
 The positive roots form a poset under beta < beta + alpha_i, and it is
 built level by level in height: beta + alpha_i is a root exactly when
@@ -297,8 +298,6 @@ class RootSystem:
         E[i] packs the i-th coefficients of the positive roots, one byte per
         root, and mask holds the top bit of every byte."""
         assert sum(self.positive_roots[-1]) < 128, "image heights must fit a signed byte"
-        # _unpack_columns reads the simple roots off the lowest n bytes.
-        assert self.positive_roots[: self.rank] == self.simple_roots[::-1]
         columns = tuple(int.from_bytes(bytes(col), "little") for col in zip(*self.positive_roots))
         return columns, int.from_bytes(b"\x80" * self.num_positive_roots, "little")
 
@@ -419,34 +418,30 @@ def _count_inversions(system: RootSystem, m: IntMatrix) -> int:
     return system.num_positive_roots - (heights & mask).bit_count()
 
 
-def _unpack_columns(system: RootSystem, columns) -> IntMatrix:
-    # The matrix whose packed image columns are columns (see the module
-    # docstring).  Byte b of column k is coordinate k of the image of
-    # positive_roots[b], and the lowest n bytes are alpha_n, ..., alpha_1,
-    # so read big-endian they run down column k.  Adding 128 to every byte
-    # makes it nonnegative, so no borrow crosses a byte, and flipping the
-    # top bit back leaves each coordinate as one two's-complement byte.
-    # The columns go end to end into one int, column-major.
-    n = system.rank
-    low = (1 << 8 * n) - 1
-    bias = system._height_table[1] & low
-    x = 0
-    for f in columns:
-        x = x << 8 * n | (((f & low) + bias) & low) ^ bias
-    flat = memoryview(x.to_bytes(n * n, "big")).cast("b").tolist()
-    return tuple([tuple(flat[i::n]) for i in range(n)])
-
-
-def _descent_pairings(system: RootSystem, m: IntMatrix) -> list[int]:
-    # p_i = <alpha_i^vee, u(2 rho)>, negative exactly when s_i is a left
-    # descent of u, and all 2 exactly when u = e (see the module docstring).
-    # Coordinate k of u(2 rho) is 2 rho dotted with column k of m.
+def _orbit_point(system: RootSystem, m: IntMatrix) -> RootVector:
+    # u(2 rho) for the element u with matrix m: coordinate k is 2 rho dotted
+    # with column k of m.
     if len(m) != system.rank:
         raise DomainError(
             f"element of rank {len(m)} does not act on {system.ctype} (rank {system.rank})"
         )
     two_rho = system.two_rho
-    x = [sum(map(mul, two_rho, col)) for col in zip(*m)]
+    return tuple([sum(map(mul, two_rho, col)) for col in zip(*m)])
+
+
+def _orbit_point_of_columns(system: RootSystem, columns) -> RootVector:
+    # u(2 rho) from the packed image columns of u: coordinate k sums the
+    # signed bytes of F_k over the images of all N roots, each byte raised
+    # by 128 so that a negative one borrows nothing from the next.
+    nbytes = system.num_positive_roots
+    mask = system._height_table[1]
+    return tuple([sum((f + mask).to_bytes(nbytes, "little")) - 128 * nbytes for f in columns])
+
+
+def _descent_pairings(system: RootSystem, x: RootVector) -> list[int]:
+    # p_i = <alpha_i^vee, x> over sparse Cartan row i.  At x = u(2 rho) it is
+    # negative exactly when s_i is a left descent of u, and all 2 exactly
+    # when u = e (see the module docstring).
     p = []
     for row in system._cartan_rows:
         v = 0
@@ -471,7 +466,7 @@ def _left_descents(system: RootSystem, m: IntMatrix, bound: int) -> tuple[list[i
     # Strips the smallest left descent, u <- s_i u, at most bound times (see
     # the module docstring).  Returns the letters stripped and the pairings
     # left, which are all 2 exactly when the residual is the identity.
-    p = _descent_pairings(system, m)
+    p = _descent_pairings(system, _orbit_point(system, m))
     letters: list[int] = []
     for _ in range(bound):
         i0 = next((i for i, v in enumerate(p) if v < 0), -1)

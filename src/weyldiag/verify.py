@@ -3,9 +3,9 @@
 Every walk (diagrams._walk) runs one rule from the start state built beside
 it and returns {positions: leaf state} in ascending bitmask order.  census
 counts the ascent walk's leaves and enumerate_positive turns their
-positions into Diagram objects.  verify_word decodes the zeta images
-and takes their lengths from the length walk's leaves, and runs zeta only
-on interval elements outside the image.
+positions into Diagram objects.  verify_word keys each element u by
+(u(2 rho), length), read off the length walk's leaves, and runs zeta only
+on interval elements outside the image and for --order-stats.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .roots import (
     RootSystem,
     WeylElement,
     _identity_matrix,
+    _orbit_point,
+    _orbit_point_of_columns,
     _right_mul,
-    _unpack_columns,
     build_root_system,
 )
 from .words import Word, format_word, longest_word, reduced_word, require_reduced
@@ -201,11 +202,14 @@ def order_preservation_stats(word: Word, images: dict) -> dict:
 def verify_word(word: Word, include_order_stats: bool = False) -> VerificationReport:
     """Run every diagram-level check over one reduced word.
 
-    The zeta images are decoded from the length walk's leaves (see the
-    module docstring); bijection_ok compares them, left products with the
-    lengths the length test counted, with subword_products, right products
-    with counted lengths.  The lengths element_of_word carries are not reached
-    here; bruhat_interval checks them under __debug__.
+    Elements are keyed by (u(2 rho), length), one-to-one as 2 rho is
+    regular, along two paths that share no arithmetic: a zeta image by the
+    byte sums of its leaf's packed columns, a left product, with the length
+    the popcounts passed; an interval element by 2 rho dotted with the
+    columns of a subword_products matrix, a right product, with its counted
+    length.  bijection_ok asks for one distinct key per positive diagram
+    and per interval element, and for equal key sets.  The lengths
+    element_of_word carries are checked by bruhat_interval under __debug__.
     """
     require_reduced(word)
     _guard_sweep(word.t)
@@ -219,18 +223,16 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
 
     interval = subword_products(word)
     system = word.system
-    images = {
-        p: WeylElement(_unpack_columns(system, columns), n)
-        for p, (columns, _, n) in by_lengths.items()
-    }
-    image_set = set(images.values())
-    bijection_ok = len(image_set) == len(found) and image_set == interval
+    keys = {p: (_orbit_point_of_columns(system, F), n) for p, (F, _, n) in by_lengths.items()}
+    key_set = set(keys.values())
+    by_key = {(_orbit_point(system, u.matrix), u.length): u for u in interval}
+    bijection_ok = key_set == by_key.keys() and len(found) == len(by_key) == len(interval)
 
-    roundtrip_ok = all(_descent_positions(word, u) == p for p, u in images.items())
+    roundtrip_ok = all(_descent_positions(word, x) == p for p, (x, _) in keys.items())
     if roundtrip_ok:
         # Every image already round-trips, so only elements outside the
         # image can fail; when the bijection holds there are none.
-        for u in interval - image_set:
+        for u in map(by_key.get, by_key.keys() - key_set):
             d = diagram_for(word, u)
             if d is None or zeta(d) != u:
                 roundtrip_ok = False
@@ -244,7 +246,9 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     shape = detect_grid_shape(word)
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
 
-    stats = order_preservation_stats(word, images) if include_order_stats else None
+    stats = None
+    if include_order_stats:
+        stats = order_preservation_stats(word, {p: zeta(Diagram(word, p)) for p in found})
 
     return VerificationReport(
         ctype=str(word.system.ctype),

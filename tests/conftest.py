@@ -1,4 +1,6 @@
 import random
+from functools import cache
+from operator import add
 
 import pytest
 
@@ -68,6 +70,44 @@ def pack_image_columns(system, m):
         sum(image[k] << 8 * b for b, image in enumerate(images)) for k in range(system.rank)
     )
     return columns, sum(columns)
+
+
+def unpack_image_columns(system, columns):
+    """The matrix whose packed image columns (as pack_image_columns builds
+    them) are columns: row i is the image of alpha_i, read off the byte
+    where system.positive_roots holds alpha_i.  Adding 128 to every byte
+    keeps a negative byte from borrowing from the next."""
+    bias = sum(128 << 8 * b for b in range(system.num_positive_roots))
+    return tuple(
+        tuple(((f + bias) >> 8 * b & 255) - 128 for f in columns)
+        for b in map(system.positive_roots.index, system.simple_roots)
+    )
+
+
+@cache
+def _root_steps(system):
+    """(k, i) for each positive root in order: it is positive_roots[k] plus
+    alpha_i, or alpha_i itself when k is -1.  Roots come in order of
+    height, so k is always an earlier index."""
+    index = {beta: k for k, beta in enumerate(system.positive_roots)}
+    index[(0,) * system.rank] = -1
+    return tuple(
+        next(
+            (index[lower], i)
+            for i, b in enumerate(beta)
+            if b and (lower := beta[:i] + (b - 1,) + beta[i + 1 :]) in index
+        )
+        for beta in system.positive_roots
+    )
+
+
+def dense_orbit_point(system, m):
+    """u(2 rho) for the matrix m of u, as the sum of the images of the
+    positive roots, each image an earlier root's image plus a row of m."""
+    images = []
+    for k, i in _root_steps(system):
+        images.append(tuple(map(add, images[k], m[i])) if k >= 0 else m[i])
+    return tuple(map(sum, zip(*images)))
 
 
 def _invert_matrix(m):

@@ -45,11 +45,12 @@ from weyldiag.diagrams import (
     _obstruction_step,
     _walk,
 )
-from weyldiag.roots import _unpack_columns
+from weyldiag.roots import _orbit_point_of_columns
 
 from conftest import (
     CENSUS_TYPES,
     REFLECTION_START,
+    dense_orbit_point,
     obstruction_step_by_reflection,
     pack_image_columns,
     random_reduced_words,
@@ -158,15 +159,16 @@ def test_criterion_5_bijection_and_oracle_agreement():
             assert set(images) == interval
             # The length walk's leaf state is zeta(d) as packed image
             # columns, their packed heights and its length, which verify_word
-            # decodes its images from; the ascent walk's is the row sums of
-            # zeta'(d), the heights of the roots zeta'(d) sends the simple
-            # roots to.
+            # reads its keys (u(2 rho), length) off; the ascent walk's is the
+            # row sums of zeta'(d), the heights of the roots zeta'(d) sends
+            # the simple roots to.
             by_lengths = _walk(word, _length_step, _length_start(word))
             by_ascents = _walk(word, _ascent_step, _ascent_start(word))
             for d, u in zip(positives, images):
                 columns, packed_heights, n = by_lengths[d.positions]
                 assert (columns, packed_heights) == pack_image_columns(word.system, u.matrix)
-                assert (_unpack_columns(word.system, columns), n) == (u.matrix, u.length), (
+                key = (_orbit_point_of_columns(word.system, columns), n)
+                assert key == (dense_orbit_point(word.system, u.matrix), u.length), (
                     word, d.positions,
                 )
                 assert u.length == d.size, (word, d.positions)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 
 import pytest
 
@@ -30,10 +30,11 @@ from weyldiag.roots import (
     _descent_pairings,
     _identity_matrix,
     _left_mul,
+    _orbit_point,
+    _orbit_point_of_columns,
     _pack,
     _simple_image,
     _simple_update,
-    _unpack_columns,
 )
 from weyldiag.diagrams import (
     Diagram,
@@ -51,6 +52,7 @@ from conftest import (
     _invert_matrix,
     count_inversions_by_dot_products,
     dense_bilinear,
+    dense_orbit_point,
     dense_right_mul,
     dense_simple_image,
     pack_image_columns,
@@ -214,9 +216,11 @@ def _sparse_mismatches(system, seed):
             bad.add("_left_mul")
         if any(_simple_image(row, a0, rows) != y for row, y in zip(m, images)):
             bad.add("_simple_image")
-        x = [sum(c * row[k] for c, row in zip(system.two_rho, m)) for k in range(n)]
+        x = tuple(sum(c * row[k] for c, row in zip(system.two_rho, m)) for k in range(n))
+        if _orbit_point(system, m) != x:
+            bad.add("_orbit_point")
         expected = [sum(a * v for a, v in zip(crow, x)) for crow in cartan]
-        if _descent_pairings(system, m) != expected:
+        if _descent_pairings(system, x) != expected:
             bad.add("_descent_pairings")
         # The one sparse update, over the columns on descent pairings and
         # over the rows on heights.
@@ -593,7 +597,8 @@ def _length_leaf(diagram):
 def test_length_walk_leaves_decode_to_zeta_at_the_rank_cap(family, rank):
     system = system_of(family, rank)
     columns, heights, n = _length_start(Word(system, ()))
-    assert _unpack_columns(system, columns) == _identity_matrix(rank) and n == 0
+    assert _orbit_point_of_columns(system, columns) == system.two_rho and n == 0
+    assert system.two_rho == dense_orbit_point(system, _identity_matrix(rank))
     assert heights == sum(columns)
     # The whole longest word: its leaf is w0, which negates every height,
     # 127 at B64 and C64 included.
@@ -614,15 +619,17 @@ def test_length_walk_leaves_decode_to_zeta_at_the_rank_cap(family, rank):
             continue
         columns, heights, n = leaf
         u = element_of_word(system, [d.word.letters[p - 1] for p in d.positions])
-        assert _unpack_columns(system, columns) == u.matrix, d
+        x = _orbit_point_of_columns(system, columns)
+        assert x == dense_orbit_point(system, u.matrix) == _orbit_point(system, u.matrix), d
         assert n == u.length == d.size and heights == sum(columns)
-        # All the columns, not only their lowest bytes, are those of the
-        # product; the dense packing is too slow at rank 64.
+        # The columns themselves are those of the product; the dense packing
+        # is too slow at rank 64.
         if rank <= 8:
             assert (columns, heights) == pack_image_columns(system, u.matrix)
     assert len(leaves) - leaves.count(None) >= 5
     top = _length_start(w0)[1]
     assert leaves[0][1] == -top
+    assert _orbit_point_of_columns(system, leaves[0][0]) == tuple(map(neg, system.two_rho))
     assert top >> 8 * (system.num_positive_roots - 1) == sum(system.positive_roots[-1])
 
 

@@ -21,7 +21,6 @@ from weyldiag import (
     zeta,
     GridShape,
 )
-from weyldiag.roots import _unpack_columns
 from weyldiag.verify import SWEEP_CAP_ENV, VerificationReport, sweep_cap
 
 from conftest import (
@@ -30,6 +29,7 @@ from conftest import (
     pack_image_columns,
     random_reduced_words,
     system_of,
+    unpack_image_columns,
 )
 
 
@@ -382,8 +382,8 @@ def test_roundtrip_check_fails_on_an_injected_descent_defect(monkeypatch, a3):
     clean = _verify_flags(verify_word(word))
     real = verify_mod._descent_positions
 
-    def dropping_last(word, u):
-        positions = real(word, u)
+    def dropping_last(word, x):
+        positions = real(word, x)
         return positions and positions[:-1]
 
     monkeypatch.setattr(verify_mod, "_descent_positions", dropping_last)
@@ -411,13 +411,20 @@ def test_roundtrip_check_fails_on_an_injected_two_rho_defect(monkeypatch, a3):
     assert system.two_rho == (3, 4, 3)
     monkeypatch.setattr(system, "two_rho", (1, 1, 1))
     monkeypatch.setitem(roots._SYSTEMS, ctype, system)
-    assert roots._descent_pairings(system, roots._identity_matrix(3)) == [1, 0, 1]
+    identity = roots._identity_matrix(3)
+    assert roots._descent_pairings(system, roots._orbit_point(system, identity)) == [1, 0, 1]
 
-    # Only the descent recursion reads 2 rho.
-    assert _verify_flags(verify_word(Word(system, letters))) == {**clean, "roundtrip_ok": False}
+    # The descent recursion and the interval's keys read 2 rho; the leaf
+    # keys are byte sums of the walk's columns and do not.  A key by a
+    # point that is not regular is not one-to-one, so the bijection fails
+    # too.
+    assert _verify_flags(verify_word(Word(system, letters))) == {
+        **clean, "bijection_ok": False, "roundtrip_ok": False,
+    }
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
     assert res.exit_code == 1
-    assert "roundtrip_ok false" in res.stdout.splitlines()
+    lines = res.stdout.splitlines()
+    assert "bijection_ok false" in lines and "roundtrip_ok false" in lines
     # Bounded by the carried length: it raises rather than loop.
     for u in (Word(system, ()).element, Word(system, letters).element):
         with pytest.raises(AssertionError):
@@ -699,29 +706,59 @@ def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, 
     assert "bijection_ok false" in res.stdout.splitlines()
 
 
-def test_bijection_check_fails_when_the_leaf_decode_reverses_the_simple_roots(monkeypatch):
-    import weyldiag.roots as roots
-    import weyldiag.verify as verify_mod
+def _read_off_without_the_offset(system, columns):
+    # Leaves each byte's bias of 128 in the sum.
+    mask = system._height_table[1]
+    return tuple([sum((f + mask).to_bytes(system.num_positive_roots, "little")) for f in columns])
+
+
+def _read_off_the_simple_roots(system, columns):
+    # The first n positive roots are the simple roots, so this is
+    # u(alpha_1 + ... + alpha_n), which is not regular.
+    n = system.rank
+    mask = system._height_table[1]
+    return tuple([sum((f + mask).to_bytes(system.num_positive_roots, "little")[:n]) - 128 * n
+                  for f in columns])
+
+
+def _orbit_point_by_rows(system, m):
+    # 2 rho dotted with the rows of m, not its columns.
+    return tuple([sum(c * v for c, v in zip(system.two_rho, row)) for row in m])
+
+
+def _descent_pairings_by_columns(system, x):
+    # Cartan column i in place of row i.
+    return [sum(c * x[j] for j, c in col) for col in system._cartan_cols]
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("B", 3)])
+@pytest.mark.parametrize("module,name,mutant,failing", [
+    ("verify", "_orbit_point_of_columns", _read_off_without_the_offset,
+     {"bijection_ok", "roundtrip_ok"}),
+    ("verify", "_orbit_point_of_columns", _read_off_the_simple_roots,
+     {"bijection_ok", "roundtrip_ok"}),
+    ("verify", "_orbit_point", _orbit_point_by_rows, {"bijection_ok"}),
+    ("diagrams", "_descent_pairings", _descent_pairings_by_columns, {"roundtrip_ok"}),
+], ids=["leaf-no-offset", "leaf-simple-roots", "oracle-rows", "pairings-columns"])
+def test_key_checks_fail_on_an_injected_key_defect(monkeypatch, family, rank, module, name,
+                                                   mutant, failing):
+    import importlib
     from weyldiag.cli import run
 
-    # The lowest bytes of each column hold the simple roots alpha_n first;
-    # a decode that reads them alpha_1 first reverses the rows of every
-    # image.  Over G2 w0 the images then leave the interval and no longer
-    # round-trip; the walks themselves never decode.
-    word = longest_word(system_of("G", 2))
+    # Each key is read one wrong way over the longest word: the leaf keys
+    # (the walk's byte sums), the interval's keys (a column dot) or the
+    # descent pairings the round trip starts from.  Rows and columns of the
+    # Cartan matrix differ on B and G, and so do those of w0's matrix.
+    word = longest_word(system_of(family, rank))
     clean = _verify_flags(verify_word(word))
-    real = roots._unpack_columns
-
-    def alpha_1_first(system, columns):
-        return real(system, columns)[::-1]
-
-    monkeypatch.setattr(verify_mod, "_unpack_columns", alpha_1_first)
+    assert all(clean.values())
+    monkeypatch.setattr(importlib.import_module(f"weyldiag.{module}"), name, mutant)
     flags = _verify_flags(verify_word(word))
-    assert flags["bijection_ok"] is False
-    assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False}
-    res = run(["verify", "--type", "G", "--rank", "2", "--word", format_word(word)])
+    assert flags == {**clean, **dict.fromkeys(failing, False)}
+    res = run(["verify", "--type", family, "--rank", str(rank), "--word", format_word(word)])
     assert res.exit_code == 1
-    assert "bijection_ok false" in res.stdout.splitlines()
+    lines = res.stdout.splitlines()
+    assert all(f"{check} false" in lines for check in failing)
 
 
 def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch, a3):
@@ -743,7 +780,7 @@ def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch,
         if j != 1 or pair is None:
             return pair
         system = word.system
-        m = _unpack_columns(system, state[0])
+        m = unpack_image_columns(system, state[0])
         wrong = diagrams._right_mul(m, word.letters[0] - 1, system._cartan_rows)
         return state, (*pack_image_columns(system, wrong), state[2] + 1)
 

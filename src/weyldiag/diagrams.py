@@ -24,10 +24,11 @@ j; the function that builds its start state from the word sits beside it
 (_ascent_start, _length_start, _obstruction_start).  One pruned walk over
 suffixes (_walk) finds the diagrams a rule passes at a cost that grows
 with their number, not with 2^t, and returns the state each one ends
-with; the per-diagram tests (is_positive and its two halves) are the same
-walk pinned to one diagram.  The length walk's leaf is zeta(d) as packed
-image columns with len(d), from which verify_word reads its key u(2 rho);
-the ascent walk's is the row sums of zeta'(d), which census only counts.
+with; the per-diagram tests (is_positive and its two halves) follow the
+same rule along the one branch a diagram takes (_passes).  The length
+walk's leaf is zeta(d) as packed image columns with len(d), from which
+verify_word reads its key u(2 rho); the ascent walk's is the row sums of
+zeta'(d), which census only counts.
 Both positivity tests run and are compared whenever __debug__ is set (the
 normal interpreter and pytest); under python -O, enumerate_positive walks
 with the ascent test alone.
@@ -212,8 +213,8 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
     else (state if j is left out, state if j joins); a None entry drops
     that branch alone.  Depth-first from position t, leaving j out before
     putting it in.  The leaf state is the one built from all the members.
-    This is the one reader of that protocol: a test of a single diagram is
-    the walk with a step pinned to it (_passes).
+    A test of a single diagram reads the same protocol along the one branch
+    the diagram takes (_passes).
     """
     found = {}
     stack = [(word.t, start, ())]
@@ -231,16 +232,15 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
 
 
 def _passes(diagram: Diagram, step, start) -> bool:
-    # The walk with step pinned to the diagram: only the branch it takes.
+    # _walk along the one branch the diagram takes, from position t down.
+    word = diagram.word
     inside = set(diagram.positions)
-
-    def pinned(word, j, state):
+    state = start
+    for j in range(word.t, 0, -1):
         pair = step(word, j, state)
-        if pair is None:
-            return None
-        return (None, pair[1]) if j in inside else (pair[0], None)
-
-    return bool(_walk(diagram.word, pinned, start))
+        if pair is None or (state := pair[j in inside]) is None:
+            return False
+    return True
 
 
 def _positive_by_ascents(diagram: Diagram) -> bool:

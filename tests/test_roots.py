@@ -176,6 +176,10 @@ def test_rank_cap_root_counts_highest_roots_and_edges(family, rank, count, highe
     system = system_of(family, rank)
     assert system.num_positive_roots == len(system.positive_roots) == count
     assert system.positive_roots[-1] == highest
+    # Each root once, by height and then lexicographically: every output
+    # that lists roots or words relies on that order.
+    positive = system.positive_roots
+    assert positive == tuple(sorted(set(positive), key=lambda x: (sum(x), x)))
     _assert_edges_step_up(system)
 
 
@@ -510,6 +514,10 @@ def test_vectors_of_another_length_are_rejected(a3):
             reflect(a3, (1, 0, 0), x)
         with pytest.raises(DomainError, match=f"length {len(x)} does not match rank 3"):
             coroot_pairing(a3, (1, 0, 0), x)
+        other = element_of_word(system_of("A", len(x)), (1,))
+        for pair in [(w, other), (other, w)]:
+            with pytest.raises(DomainError, match=f"rank {len(x)} does not act on A3"):
+                compose(a3, *pair)
 
 
 def test_elements_permute_the_roots():

@@ -23,12 +23,12 @@ at one position j that reads only the state built from the members after
 j; the function that builds its start state from the word sits beside it
 (_ascent_start, _length_start, _obstruction_start).  One pruned walk over
 suffixes (_walk) finds the diagrams a rule passes at a cost that grows
-with their number, not with 2^t, and returns the state each one ends
-with; the per-diagram tests (is_positive and its two halves) follow the
-same rule along the one branch a diagram takes (_passes).  The length
-walk's leaf is zeta(d) as packed image columns with len(d), from which
-verify_word reads its key u(2 rho); the ascent walk's is the row sums of
-zeta'(d), which census only counts.
+with their number, not with 2^t, and yields each one's positions with the
+state it ends with as it is reached; the per-diagram tests (is_positive
+and its two halves) follow the same rule along the one branch a diagram
+takes (_passes).  The length walk's leaf is zeta(d) as packed image
+columns with len(d), which verify_word turns into its key u(2 rho) on
+arrival; the other walks' callers read only the positions.
 Both positivity tests run and are compared whenever __debug__ is set (the
 normal interpreter and pytest); under python -O, enumerate_positive walks
 with the ascent test alone.
@@ -46,6 +46,7 @@ signed byte per coordinate (roots._pack).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -203,10 +204,9 @@ def _length_step(word: Word, j: int, state: tuple[tuple[int, ...], int, int]):
     return state, (F[:a0] + (F[a0] - p,) + F[a0 + 1 :], H, n + 1)
 
 
-def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
-    """{positions: leaf state} for every diagram that passes step at all t
-    positions, in ascending bitmask order (a dict keeps insertion order, so
-    list(...) of it is the ordered list of positions).
+def _walk(word: Word, step, start) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Yield (positions, leaf state) for every diagram that passes step at
+    all t positions, in ascending bitmask order, one leaf as it is reached.
 
     step(word, j, state) sees the state built from the members after j
     (start when there are none) and returns None when j fails either way,
@@ -216,19 +216,17 @@ def _walk(word: Word, step, start) -> dict[tuple[int, ...], object]:
     A test of a single diagram reads the same protocol along the one branch
     the diagram takes (_passes).
     """
-    found = {}
     stack = [(word.t, start, ())]
     while stack:
         j, state, members = stack.pop()
         if not j:
-            found[members] = state
+            yield members, state
         elif (pair := step(word, j, state)) is not None:
             out, joined = pair
             if joined is not None:
                 stack.append((j - 1, joined, (j,) + members))
             if out is not None:
                 stack.append((j - 1, out, members))
-    return found
 
 
 def _passes(diagram: Diagram, step, start) -> bool:

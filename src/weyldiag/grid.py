@@ -171,7 +171,7 @@ def _le_walk(shape: GridShape) -> list[tuple[int, ...]]:
     filling's own bitmask (see _le_step), so the sorted leaves are the
     answer."""
     t = shape.size
-    masks = sorted(_walk(quantum_matrices_word(shape), _le_step, 0).values())
+    masks = sorted(mask for _, mask in _walk(quantum_matrices_word(shape), _le_step, 0))
     return [tuple(k for k in range(1, t + 1) if mask >> (k - 1) & 1) for mask in masks]
 
 

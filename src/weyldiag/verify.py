@@ -1,11 +1,11 @@
 """Diagram walks, counts, and machine-readable verification reports.
 
 Every walk (diagrams._walk) runs one rule from the start state built beside
-it and returns {positions: leaf state} in ascending bitmask order.  census
-counts the ascent walk's leaves and enumerate_positive turns their
-positions into Diagram objects.  verify_word keys each element u by
-(u(2 rho), length), read off the length walk's leaves, and runs zeta only
-on interval elements outside the image and for --order-stats.
+it and yields (positions, leaf state) in ascending bitmask order; each
+caller keeps only what it reads.  census counts the ascent walk's positions
+and enumerate_positive makes them Diagram objects.  verify_word keys each
+element u by (u(2 rho), length) as its length-walk leaf arrives, and runs
+zeta only on interval elements outside the image and for --order-stats.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ def _guard_sweep(t: int) -> None:
         )
 
 
-def _positive_leaves(word: Word) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The ascent walk's leaves, {positions: row sums of zeta'(d).matrix},
-    in ascending bitmask order; under __debug__ the length walk must pass
-    the same diagrams."""
+def _positive_positions(word: Word) -> list[tuple[int, ...]]:
+    """The positions of the diagrams the ascent walk passes, in ascending
+    bitmask order; under __debug__ the length walk must pass the same
+    diagrams."""
     require_reduced(word)
     _guard_sweep(word.t)
-    found = _walk(word, _ascent_step, _ascent_start(word))
+    found = [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
     if __debug__:
-        differ = found.keys() ^ _walk(word, _length_step, _length_start(word)).keys()
+        differ = set(found) ^ {p for p, _ in _walk(word, _length_step, _length_start(word))}
         assert not differ, (
             f"positivity tests disagree on "
             f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
@@ -87,7 +87,7 @@ def _positive_leaves(word: Word) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 def enumerate_positive(word: Word) -> list[Diagram]:
     """All positive diagrams of a reduced word, in ascending bitmask order."""
-    return [Diagram(word, p) for p in _positive_leaves(word)]
+    return [Diagram(word, p) for p in _positive_positions(word)]
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -216,14 +216,16 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     start = time.perf_counter()
 
     # Each verdict below is an AND over j of a rule on j and the members
-    # after j, so each walk returns exactly the diagrams its rule passes.
-    found = list(_walk(word, _ascent_step, _ascent_start(word)))
-    by_lengths = _walk(word, _length_step, _length_start(word))
-    dual_ok = found == list(by_lengths)
+    # after j, so each walk yields exactly the diagrams its rule passes.
+    system = word.system
+    found = [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
+    keys = {
+        p: (_orbit_point_of_columns(system, F), n)
+        for p, (F, _, n) in _walk(word, _length_step, _length_start(word))
+    }
+    dual_ok = found == list(keys)
 
     interval = subword_products(word)
-    system = word.system
-    keys = {p: (_orbit_point_of_columns(system, F), n) for p, (F, _, n) in by_lengths.items()}
     key_set = set(keys.values())
     by_key = {(_orbit_point(system, u.matrix), u.length): u for u in interval}
     bijection_ok = key_set == by_key.keys() and len(found) == len(by_key) == len(interval)
@@ -241,7 +243,8 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     # Exactly the positive diagrams trip no root-sum obstruction pair.  The
     # obstruction walk reads the betas and their coroot rows, the ascent
     # walk the Cartan rows alone, so each checks the other.
-    obstruction_ok = list(_walk(word, _obstruction_step, _obstruction_start(word))) == found
+    obstructed = _walk(word, _obstruction_step, _obstruction_start(word))
+    obstruction_ok = [p for p, _ in obstructed] == found
 
     shape = detect_grid_shape(word)
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
@@ -283,7 +286,7 @@ def longest_word_census(ctype: CartanType) -> CensusResult:
     system = build_root_system(ctype)
     return CensusResult(
         positive_root_count=system.num_positive_roots,
-        positive_count=len(_positive_leaves(longest_word(system))),
+        positive_count=len(_positive_positions(longest_word(system))),
         group_order=group_order(system),
     )
 

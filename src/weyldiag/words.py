@@ -136,10 +136,11 @@ def root_sequence(word: Word) -> tuple[RootVector, ...]:
     """The roots (beta_1, ..., beta_t) attached to a reduced word's positions.
 
     beta_k is row a_k of the word's (k-1)-th prefix product, read from
-    Word.prefix_matrices; the first negative or repeated root is reported.
+    Word.prefix_matrices; the first negative root is reported.  A repeat
+    needs no test of its own: while every root so far is positive, the
+    prefix is reduced and its roots are distinct.
     """
     betas: list[RootVector] = []
-    seen: set[RootVector] = set()
     for pos, (i, m) in enumerate(zip(word.letters, word.prefix_matrices), start=1):
         beta = m[i - 1]
         if sum(beta) < 0:
@@ -147,12 +148,6 @@ def root_sequence(word: Word) -> tuple[RootVector, ...]:
                 f"word {format_word(word)} is not reduced: "
                 f"root {beta} at position {pos} is negative"
             )
-        if beta in seen:
-            raise NotReducedError(
-                f"word {format_word(word)} is not reduced: "
-                f"root {beta} at position {pos} repeats"
-            )
-        seen.add(beta)
         betas.append(beta)
     return tuple(betas)
 

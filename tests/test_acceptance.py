@@ -145,8 +145,8 @@ def test_criterion_4_dual_positivity_tests_agree():
                 if by_ascents:
                     passed.append(d.positions)
             # The pruned suffix walks against the per-mask reference, in order.
-            assert list(_walk(word, _ascent_step, _ascent_start(word))) == passed, word
-            assert list(_walk(word, _length_step, _length_start(word))) == passed, word
+            assert [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))] == passed, word
+            assert [p for p, _ in _walk(word, _length_step, _length_start(word))] == passed, word
 
 
 def test_criterion_5_bijection_and_oracle_agreement():
@@ -162,8 +162,8 @@ def test_criterion_5_bijection_and_oracle_agreement():
             # reads its keys (u(2 rho), length) off; the ascent walk's is the
             # row sums of zeta'(d), the heights of the roots zeta'(d) sends
             # the simple roots to.
-            by_lengths = _walk(word, _length_step, _length_start(word))
-            by_ascents = _walk(word, _ascent_step, _ascent_start(word))
+            by_lengths = dict(_walk(word, _length_step, _length_start(word)))
+            by_ascents = dict(_walk(word, _ascent_step, _ascent_start(word)))
             for d, u in zip(positives, images):
                 columns, packed_heights, n = by_lengths[d.positions]
                 assert (columns, packed_heights) == pack_image_columns(word.system, u.matrix)
@@ -213,10 +213,10 @@ def test_criterion_7_obstruction_soundness():
             for d in positives_of(word):
                 assert not any(_violated_pairs(d)), (word, d.positions)
             start = _obstruction_start(word)
-            assert list(_walk(word, _obstruction_step, start)) == found, word
+            assert [p for p, _ in _walk(word, _obstruction_step, start)] == found, word
             # The walk rule that reflects one root per member, the reference.
             by_reflection = _walk(word, obstruction_step_by_reflection, REFLECTION_START)
-            assert list(by_reflection) == found, word
+            assert [p for p, _ in by_reflection] == found, word
             # The per-mask reference for the converse, bounded to keep 2^t
             # small: the masks no pair trips, in order, are the walk's list.
             if word.t <= 9:

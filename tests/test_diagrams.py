@@ -289,10 +289,12 @@ def test_obstruction_walk_equals_the_reflection_rule_on_f4_w0():
     system = system_of("F", 4)
     prefixes = random_reduced_words(system, 2, 12, seed=13)
     for word in [longest_word(system)] + [extend_to_w0(p) for p in prefixes]:
-        found = list(_walk(word, _ascent_step, _ascent_start(word)))
+        found = [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
         assert len(found) == 1152
-        assert list(_walk(word, _obstruction_step, _obstruction_start(word))) == found, word
-        assert list(_walk(word, obstruction_step_by_reflection, REFLECTION_START)) == found, word
+        obstructed = _walk(word, _obstruction_step, _obstruction_start(word))
+        assert [p for p, _ in obstructed] == found, word
+        by_reflection = _walk(word, obstruction_step_by_reflection, REFLECTION_START)
+        assert [p for p, _ in by_reflection] == found, word
 
 
 def check_gamma_traces(word):
@@ -314,6 +316,26 @@ def check_gamma_traces(word):
                     assert gammas[i - 1] == row, (d.positions, j, m, i)
                 minus_beta_j = tuple(-x for x in word.betas[j - 1])
                 assert check.violated == (gammas[0] == minus_beta_j), (d.positions, j, m)
+
+
+def test_walk_yields_each_leaf_as_it_is_reached(a3):
+    # Depth-first, leaving each position out first, so the empty diagram is
+    # the first leaf, after one step call per position; the whole walk over
+    # A3 w0 makes 45 calls and reaches the 24 positive diagrams.
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    calls = 0
+
+    def counting(word, j, state):
+        nonlocal calls
+        calls += 1
+        return _ascent_step(word, j, state)
+
+    walk = _walk(word, counting, _ascent_start(word))
+    assert calls == 0
+    assert next(walk) == ((), _ascent_start(word))
+    assert calls == 6
+    assert sum(1 for _ in walk) == 23
+    assert calls == 45
 
 
 def test_gamma_traces_check_against_omitted_products(a3):

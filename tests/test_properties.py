@@ -114,7 +114,7 @@ def test_descents_by_pairings_match_the_inverse_matrix(ctype, data):
 
 
 def ascent_walk(word):
-    return list(_walk(word, _ascent_step, _ascent_start(word)))
+    return [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -134,7 +134,7 @@ def test_ascent_walk_leaves_are_heights_of_dense_products(ctype, data):
             products[members] = dense_right_mul(product(members[1:]), a0, system.cartan)
         return products[members]
 
-    leaves = _walk(walk, _ascent_step, _ascent_start(walk))
+    leaves = dict(_walk(walk, _ascent_step, _ascent_start(walk)))
     assert () in leaves
     for members, heights in leaves.items():
         assert heights == tuple(map(sum, product(members))), (walk, members)
@@ -145,8 +145,8 @@ def test_ascent_walk_leaves_are_heights_of_dense_products(ctype, data):
 def test_obstruction_walk_equals_ascent_walk(pair):
     _, walk = pair
     found = ascent_walk(walk)
-    assert list(_walk(walk, _obstruction_step, _obstruction_start(walk))) == found
-    assert list(_walk(walk, obstruction_step_by_reflection, REFLECTION_START)) == found
+    assert [p for p, _ in _walk(walk, _obstruction_step, _obstruction_start(walk))] == found
+    assert [p for p, _ in _walk(walk, obstruction_step_by_reflection, REFLECTION_START)] == found
 
 
 @st.composite

@@ -420,35 +420,11 @@ def test_invert_examples(a2):
     assert invert(w0).length == w0.length
 
 
-def _fraction_inverse(m):
-    """Reference inverse: Gauss-Jordan elimination over Fraction."""
-    n = len(m)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    inv = []
-    for row in aug:
-        assert all(v.denominator == 1 for v in row[n:])
-        inv.append(tuple(int(v) for v in row[n:]))
-    return tuple(inv)
-
-
 def _assert_inverts(w):
-    # The Bareiss oracle against the Fraction one, and invert against both.
+    # The Bareiss reference inverse is exact (m inv == I), and invert
+    # agrees with it.
     m = w.matrix
     inv = _invert_matrix(m)
-    assert inv == _fraction_inverse(m), m
     n = len(m)
     product = tuple(
         tuple(sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n))
@@ -461,13 +437,13 @@ def _assert_inverts(w):
 @pytest.mark.parametrize("family,rank", [
     ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2),
 ])
-def test_integer_inverse_matches_fraction_reference_on_all_of_w(family, rank):
+def test_invert_matches_the_reference_inverse_on_all_of_w(family, rank):
     for w in group_elements(system_of(family, rank)):
         _assert_inverts(w)
 
 
 @pytest.mark.parametrize("rank", [6, 7, 8])
-def test_integer_inverse_matches_fraction_reference_on_sampled_e_elements(rank):
+def test_invert_matches_the_reference_inverse_on_sampled_e_elements(rank):
     # Seeded random reduced words of any length up to w0; W(E7) and W(E8)
     # are too large to enumerate.
     system = system_of("E", rank)
@@ -598,7 +574,7 @@ def _length_leaf(diagram):
         return pair and ((None, pair[1]) if j in inside else (pair[0], None))
 
     word = diagram.word
-    return _walk(word, pinned, _length_start(word)).get(diagram.positions)
+    return dict(_walk(word, pinned, _length_start(word))).get(diagram.positions)
 
 
 @pytest.mark.parametrize("family,rank", PACKED_COUNT_TYPES)

@@ -279,7 +279,7 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     real = diagrams._length_step
     start = diagrams._length_start(word)
     top = start[1]
-    assert diagrams._walk(word, real, start)[(1, 2, 3, 4, 5, 6)][1] == -top
+    assert dict(diagrams._walk(word, real, start))[(1, 2, 3, 4, 5, 6)][1] == -top
     # The interval oracle counts inversions too, but through
     # roots._count_inversions, which the patch does not reach, so the defect
     # reaches the length walk alone.
@@ -335,7 +335,7 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "dual_ok false" in res.stdout.splitlines()
-    if __debug__:  # the walk comparison in _positive_leaves is an assert
+    if __debug__:  # the walk comparison in _positive_positions is an assert
         with pytest.raises(AssertionError, match=r"positivity tests disagree on \(3,\)"):
             longest_word_census(CartanType("A", 2))
     else:
@@ -452,7 +452,7 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
         x = sum(c * rows[i] for i, c in word.sparse_betas[j - 1])
         return out, (rows, state[1] | {x})
 
-    found = diagrams._walk(word, plus_keyed, diagrams._obstruction_start(word))
+    found = dict(diagrams._walk(word, plus_keyed, diagrams._obstruction_start(word)))
     assert len(found) == 8
     monkeypatch.setattr(verify_mod, "_obstruction_step", plus_keyed)
     flags = _verify_flags(verify_word(word))
@@ -505,8 +505,9 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
         out, (rows, ys) = pair
         return out, (rows, ys | {-diagrams._pack(word.betas[j - 1])})
 
-    found = diagrams._walk(word, adding_minus_beta, diagrams._obstruction_start(word))
-    assert set(found) < set(diagrams._walk(word, real, diagrams._obstruction_start(word)))
+    start = diagrams._obstruction_start(word)
+    found = {p for p, _ in diagrams._walk(word, adding_minus_beta, start)}
+    assert found < {p for p, _ in diagrams._walk(word, real, start)}
     monkeypatch.setattr(verify_mod, "_obstruction_step", adding_minus_beta)
     assert _verify_flags(verify_word(word)) == {**clean, "obstruction_ok": False}
 
@@ -583,10 +584,11 @@ def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
         (out, rows), (joined, joined_rows) = pair
         return (out, rows), (out + joined[-1:], joined_rows)
 
-    found = list(_walk(word, _obstruction_step, _obstruction_start(word)))
+    found = [p for p, _ in _walk(word, _obstruction_step, _obstruction_start(word))]
     assert found == [(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3)]
-    assert list(_walk(word, obstruction_step_by_reflection, REFLECTION_START)) == found
-    assert list(_walk(word, reflecting_members, REFLECTION_START)) == [(), (1,), (2,), (1, 2)]
+    assert [p for p, _ in _walk(word, obstruction_step_by_reflection, REFLECTION_START)] == found
+    reflected = _walk(word, reflecting_members, REFLECTION_START)
+    assert [p for p, _ in reflected] == [(), (1,), (2,), (1, 2)]
 
 
 def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
@@ -640,7 +642,7 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
     assert res.exit_code == 1
     lines = res.stdout.splitlines()
     assert "dual_ok false" in lines and "bijection_ok false" in lines
-    if __debug__:  # the walk comparison in _positive_leaves is an assert
+    if __debug__:  # the walk comparison in _positive_positions is an assert
         with pytest.raises(AssertionError, match=r"positivity tests disagree on \(2,\)"):
             longest_word_census(CartanType("A", 2))
 
@@ -663,9 +665,8 @@ def test_checks_fail_when_the_length_step_joins_with_the_parent(monkeypatch, a2)
     # (1,) pass.  The leaf of (1,) holds the identity at length 1, an element
     # of no interval, which the descent recursion does not send back to (1,).
     word = Word(a2, (1, 2, 1))
-    assert list(diagrams._walk(word, joining_the_parent, diagrams._length_start(word))) == [
-        (), (1,),
-    ]
+    walk = diagrams._walk(word, joining_the_parent, diagrams._length_start(word))
+    assert [p for p, _ in walk] == [(), (1,)]
     clean = _verify_flags(verify_word(word))
     monkeypatch.setattr(verify_mod, "_length_step", joining_the_parent)
     flags = _verify_flags(verify_word(word))
@@ -693,14 +694,40 @@ def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, 
     # position before it fails the test, and only () and (1,) pass, the
     # latter with the identity's columns at length 1.
     word = Word(a3, (1, 2, 1, 3, 2, 1))
-    assert list(diagrams._walk(word, heights_alone, diagrams._length_start(word))) == [
-        (), (1,),
-    ]
+    walk = diagrams._walk(word, heights_alone, diagrams._length_start(word))
+    assert [p for p, _ in walk] == [(), (1,)]
     clean = _verify_flags(verify_word(word))
     monkeypatch.setattr(verify_mod, "_length_step", heights_alone)
     flags = _verify_flags(verify_word(word))
     assert flags["bijection_ok"] is False
     assert flags == {**clean, "bijection_ok": False, "roundtrip_ok": False, "dual_ok": False}
+    res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
+    assert res.exit_code == 1
+    assert "bijection_ok false" in res.stdout.splitlines()
+
+
+def test_checks_fail_on_a_walk_that_drops_its_last_leaf(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag.cli import run
+
+    # A defect in the walk itself is shared by every rule, so the walks
+    # still agree with each other and every image still round-trips; only
+    # the count against the interval, an independent oracle, sees the top
+    # diagram go missing: 23 positives against 24 interval elements.
+    real = diagrams._walk
+
+    def dropping_the_last_leaf(word, step, start):
+        yield from list(real(word, step, start))[:-1]
+
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    clean = _verify_flags(verify_word(word))
+    assert all(clean.values())
+    monkeypatch.setattr(verify_mod, "_walk", dropping_the_last_leaf)
+    report = verify_word(word)
+    assert (report.positive_count, report.interval_count) == (23, 24)
+    assert _verify_flags(report) == {**clean, "bijection_ok": False}
+    assert not longest_word_census(CartanType("A", 3)).ok
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
     assert res.exit_code == 1
     assert "bijection_ok false" in res.stdout.splitlines()

@@ -6,13 +6,16 @@ characterizations of positivity (the ascent test on the trace and the
 length test on per-position products), the maps zeta / zeta' onto the
 Bruhat intervals below w and w^{-1}, the left-to-right recursion that
 reconstructs the unique positive diagram of an interval element, an
-independent subword-product Bruhat oracle, and the root-sum obstruction
-that certifies non-positivity.  positivity_obstruction checks one pair
-(j, m) and returns its gamma trace; _obstruction_step is the same verdict
-as a walk rule in the frame of the betas, which reads only w^{-1}, the
-betas and their coroot rows, never the members' simple reflections, so it
-shares no arithmetic with the ascent rule and comparing the two checks the
-theorem both ways, under python and python -O alike.
+independent subword-product Bruhat oracle, the scan of the interval's
+orbit points u(2 rho) that verify_word compares the zeta images with
+(_interval_points, checked against subword_products in the tests), and
+the root-sum obstruction that certifies non-positivity.
+positivity_obstruction checks one pair (j, m) and returns its gamma
+trace; _obstruction_step is the same verdict as a walk rule in the frame
+of the betas, which reads only w^{-1}, the betas and their coroot rows,
+never the members' simple reflections, so it shares no arithmetic with the
+ascent rule and comparing the two checks the theorem both ways, under
+python and python -O alike.
 
 Positive diagrams coincide with the admissible (Cauchon) diagrams of the
 quantum nilpotent algebra attached to the word; user-facing names here say
@@ -28,7 +31,8 @@ state it ends with as it is reached; the per-diagram tests (is_positive
 and its two halves) follow the same rule along the one branch a diagram
 takes (_passes).  The length walk's leaf is zeta(d) as packed image
 columns with len(d), which verify_word turns into its key u(2 rho) on
-arrival; the other walks' callers read only the positions.
+arrival and looks up among _interval_points; the other walks' callers
+read only the positions.
 Both positivity tests run and are compared whenever __debug__ is set (the
 normal interpreter and pytest); under python -O, enumerate_positive walks
 with the ascent test alone.
@@ -46,9 +50,10 @@ signed byte per coordinate (roots._pack).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DomainError
 from .roots import (
@@ -289,19 +294,59 @@ def diagram_for(word: Word, u: WeylElement) -> Diagram | None:
 
 
 def _descent_positions(word: Word, x: RootVector) -> tuple[int, ...] | None:
-    # diagram_for's recursion, positions only, from x = u(2 rho).
+    # diagram_for's recursion, positions only, from x = u(2 rho): a descent
+    # at letter a lowers each p_k by a[k][a] p_a (roots._simple_update).
     system = word.system
+    cols = system._cartan_cols
     p = _descent_pairings(system, x)
     positions = []
     for pos, i in enumerate(word.letters, start=1):
-        if p[i - 1] < 0:
+        pa = p[i - 1]
+        if pa < 0:
             positions.append(pos)
-            _simple_update(p, i - 1, system._cartan_cols)
+            for k, c in cols[i - 1]:
+                p[k] -= c * pa
     return tuple(positions) if p == [2] * system.rank else None
 
 
-# Entries kept by subword_products; each benchmark pass fills at most 14.
+# Entries kept by subword_products and by _interval_points, each on its
+# own; each benchmark pass fills at most 14 of either.
 SUBWORD_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SUBWORD_CACHE_SIZE)
+def _interval_points(word: Word) -> Mapping[RootVector, int]:
+    """{u(2 rho): l(u)} over the interval {u : u <= w}, read-only: the keys
+    verify_word compares the zeta images with.
+
+    A right-to-left scan over the letters from {2 rho: 0}.  Letter a takes
+    each point v so far to s_a v, which is v with coordinate a lowered by
+    p = <alpha_a^vee, v>, read over sparse Cartan row a.  2 rho is regular,
+    so u -> u(2 rho) is one-to-one, and l(s_a u) = l(u) + 1 exactly when
+    p > 0 (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7 and
+    1.12), so the length is carried by that sign.  Where p < 0, s_a u is
+    below u and so already in the interval of the letters scanned, which is
+    closed downward; only the p > 0 points are added.  The scan acts on the
+    left, on one vector, and shares no arithmetic with the length walk
+    (packed image columns and a popcount) or the ascent walk (row sums
+    under right multiplication).  subword_products is its slow oracle in
+    the tests.
+    """
+    system = word.system
+    rows = system._cartan_rows
+    points = {system.two_rho: 0}
+    for i in reversed(word.letters):
+        a0 = i - 1
+        row = rows[a0]
+        fresh = {}
+        for v, n in points.items():
+            p = 0
+            for j, c in row:
+                p += c * v[j]
+            if p > 0:
+                fresh[v[:a0] + (v[a0] - p,) + v[a0 + 1 :]] = n + 1
+        points.update(fresh)
+    return MappingProxyType(points)
 
 
 @lru_cache(maxsize=SUBWORD_CACHE_SIZE)
@@ -310,14 +355,13 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
 
     Independent of the diagram machinery: a left-to-right dynamic scan over
     the set of reachable matrices.  Lengths are counted as inversions, not
-    carried.  verify_word compares these elements with the zeta images by
-    the key (u(2 rho), length).  Here u(2 rho) is 2 rho dotted with the
-    columns of the matrix and _count_inversions multiplies the height table
-    by its row sums; the length walk sums the bytes of its packed image
-    columns and tests each length against the popcount of its own carried
-    heights.  So the keys are computed independently; the carried lengths
-    of element_of_word are checked by bruhat_interval under __debug__ and
-    by the tests.
+    carried.  It serves bruhat_interval, bruhat_leq_oracle and the order
+    stats, and is the slow oracle of _interval_points in the tests, keyed
+    by (u(2 rho), length): 2 rho dotted with the columns of each matrix,
+    and _count_inversions, which multiplies the height table by its row
+    sums.  verify_word builds no matrix for the interval.  The carried
+    lengths of element_of_word are checked by bruhat_interval under
+    __debug__ and by the tests.
     """
     require_reduced(word)
     system = word.system

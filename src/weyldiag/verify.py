@@ -4,8 +4,11 @@ Every walk (diagrams._walk) runs one rule from the start state built beside
 it and yields (positions, leaf state) in ascending bitmask order; each
 caller keeps only what it reads.  census counts the ascent walk's positions
 and enumerate_positive makes them Diagram objects.  verify_word keys each
-element u by (u(2 rho), length) as its length-walk leaf arrives, and runs
-zeta only on interval elements outside the image and for --order-stats.
+element u by (u(2 rho), length) as its length-walk leaf arrives and
+compares the keys with the interval's, which diagrams._interval_points
+builds from 2 rho under left multiplication without any matrix; it
+multiplies letters out only for interval points outside the image, and
+runs zeta only for --order-stats.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .roots import (
     _orbit_point_of_columns,
     _right_mul,
     build_root_system,
+    element_of_word,
 )
 from .words import Word, format_word, longest_word, reduced_word, require_reduced
 from .diagrams import (
@@ -34,12 +38,12 @@ from .diagrams import (
     _ascent_start,
     _ascent_step,
     _descent_positions,
+    _interval_points,
     _length_start,
     _length_step,
     _obstruction_start,
     _obstruction_step,
     _walk,
-    diagram_for,
     subword_products,
     zeta,
 )
@@ -205,11 +209,13 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     Elements are keyed by (u(2 rho), length), one-to-one as 2 rho is
     regular, along two paths that share no arithmetic: a zeta image by the
     byte sums of its leaf's packed columns, a left product, with the length
-    the popcounts passed; an interval element by 2 rho dotted with the
-    columns of a subword_products matrix, a right product, with its counted
-    length.  bijection_ok asks for one distinct key per positive diagram
-    and per interval element, and for equal key sets.  The lengths
-    element_of_word carries are checked by bruhat_interval under __debug__.
+    the popcounts passed; an interval element by diagrams._interval_points,
+    a scan of the single point 2 rho under left multiplication, with the
+    length carried by the sign of one pairing.  bijection_ok asks for one
+    distinct key per positive diagram and for the leaf keys to be the
+    interval's.  No matrix is built for the interval: subword_products,
+    the slow oracle of the scan, serves bruhat_interval, the order stats and
+    the tests.
     """
     require_reduced(word)
     _guard_sweep(word.t)
@@ -225,18 +231,22 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     }
     dual_ok = found == list(keys)
 
-    interval = subword_products(word)
+    interval = _interval_points(word)
     key_set = set(keys.values())
-    by_key = {(_orbit_point(system, u.matrix), u.length): u for u in interval}
-    bijection_ok = key_set == by_key.keys() and len(found) == len(by_key) == len(interval)
+    bijection_ok = len(key_set) == len(found) and key_set == interval.items()
 
     roundtrip_ok = all(_descent_positions(word, x) == p for p, (x, _) in keys.items())
     if roundtrip_ok:
-        # Every image already round-trips, so only elements outside the
-        # image can fail; when the bijection holds there are none.
-        for u in map(by_key.get, by_key.keys() - key_set):
-            d = diagram_for(word, u)
-            if d is None or zeta(d) != u:
+        # Every image already round-trips, so only points outside the image
+        # can fail; when the bijection holds there are none.  The letters at
+        # the descent positions must multiply out to the point's key.
+        for x, n in interval.items() - key_set:
+            positions = _descent_positions(word, x)
+            if positions is None:
+                roundtrip_ok = False
+                break
+            u = element_of_word(system, [word.letters[k - 1] for k in positions])
+            if (_orbit_point(system, u.matrix), u.length) != (x, n):
                 roundtrip_ok = False
                 break
 

@@ -26,6 +26,7 @@ from weyldiag import extend_to_w0, longest_word
 from weyldiag.diagrams import (
     _ascent_start,
     _ascent_step,
+    _interval_points,
     _obstruction_start,
     _obstruction_step,
     _walk,
@@ -220,6 +221,26 @@ def test_diagram_for_presence_agrees_with_oracle():
                 found = diagram_for(word, u)
                 assert (found is not None) == (u in members)
                 assert (found is not None) == bruhat_leq_oracle(word, u)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 5), ("B", 5), ("C", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6),
+])
+def test_interval_points_are_the_keys_of_the_subword_products(family, rank):
+    from weyldiag.roots import _orbit_point
+
+    # The scan of 2 rho against its slow oracle, the matrix set keyed as
+    # verify keys it: w0 and its 2/3 prefix (E6: the prefix alone, t = 24),
+    # and seeded random reduced words.
+    system = system_of(family, rank)
+    w0 = longest_word(system)
+    prefix = Word(system, w0.letters[: 2 * w0.t // 3])
+    words = [prefix] if family == "E" else [w0, prefix]
+    words += random_reduced_words(system, 4, 2 * system.num_positive_roots // 3, seed=rank)
+    for word in words:
+        products = subword_products.__wrapped__(word)
+        keys = {_orbit_point(system, u.matrix): u.length for u in products}
+        assert _interval_points.__wrapped__(word) == keys, word
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])

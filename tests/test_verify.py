@@ -145,13 +145,16 @@ def test_order_stats_reported_not_asserted(a2):
 
 
 def test_order_stats_leave_the_interval_cache_alone(a3):
-    from weyldiag.diagrams import subword_products
+    from weyldiag.diagrams import _interval_points, subword_products
 
-    # The stats compute one below-set per positive diagram (24 here); only
-    # the word's own interval may stay cached.
+    # The stats compute one below-set per positive diagram (24 here), none
+    # of them cached; verify keys the word's own interval by its points and
+    # builds no matrix set for it.
     subword_products.cache_clear()
+    _interval_points.cache_clear()
     verify_word(longest_word(a3), include_order_stats=True)
-    assert subword_products.cache_info().currsize <= 1
+    assert subword_products.cache_info().currsize == 0
+    assert _interval_points.cache_info().currsize == 1
 
 
 def _full_report(**changes):
@@ -192,24 +195,25 @@ def test_order_stats_shared_pairs_agree(a3):
 
 
 def test_interval_and_group_caches_are_bounded():
-    from weyldiag.diagrams import SUBWORD_CACHE_SIZE, subword_products
+    from weyldiag.diagrams import SUBWORD_CACHE_SIZE, _interval_points, subword_products
     from weyldiag.verify import GROUP_CACHE_SIZE
 
-    assert subword_products.cache_info().maxsize == SUBWORD_CACHE_SIZE == 64
     assert group_elements.cache_info().maxsize == GROUP_CACHE_SIZE == 16
     words = list(dict.fromkeys(random_reduced_words(system_of("A", 4), 400, 8, seed=5)))
     words = words[:SUBWORD_CACHE_SIZE + 1]
     assert len(words) == SUBWORD_CACHE_SIZE + 1
-    subword_products.cache_clear()
-    for word in words:
-        subword_products(word)
-    filled = subword_products.cache_info()
-    assert filled.currsize == SUBWORD_CACHE_SIZE
-    subword_products(words[1])  # the oldest entry left is still cached
-    assert subword_products.cache_info().hits == filled.hits + 1
-    subword_products(words[0])  # the 65th word evicted the first
-    assert subword_products.cache_info().misses == filled.misses + 1
-    subword_products.cache_clear()
+    for oracle in (subword_products, _interval_points):
+        assert oracle.cache_info().maxsize == SUBWORD_CACHE_SIZE == 64
+        oracle.cache_clear()
+        for word in words:
+            oracle(word)
+        filled = oracle.cache_info()
+        assert filled.currsize == SUBWORD_CACHE_SIZE
+        oracle(words[1])  # the oldest entry left is still cached
+        assert oracle.cache_info().hits == filled.hits + 1
+        oracle(words[0])  # the 65th word evicted the first
+        assert oracle.cache_info().misses == filled.misses + 1
+        oracle.cache_clear()
 
 
 def test_sweep_cap_guard(monkeypatch):
@@ -748,9 +752,28 @@ def _read_off_the_simple_roots(system, columns):
                   for f in columns])
 
 
-def _orbit_point_by_rows(system, m):
-    # 2 rho dotted with the rows of m, not its columns.
-    return tuple([sum(c * v for c, v in zip(system.two_rho, row)) for row in m])
+def _interval_scan(word, lines, up):
+    # diagrams._interval_points written out again, reading p off lines[a]
+    # and carrying n + up where p > 0.
+    points = {word.system.two_rho: 0}
+    for i in reversed(word.letters):
+        a0 = i - 1
+        fresh = {}
+        for v, n in points.items():
+            p = sum(c * v[j] for j, c in lines[a0])
+            if p > 0:
+                fresh[v[:a0] + (v[a0] - p,) + v[a0 + 1:]] = n + up
+        points.update(fresh)
+    return points
+
+
+def _interval_lengths_by_the_wrong_sign(word):
+    return _interval_scan(word, word.system._cartan_rows, -1)
+
+
+def _interval_pairings_by_columns(word):
+    # Cartan column a in place of row a: the same matrix on A and D.
+    return _interval_scan(word, word.system._cartan_cols, 1)
 
 
 def _descent_pairings_by_columns(system, x):
@@ -764,21 +787,27 @@ def _descent_pairings_by_columns(system, x):
      {"bijection_ok", "roundtrip_ok"}),
     ("verify", "_orbit_point_of_columns", _read_off_the_simple_roots,
      {"bijection_ok", "roundtrip_ok"}),
-    ("verify", "_orbit_point", _orbit_point_by_rows, {"bijection_ok"}),
+    ("verify", "_interval_points", _interval_lengths_by_the_wrong_sign,
+     {"bijection_ok", "roundtrip_ok"}),
+    ("verify", "_interval_points", _interval_pairings_by_columns,
+     {"bijection_ok", "roundtrip_ok"}),
     ("diagrams", "_descent_pairings", _descent_pairings_by_columns, {"roundtrip_ok"}),
-], ids=["leaf-no-offset", "leaf-simple-roots", "oracle-rows", "pairings-columns"])
+], ids=["leaf-no-offset", "leaf-simple-roots", "oracle-wrong-sign", "oracle-columns",
+        "pairings-columns"])
 def test_key_checks_fail_on_an_injected_key_defect(monkeypatch, family, rank, module, name,
                                                    mutant, failing):
     import importlib
     from weyldiag.cli import run
+    from weyldiag.diagrams import _interval_points
 
     # Each key is read one wrong way over the longest word: the leaf keys
-    # (the walk's byte sums), the interval's keys (a column dot) or the
+    # (the walk's byte sums), the interval's keys (the scan of 2 rho) or the
     # descent pairings the round trip starts from.  Rows and columns of the
-    # Cartan matrix differ on B and G, and so do those of w0's matrix.
+    # Cartan matrix differ on B and G (and C and F), not on A and D.
     word = longest_word(system_of(family, rank))
     clean = _verify_flags(verify_word(word))
     assert all(clean.values())
+    assert _interval_scan(word, word.system._cartan_rows, 1) == _interval_points(word)
     monkeypatch.setattr(importlib.import_module(f"weyldiag.{module}"), name, mutant)
     flags = _verify_flags(verify_word(word))
     assert flags == {**clean, **dict.fromkeys(failing, False)}

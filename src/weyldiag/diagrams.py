@@ -7,9 +7,9 @@ length test on per-position products), the maps zeta / zeta' onto the
 Bruhat intervals below w and w^{-1}, the left-to-right recursion that
 reconstructs the unique positive diagram of an interval element, an
 independent subword-product Bruhat oracle, the scan of the interval's
-orbit points u(2 rho) that verify_word compares the zeta images with
-(_interval_points, checked against subword_products in the tests), and
-the root-sum obstruction that certifies non-positivity.
+orbit points u(2 rho) (_interval_points, checked against subword_products
+in the tests), in which verify_word and the order stats look up the zeta
+images, and the root-sum obstruction that certifies non-positivity.
 positivity_obstruction checks one pair (j, m) and returns its gamma
 trace; _obstruction_step is the same verdict as a walk rule in the frame
 of the betas, which reads only w^{-1}, the betas and their coroot rows,
@@ -60,15 +60,14 @@ from .roots import (
     IntMatrix,
     RootVector,
     WeylElement,
-    _apply,
     _count_inversions,
     _descent_pairings,
     _identity_matrix,
-    _left_mul,
     _orbit_point,
     _pack,
     _reflect_by,
     _right_mul,
+    _simple_image,
     _simple_update,
     coroot_pairing,
     element_of_word,
@@ -317,7 +316,8 @@ SUBWORD_CACHE_SIZE = 64
 @lru_cache(maxsize=SUBWORD_CACHE_SIZE)
 def _interval_points(word: Word) -> Mapping[RootVector, int]:
     """{u(2 rho): l(u)} over the interval {u : u <= w}, read-only: the keys
-    verify_word compares the zeta images with.
+    verify_word compares the zeta images with.  The order stats scan each
+    positive diagram's own letters with the uncached __wrapped__.
 
     A right-to-left scan over the letters from {2 rho: 0}.  Letter a takes
     each point v so far to s_a v, which is v with coordinate a lowered by
@@ -355,11 +355,11 @@ def subword_products(word: Word) -> frozenset[WeylElement]:
 
     Independent of the diagram machinery: a left-to-right dynamic scan over
     the set of reachable matrices.  Lengths are counted as inversions, not
-    carried.  It serves bruhat_interval, bruhat_leq_oracle and the order
-    stats, and is the slow oracle of _interval_points in the tests, keyed
-    by (u(2 rho), length): 2 rho dotted with the columns of each matrix,
-    and _count_inversions, which multiplies the height table by its row
-    sums.  verify_word builds no matrix for the interval.  The carried
+    carried.  It serves bruhat_interval and bruhat_leq_oracle.  In the
+    tests it is the slow oracle of the order stats, and of _interval_points
+    keyed by (u(2 rho), length): 2 rho dotted with the columns of each
+    matrix, and _count_inversions, which multiplies the height table by its
+    row sums.  verify_word builds no matrix for the interval.  The carried
     lengths of element_of_word are checked by bruhat_interval under
     __debug__ and by the tests.
     """
@@ -405,21 +405,20 @@ class ObstructionCheck:
 def _assert_gammas_match_omitted_products(trace: GammaTrace, word: Word) -> None:
     # Independent recomputation: gamma_i must equal the image of the m-th
     # letter's simple root under the product of the first m-1 letters with
-    # the letters at positions l_i..l_p omitted.
-    system = word.system
+    # the letters at positions l_i..l_p omitted.  That one root is carried
+    # by simple reflections, right to left: tail through the kept letters
+    # between l_i and m, then a copy of it through the letters before l_i.
     letters = word.letters
+    rows = word.system._cartan_rows
     m, ls = trace.m, trace.complement_positions
-    p = len(ls)
-    prefixes = word.prefix_matrices
-    alpha_m0 = letters[m - 1] - 1
-    tail = _identity_matrix(system.rank)
+    tail = word.system.simple_roots[letters[m - 1] - 1]
     upper = m
-    for i in range(p, 0, -1):
+    for i in range(len(ls), 0, -1):
         for k in range(upper - 1, ls[i - 1], -1):
-            tail = _left_mul(tail, letters[k - 1] - 1, system._cartan_rows)
-        upper = ls[i - 1]
-        head = prefixes[ls[i - 1] - 1]
-        image = _apply(head, tail[alpha_m0])
+            tail = _simple_image(tail, letters[k - 1] - 1, rows)
+        upper, image = ls[i - 1], tail
+        for k in range(upper - 1, 0, -1):
+            image = _simple_image(image, letters[k - 1] - 1, rows)
         assert image == trace.gammas[i - 1], (
             f"gamma_{i} mismatch at (j={trace.j}, m={m}) over {word}"
         )

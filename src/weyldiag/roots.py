@@ -11,12 +11,15 @@ A Weyl group element is stored as the n x n integer matrix whose row i
 holds the coefficients of the image of the i-th simple root.  The action
 on a coefficient vector x is the row-vector product x @ M, so the matrix
 of a composition w . u ("u first, then w") is M_u @ M_w.  Multiplying an
-element by a simple reflection on either side is a sparse row or column
-update driven by one row of the Cartan matrix, which keeps sweeps over
-many diagrams cheap.  RootSystem keeps that matrix sparse as well:
-_cartan_rows[i] lists the nonzero (j, a[i][j]) of row i and _cartan_cols[j]
-the nonzero (i, a[i][j]) of column j, and every product, simple image and
-descent update reads only those, at most four entries, never a whole row.
+element by a simple reflection on the right updates only the rows listed
+in one row of the Cartan matrix, and the simple reflection of one vector
+(_simple_image) changes one coordinate by a pairing read off that row,
+which keeps sweeps over many diagrams cheap.  No left product of matrices
+is built: a caller that acts on the left carries one vector.  RootSystem
+keeps the Cartan matrix sparse as well: _cartan_rows[i] lists the nonzero
+(j, a[i][j]) of row i and _cartan_cols[j] the nonzero (i, a[i][j]) of
+column j, and every product, simple image and descent update reads only
+those, at most four entries, never a whole row.
 
 The Coxeter length travels with the matrix.  element_of_word carries it
 by the ascent rule, one step of +-1 per letter, and invert keeps it;
@@ -279,7 +282,8 @@ class RootSystem:
 
     @cached_property
     def roots(self) -> frozenset[RootVector]:
-        """The positive roots and their negatives, read only by reflect."""
+        """The positive roots and their negatives, read only by
+        coroot_pairing to reject a beta that is not a root."""
         positive = self.positive_roots
         return frozenset(positive).union(tuple(map(neg, x)) for x in positive)
 
@@ -332,6 +336,9 @@ def bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:
 
 def coroot_pairing(system: RootSystem, beta: RootVector, x: RootVector) -> int:
     """(beta^vee, x) for beta in the root system and x in the root lattice."""
+    beta = tuple(beta)
+    if beta not in system.roots:
+        raise DomainError(f"{beta} is not a root of {system.ctype}")
     num = bilinear(system, beta, x)
     d = bilinear(system, beta, beta) // 2
     assert num % d == 0, "coroot pairing must be integral on the root lattice"
@@ -340,9 +347,6 @@ def coroot_pairing(system: RootSystem, beta: RootVector, x: RootVector) -> int:
 
 def reflect(system: RootSystem, beta: RootVector, x: RootVector) -> RootVector:
     """Image of x under the reflection in beta: x - (beta^vee, x) beta."""
-    beta = tuple(beta)
-    if beta not in system.roots:
-        raise DomainError(f"{beta} is not a root of {system.ctype}")
     return _reflect_by(beta, coroot_pairing(system, beta, x), x)
 
 
@@ -382,11 +386,6 @@ def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
         else:
             out[j] = tuple([v - c * w for v, w in zip(m[j], arow)])
     return tuple(out)
-
-
-def _left_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
-    # Matrix of (s_a . elem): s_a applied to every row vector.
-    return tuple(_simple_image(row, a0, rows) for row in m)
 
 
 def _apply(m: IntMatrix, x: RootVector) -> RootVector:

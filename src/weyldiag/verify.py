@@ -7,8 +7,9 @@ and enumerate_positive makes them Diagram objects.  verify_word keys each
 element u by (u(2 rho), length) as its length-walk leaf arrives and
 compares the keys with the interval's, which diagrams._interval_points
 builds from 2 rho under left multiplication without any matrix; it
-multiplies letters out only for interval points outside the image, and
-runs zeta only for --order-stats.
+multiplies letters out only for interval points outside the image.  The
+order stats read those keys too and scan one interval per positive
+diagram the same way.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .roots import (
     build_root_system,
     element_of_word,
 )
-from .words import Word, format_word, longest_word, reduced_word, require_reduced
+from .words import Word, format_word, longest_word, require_reduced
 from .diagrams import (
     Diagram,
     _ascent_start,
@@ -177,21 +178,27 @@ def detect_grid_shape(word: Word) -> grid_mod.GridShape | None:
     return shape if grid_mod.quantum_matrices_word(shape).letters == word.letters else None
 
 
-def order_preservation_stats(word: Word, images: dict) -> dict:
-    """Counts over ordered pairs of distinct positive diagrams, given as
-    {positions: zeta image}, relating inclusion of the diagrams to Bruhat
-    comparability of their images.  A pair both included and Bruhat-below
-    is counted once and reported under both inclusion_and_bruhat and
-    bruhat_and_inclusion.  Reported as data only; no claim is asserted."""
+def order_preservation_stats(word: Word, keys: dict) -> dict:
+    """Counts over ordered pairs of distinct positive diagrams of the word,
+    relating inclusion of the diagrams to Bruhat comparability of their
+    zeta images.  keys is {positions: (u(2 rho), l(u))} with u the zeta
+    image, as verify_word holds it; only u(2 rho) is read.  zeta keeps
+    lengths on positive diagrams, so the letters at a diagram's positions
+    are a reduced word of its image u2, and u1 <= u2 exactly when u1(2 rho)
+    is a point of the interval that diagrams._interval_points scans from
+    those letters.  A pair both included and Bruhat-below is counted once
+    and reported under both inclusion_and_bruhat and bruhat_and_inclusion.
+    Reported as data only; no claim is asserted."""
+    system, letters = word.system, word.letters
     inclusion_pairs = bruhat_pairs = both = 0
-    for pos2, u2 in images.items():
+    for pos2 in keys:
         # Uncached, and dropped after this pass: one interval at a time.
-        below = subword_products.__wrapped__(reduced_word(word.system, u2))
+        below = _interval_points.__wrapped__(Word(system, [letters[k - 1] for k in pos2]))
         set2 = set(pos2)
-        for pos1, u1 in images.items():
+        for pos1, (x1, _) in keys.items():
             if pos1 != pos2:
                 included = set(pos1) <= set2
-                leq = u1 in below
+                leq = x1 in below
                 inclusion_pairs += included
                 bruhat_pairs += leq
                 both += included and leq
@@ -214,8 +221,8 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     length carried by the sign of one pairing.  bijection_ok asks for one
     distinct key per positive diagram and for the leaf keys to be the
     interval's.  No matrix is built for the interval: subword_products,
-    the slow oracle of the scan, serves bruhat_interval, the order stats and
-    the tests.
+    the slow oracle of the scan and of the order stats, serves
+    bruhat_interval and the tests.
     """
     require_reduced(word)
     _guard_sweep(word.t)
@@ -261,7 +268,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
 
     stats = None
     if include_order_stats:
-        stats = order_preservation_stats(word, {p: zeta(Diagram(word, p)) for p in found})
+        stats = order_preservation_stats(word, keys)
 
     return VerificationReport(
         ctype=str(word.system.ctype),

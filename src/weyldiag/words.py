@@ -22,7 +22,6 @@ from operator import mul
 
 from .errors import NotReducedError
 from .roots import (
-    IntMatrix,
     RootSystem,
     RootVector,
     SparseLines,
@@ -70,16 +69,6 @@ class Word:
     def reduced(self) -> bool:
         """Whether every beta_i is positive, read off the heights alone."""
         return self._heights is not None
-
-    @cached_property
-    def prefix_matrices(self) -> tuple[IntMatrix, ...]:
-        """Matrices of s_{alpha_1} ... s_{alpha_k} for k = 0..t."""
-        m = _identity_matrix(self.system.rank)
-        out = [m]
-        for i in self.letters:
-            m = _right_mul(m, i - 1, self.system._cartan_rows)
-            out.append(m)
-        return tuple(out)
 
     @cached_property
     def betas(self) -> tuple[RootVector, ...]:
@@ -135,13 +124,15 @@ def require_reduced(word: Word) -> None:
 def root_sequence(word: Word) -> tuple[RootVector, ...]:
     """The roots (beta_1, ..., beta_t) attached to a reduced word's positions.
 
-    beta_k is row a_k of the word's (k-1)-th prefix product, read from
-    Word.prefix_matrices; the first negative root is reported.  A repeat
-    needs no test of its own: while every root so far is positive, the
-    prefix is reduced and its roots are distinct.
+    beta_k is row a_k of the product of the first k-1 letters, read off one
+    running product as each letter joins it; the first negative root is
+    reported.  A repeat needs no test of its own: while every root so far
+    is positive, the prefix is reduced and its roots are distinct.
     """
+    rows = word.system._cartan_rows
+    m = _identity_matrix(word.system.rank)
     betas: list[RootVector] = []
-    for pos, (i, m) in enumerate(zip(word.letters, word.prefix_matrices), start=1):
+    for pos, i in enumerate(word.letters, start=1):
         beta = m[i - 1]
         if sum(beta) < 0:
             raise NotReducedError(
@@ -149,6 +140,7 @@ def root_sequence(word: Word) -> tuple[RootVector, ...]:
                 f"root {beta} at position {pos} is negative"
             )
         betas.append(beta)
+        m = _right_mul(m, i - 1, rows)
     return tuple(betas)
 
 

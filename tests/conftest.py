@@ -5,7 +5,7 @@ from operator import add
 import pytest
 
 from weyldiag import CartanType, Word, build_root_system
-from weyldiag.roots import _apply, _identity_matrix, _left_mul, _reflect_by
+from weyldiag.roots import _apply, _identity_matrix, _reflect_by, element_of_word
 
 CENSUS_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -165,11 +165,11 @@ def obstruction_step_by_reflection(word, j, state):
         out.append(_reflect_by(beta, c, g))
     joined_rows = ()
     if __debug__:
-        head = word.prefix_matrices[j - 1]
+        head = element_of_word(word.system, word.letters[: j - 1]).matrix
         for g, row in zip(out, rows):
             assert _apply(head, row) == g, f"gamma mismatch at position {j} over {word}"
         a0 = word.letters[j - 1] - 1
-        joined_rows = _left_mul(rows, a0, word.system._cartan_rows)
+        joined_rows = tuple(dense_simple_image(row, a0, word.system.cartan) for row in rows)
         joined_rows += (word.system.simple_roots[a0],)
     return (tuple(out), rows), (gs + (beta,), joined_rows)
 

@@ -369,9 +369,10 @@ def test_gamma_trace_check_fails_on_an_injected_reflection_defect(monkeypatch, a
     import weyldiag.diagrams as diagrams
 
     # Every reflection inside positivity_obstruction adds k beta where it
-    # should subtract it.  Under __debug__ the library's own recomputation
-    # raises first; under python -O only the explicit comparison sees it.
+    # should subtract it.  Under __debug__ the library's own recomputation,
+    # one root carried by simple reflections, raises first; under python -O
+    # only the explicit comparison sees it.
     real = diagrams._reflect_by
     monkeypatch.setattr(diagrams, "_reflect_by", lambda beta, k, x: real(beta, -k, x))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"gamma_\d+ mismatch" if __debug__ else None):
         check_gamma_traces(Word(a3, (2, 1, 3, 2, 1, 3)))

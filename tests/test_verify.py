@@ -17,6 +17,8 @@ from weyldiag import (
     longest_word,
     longest_word_census,
     quantum_matrices_word,
+    reduced_word,
+    subword_products,
     verify_word,
     zeta,
     GridShape,
@@ -192,6 +194,42 @@ def test_report_dict_keeps_the_field_order():
 def test_order_stats_shared_pairs_agree(a3):
     stats = verify_word(longest_word(a3), include_order_stats=True).order_stats
     assert stats["inclusion_and_bruhat"] == stats["bruhat_and_inclusion"] > 0
+
+
+def _order_stats_by_subword_products(word):
+    """The order stats by the slow oracle: each zeta image's interval as the
+    uncached subword products of its canonical reduced word, and the other
+    images looked up in it as matrices."""
+    images = {d.positions: zeta(d) for d in enumerate_positive(word)}
+    inclusion = bruhat = both = 0
+    for pos2, u2 in images.items():
+        below = subword_products.__wrapped__(reduced_word(word.system, u2))
+        for pos1, u1 in images.items():
+            if pos1 != pos2:
+                included, leq = set(pos1) <= set(pos2), u1 in below
+                inclusion += included
+                bruhat += leq
+                both += included and leq
+    return {
+        "inclusion_pairs": inclusion,
+        "inclusion_and_bruhat": both,
+        "bruhat_pairs": bruhat,
+        "bruhat_and_inclusion": both,
+    }
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "D4", "grid2x3"])
+def test_order_stats_match_the_subword_product_oracle(name):
+    # verify_word scans each positive diagram's letters from 2 rho and looks
+    # the other images up by their orbit points; the oracle multiplies out
+    # matrices for every subword of a reduced word of each image.
+    if name.startswith("grid"):
+        word = quantum_matrices_word(GridShape(2, 3))
+    else:
+        word = longest_word(system_of(name[0], int(name[1:])))
+    stats = verify_word(word, include_order_stats=True).order_stats
+    assert stats == _order_stats_by_subword_products(word)
+    assert 0 < stats["inclusion_and_bruhat"] < stats["bruhat_pairs"]
 
 
 def test_interval_and_group_caches_are_bounded():

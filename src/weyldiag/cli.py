@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, NotReducedError, SizeCapError, UsageError, WeylDiagError
 from .roots import CartanType, RootSystem, build_root_system
-from .words import Word, format_word, reduced_word
-from .diagrams import Diagram, diagram_for, format_diagram, is_positive, zeta
+from .words import Word, format_word, reduced_word, require_reduced
+from .diagrams import Diagram, _interval_points, diagram_for, format_diagram, is_positive, zeta
 from .grid import (
     GridShape,
     is_le_diagram,
@@ -34,7 +34,7 @@ from .grid import (
     quantum_matrices_word,
     render_wiring,
 )
-from .verify import bruhat_interval, enumerate_positive, longest_word_census, verify_word
+from .verify import _guard_sweep, enumerate_positive, longest_word_census, verify_word
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -226,7 +226,10 @@ def _dispatch(args, out, err) -> int:
         lines = [f"count {len(diagrams)}"] + [format_diagram(d) for d in diagrams]
 
     elif command == "interval":
-        payload = {"interval_count": len(bruhat_interval(word))}
+        # One orbit point per element: no matrix is built.
+        require_reduced(word)
+        _guard_sweep(word.t)
+        payload = {"interval_count": len(_interval_points(word))}
         lines = [str(payload["interval_count"])]
 
     elif command == "verify":

@@ -25,17 +25,19 @@ Each positivity test, and the obstruction, is a rule step(word, j, state)
 at one position j that reads only the state built from the members after
 j; the function that builds its start state from the word sits beside it
 (_ascent_start, _length_start, _obstruction_start).  One pruned walk over
-suffixes (_walk) finds the diagrams a rule passes at a cost that grows
+suffixes (_walk) finds the diagrams a step passes at a cost that grows
 with their number, not with 2^t, and yields each one's positions with the
-state it ends with as it is reached; the per-diagram tests (is_positive
-and its two halves) follow the same rule along the one branch a diagram
-takes (_passes).  The length walk's leaf is zeta(d) as packed image
-columns with len(d), which verify_word turns into its key u(2 rho) on
-arrival and looks up among _interval_points; the other walks' callers
-read only the positions.
-Both positivity tests run and are compared whenever __debug__ is set (the
-normal interpreter and pytest); under python -O, enumerate_positive walks
-with the ascent test alone.
+state it ends with as it is reached; verify_word runs the three rules side
+by side as one step (verify._lockstep_step), so a leaf carries the state
+of each rule that passes it.  The per-diagram tests (is_positive and its
+two halves) follow one rule along the one branch a diagram takes
+(_passes).  The length rule's leaf is zeta(d) as packed image columns
+with len(d), which verify_word turns into its key u(2 rho) on arrival and
+looks up among _interval_points; of the other rules it reads only which
+passed.  enumerate_positive and census read the same three-rule walk
+whenever __debug__ is set (the normal interpreter and pytest), and
+is_positive compares the two positivity tests; under python -O,
+enumerate_positive walks with the ascent test alone.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed
@@ -327,8 +329,8 @@ def _interval_points(word: Word) -> Mapping[RootVector, int]:
     1.12), so the length is carried by that sign.  Where p < 0, s_a u is
     below u and so already in the interval of the letters scanned, which is
     closed downward; only the p > 0 points are added.  The scan acts on the
-    left, on one vector, and shares no arithmetic with the length walk
-    (packed image columns and a popcount) or the ascent walk (row sums
+    left, on one vector, and shares no arithmetic with the length rule
+    (packed image columns and a popcount) or the ascent rule (row sums
     under right multiplication).  subword_products is its slow oracle in
     the tests.
     """

@@ -27,7 +27,7 @@ compose, the one product not built from letters, counts it as the number
 of positive roots sent negative.  That inversion count (_count_inversions)
 serves only compose and the subword-product oracle, which verify does not
 call: its interval carries its lengths by the sign of a pairing
-(diagrams._interval_points), the length walk keeps its own packed heights
+(diagrams._interval_points), the length rule keeps its own packed heights
 and popcount, and the tests compare the oracle with both.
 invert reads a reduced word of the element off its left descents and
 multiplies it out backwards, so no matrix is ever inverted by elimination.

@@ -1,15 +1,17 @@
 """Diagram walks, counts, and machine-readable verification reports.
 
-Every walk (diagrams._walk) runs one rule from the start state built beside
-it and yields (positions, leaf state) in ascending bitmask order; each
-caller keeps only what it reads.  census counts the ascent walk's positions
-and enumerate_positive makes them Diagram objects.  verify_word keys each
-element u by (u(2 rho), length) as its length-walk leaf arrives and
-compares the keys with the interval's, which diagrams._interval_points
-builds from 2 rho under left multiplication without any matrix; it
-multiplies letters out only for interval points outside the image.  The
-order stats read those keys too and scan one interval per positive
-diagram the same way.
+verify_word walks the diagrams once (diagrams._walk), with the ascent,
+length and obstruction rules side by side (_lockstep_step), and checks each
+leaf as it arrives, in ascending bitmask order: the rules must pass the
+same leaves, and each length leaf's key (u(2 rho), length) is taken out of
+a copy of the interval's, which diagrams._interval_points builds from
+2 rho under left multiplication without any matrix, and sent back to its
+diagram.  Letters are multiplied out only for interval points no leaf
+took.  Only the order stats keep the keys; they scan one interval per
+positive diagram the same way.  census counts the ascent rule's leaves
+and enumerate_positive makes them Diagram objects, read off the same
+lockstep walk under __debug__ and off the ascent rule alone under
+python -O.
 """
 
 from __future__ import annotations
@@ -74,19 +76,39 @@ def _guard_sweep(t: int) -> None:
         )
 
 
+def _lockstep_start(word: Word) -> tuple:
+    return _ascent_start(word), _length_start(word), _obstruction_start(word)
+
+
+def _lockstep_step(word: Word, j: int, states: tuple):
+    # The ascent, length and obstruction rules side by side on (a, n, o),
+    # each looked up in this module at every call.  An entry turns None
+    # where its rule prunes and stays None below; a branch is dropped only
+    # when all three have pruned, so each leaf carries the states of exactly
+    # the rules that pass it.  A rule's pair is never empty, so a and a[0]
+    # is None exactly where the rule has pruned.
+    a, n, o = states
+    a = None if a is None else _ascent_step(word, j, a)
+    n = None if n is None else _length_step(word, j, n)
+    o = None if o is None else _obstruction_step(word, j, o)
+    out = a and a[0], n and n[0], o and o[0]
+    joined = a and a[1], n and n[1], o and o[1]
+    return (out if out != (None,) * 3 else None), (joined if joined != (None,) * 3 else None)
+
+
 def _positive_positions(word: Word) -> list[tuple[int, ...]]:
-    """The positions of the diagrams the ascent walk passes, in ascending
-    bitmask order; under __debug__ the length walk must pass the same
-    diagrams."""
+    """The positions of the diagrams the ascent rule passes, in ascending
+    bitmask order.  Under __debug__ they come from verify_word's lockstep
+    walk, and the length and obstruction rules must pass each leaf too;
+    under python -O the ascent rule walks alone."""
     require_reduced(word)
     _guard_sweep(word.t)
-    found = [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
-    if __debug__:
-        differ = set(found) ^ {p for p, _ in _walk(word, _length_step, _length_start(word))}
-        assert not differ, (
-            f"positivity tests disagree on "
-            f"{min(differ, key=lambda p: Diagram(word, p).mask)} over {word}"
-        )
+    if not __debug__:
+        return [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
+    found = []
+    for p, states in _walk(word, _lockstep_step, _lockstep_start(word)):
+        assert None not in states, f"positivity tests disagree on {p} over {word}"
+        found.append(p)
     return found
 
 
@@ -190,14 +212,16 @@ def order_preservation_stats(word: Word, keys: dict) -> dict:
     and reported under both inclusion_and_bruhat and bruhat_and_inclusion.
     Reported as data only; no claim is asserted."""
     system, letters = word.system, word.letters
+    # One bitmask per diagram: pos1 lies inside pos2 when its mask has no
+    # bit outside pos2's.
+    masks = [(sum(1 << k for k in pos), x) for pos, (x, _) in keys.items()]
     inclusion_pairs = bruhat_pairs = both = 0
-    for pos2 in keys:
+    for pos2, (mask2, _) in zip(keys, masks):
         # Uncached, and dropped after this pass: one interval at a time.
         below = _interval_points.__wrapped__(Word(system, [letters[k - 1] for k in pos2]))
-        set2 = set(pos2)
-        for pos1, (x1, _) in keys.items():
-            if pos1 != pos2:
-                included = set(pos1) <= set2
+        for mask1, x1 in masks:
+            if mask1 != mask2:
+                included = mask1 | mask2 == mask2
                 leq = x1 in below
                 inclusion_pairs += included
                 bruhat_pairs += leq
@@ -210,6 +234,16 @@ def order_preservation_stats(word: Word, keys: dict) -> dict:
     }
 
 
+def _multiplies_out(word: Word, x: tuple[int, ...], n: int) -> bool:
+    # The letters at the descent positions of the interval point x must
+    # multiply out to its key (x, n).
+    positions = _descent_positions(word, x)
+    if positions is None:
+        return False
+    u = element_of_word(word.system, [word.letters[k - 1] for k in positions])
+    return (_orbit_point(word.system, u.matrix), u.length) == (x, n)
+
+
 def verify_word(word: Word, include_order_stats: bool = False) -> VerificationReport:
     """Run every diagram-level check over one reduced word.
 
@@ -220,61 +254,59 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     a scan of the single point 2 rho under left multiplication, with the
     length carried by the sign of one pairing.  bijection_ok asks for one
     distinct key per positive diagram and for the leaf keys to be the
-    interval's.  No matrix is built for the interval: subword_products,
-    the slow oracle of the scan and of the order stats, serves
-    bruhat_interval and the tests.
+    interval's.  No matrix is built for the interval, and positions are
+    kept only for the Le check and the order stats: subword_products, the
+    slow oracle of the scan and of the order stats, serves bruhat_interval
+    and the tests.
     """
     require_reduced(word)
     _guard_sweep(word.t)
     start = time.perf_counter()
 
     # Each verdict below is an AND over j of a rule on j and the members
-    # after j, so each walk yields exactly the diagrams its rule passes.
+    # after j, so each rule's entry survives to exactly the leaves it
+    # passes, and each leaf is checked as it arrives.  The obstruction rule
+    # reads the betas and their coroot rows, the ascent rule the Cartan
+    # rows alone, so each checks the other: exactly the positive diagrams
+    # trip no root-sum obstruction pair.
     system = word.system
-    found = [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
-    keys = {
-        p: (_orbit_point_of_columns(system, F), n)
-        for p, (F, _, n) in _walk(word, _length_step, _length_start(word))
-    }
-    dual_ok = found == list(keys)
-
     interval = _interval_points(word)
-    key_set = set(keys.values())
-    bijection_ok = len(key_set) == len(found) and key_set == interval.items()
-
-    roundtrip_ok = all(_descent_positions(word, x) == p for p, (x, _) in keys.items())
-    if roundtrip_ok:
-        # Every image already round-trips, so only points outside the image
-        # can fail; when the bijection holds there are none.  The letters at
-        # the descent positions must multiply out to the point's key.
-        for x, n in interval.items() - key_set:
-            positions = _descent_positions(word, x)
-            if positions is None:
-                roundtrip_ok = False
-                break
-            u = element_of_word(system, [word.letters[k - 1] for k in positions])
-            if (_orbit_point(system, u.matrix), u.length) != (x, n):
-                roundtrip_ok = False
-                break
-
-    # Exactly the positive diagrams trip no root-sum obstruction pair.  The
-    # obstruction walk reads the betas and their coroot rows, the ascent
-    # walk the Cartan rows alone, so each checks the other.
-    obstructed = _walk(word, _obstruction_step, _obstruction_start(word))
-    obstruction_ok = [p for p, _ in obstructed] == found
-
+    unmatched = dict(interval)
     shape = detect_grid_shape(word)
+    found = None if shape is None else []  # read by the Le check alone
+    keys = {} if include_order_stats else None
+    positive_count = 0
+    bijection_ok = roundtrip_ok = dual_ok = obstruction_ok = True
+    for p, (a, n, o) in _walk(word, _lockstep_step, _lockstep_start(word)):
+        positive_count += a is not None
+        if a is not None and found is not None:
+            found.append(p)
+        dual_ok &= (a is None) == (n is None)
+        obstruction_ok &= (a is None) == (o is None)
+        if n is not None:
+            x = _orbit_point_of_columns(system, n[0])
+            if unmatched.get(x) == n[2]:
+                del unmatched[x]
+            else:
+                bijection_ok = False
+            roundtrip_ok = roundtrip_ok and _descent_positions(word, x) == p
+            if keys is not None:
+                keys[p] = x, n[2]
+    bijection_ok = bijection_ok and not unmatched and len(interval) == positive_count
+
+    # The interval points no leaf took, of which there are none when the
+    # bijection holds, are sent back as well.
+    roundtrip_ok = roundtrip_ok and all(_multiplies_out(word, x, n) for x, n in unmatched.items())
+
     le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
 
-    stats = None
-    if include_order_stats:
-        stats = order_preservation_stats(word, keys)
+    stats = None if keys is None else order_preservation_stats(word, keys)
 
     return VerificationReport(
         ctype=str(word.system.ctype),
         word=format_word(word),
         total_diagrams=1 << word.t,
-        positive_count=len(found),
+        positive_count=positive_count,
         interval_count=len(interval),
         bijection_ok=bijection_ok,
         roundtrip_ok=roundtrip_ok,
@@ -298,7 +330,7 @@ class CensusResult:
 
 
 def longest_word_census(ctype: CartanType) -> CensusResult:
-    """Count the ascent walk's leaves over a reduced word of w0 and compare
+    """Count the ascent rule's leaves over a reduced word of w0 and compare
     with |W|."""
     system = build_root_system(ctype)
     return CensusResult(

@@ -76,14 +76,14 @@ class Word:
 
     @cached_property
     def sparse_betas(self) -> SparseLines:
-        """Row l lists the nonzero (k, beta_l[k]); the obstruction walk
+        """Row l lists the nonzero (k, beta_l[k]); the obstruction rule
         reads them at every position."""
         return tuple(tuple((k, c) for k, c in enumerate(b) if c) for b in self.betas)
 
     @cached_property
     def coroot_rows(self) -> SparseLines:
         """Row l lists the nonzero (k, (beta_l^vee, alpha_k)), so its dot
-        product with x is (beta_l^vee, x) by linearity.  The obstruction walk
+        product with x is (beta_l^vee, x) by linearity.  The obstruction rule
         reads them at every position it leaves out, so they are built on
         first read: t * n coroot pairings, at most 24 * 32 for a word that
         verify accepts (t <= 24 by default) at rank 32.  The form values

@@ -166,6 +166,35 @@ def test_interval_command():
     assert res.stdout == "6\n"
 
 
+def test_interval_command_builds_no_subword_products(monkeypatch):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag import format_word, subword_products
+    from weyldiag.verify import SWEEP_CAP_ENV
+    from test_acceptance import suite_words
+
+    # interval counts the orbit points of the scan; the matrix oracle must
+    # not run, and its count must be the scan's.
+    words = suite_words()
+    expected = [len(subword_products.__wrapped__(word)) for word in words]
+
+    def refusing(word):
+        raise AssertionError("interval built the subword products")
+
+    monkeypatch.setattr(diagrams, "subword_products", refusing)
+    monkeypatch.setattr(verify_mod, "subword_products", refusing)
+    for word, count in zip(words, expected):
+        args = ["interval", "--type", word.system.ctype.family,
+                "--rank", str(word.system.rank), "--word", format_word(word)]
+        res = run(args)
+        assert (res.exit_code, res.stdout) == (0, f"{count}\n"), word
+    assert run(["interval", "--type", "A", "--rank", "2", "--word", "1,1"]).exit_code == 3
+    monkeypatch.setenv(SWEEP_CAP_ENV, "2")
+    res = run(["interval", "--type", "A", "--rank", "2", "--word", "1,2,1"])
+    assert res.exit_code == 4
+    assert "cap" in res.stderr
+
+
 def test_census_command():
     res = run(["census", "--type", "A", "--rank", "2", "--format", "json"])
     assert res.exit_code == 0

@@ -748,6 +748,49 @@ def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, 
     assert "bijection_ok false" in res.stdout.splitlines()
 
 
+def test_verify_and_enumerate_walk_the_diagrams_once(monkeypatch, a3):
+    import weyldiag.verify as verify_mod
+
+    # The three rules run in lockstep on one walk, which verify_word and
+    # enumerate_positive each start once per word, under python and python
+    # -O alike.
+    calls = []
+    real = verify_mod._walk
+
+    def counting(word, step, start):
+        calls.append(step)
+        return real(word, step, start)
+
+    monkeypatch.setattr(verify_mod, "_walk", counting)
+    word = longest_word(a3)
+    assert verify_word(word, include_order_stats=True).all_ok()
+    assert len(calls) == 1
+    calls.clear()
+    assert len(enumerate_positive(word)) == 24
+    assert len(calls) == 1
+
+
+def test_the_three_rules_prune_together_at_every_node():
+    from weyldiag.diagrams import _walk
+    from weyldiag.verify import _lockstep_start, _lockstep_step
+    from test_acceptance import suite_words
+
+    # Not only at the leaves: at every node the lockstep walk visits, each
+    # branch is kept by all three rules or by none.
+    def agreeing(word, j, node):
+        members, states = node
+        out, joined = _lockstep_step(word, j, states)
+        for branch in (out, joined):
+            assert branch is None or None not in branch, (
+                f"rules split at j={j} over members {members} of {word}"
+            )
+        return out and (members, out), joined and ((j,) + members, joined)
+
+    for word in suite_words() + (longest_word(system_of("F", 4)),):
+        leaves = _walk(word, agreeing, ((), _lockstep_start(word)))
+        assert sum(1 for _ in leaves) == len(subword_products(word)), word
+
+
 def test_checks_fail_on_a_walk_that_drops_its_last_leaf(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod

@@ -31,11 +31,11 @@ the wires, using only the characters.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import DomainError, UsageError
-from .roots import CartanType, RootSystem, WeylElement, root_system
+from .roots import CartanType, RootSystem, WeylElement, _require_acts_on, root_system
 from .words import Word
 from .diagrams import Diagram, _walk
 
@@ -137,42 +137,32 @@ def is_le_diagram(grid: GridDiagram) -> bool:
     return True
 
 
-@cache
-def _le_boxes(p: int, t: int) -> tuple[tuple[int, int, int], ...]:
-    # (above, left, bit) for each walk index j of the p-row grid word of
-    # length t, at index j - 1: the masks of the boxes above box k = t+1-j
-    # and to its left, and box k's own bit, k-1.
-    boxes = []
-    for j in range(1, t + 1):
-        c, r = divmod(t - j, p)
-        above = ((1 << r) - 1) << (c * p)
-        left = sum(1 << (i * p + r) for i in range(c))
-        boxes.append((above, left, 1 << (t - j)))
-    return tuple(boxes)
+def _le_step(word: Word, j: int, state: tuple[int, int]):
+    # Box (r, c), 0-based, sits at position j, so the members after j are
+    # the boxes below it in column c and every box to its right.  state is
+    # (filled, armed): bit k-1 of filled per member k, and bit r' of armed
+    # per row r' that holds a filled box with an empty box above it.  A
+    # filling breaks the Le rule where such a row also has an empty box to
+    # the left of that filled box.  The box to the left has the smallest
+    # position of the three, so it is decided last: j may not be left out of
+    # an armed row.  Leaving j out arms the rows below r whose box in column
+    # c is filled; joining sets j's bit.  The grid word opens with the run
+    # p, ..., 1, so p is its first letter.  The walk starts at (0, 0), the
+    # empty filling.
+    filled, armed = state
+    p = word.letters[0]
+    c, r = divmod(j - 1, p)
+    joined = filled | 1 << (j - 1), armed
+    if armed >> r & 1:
+        return None, joined
+    return (filled, armed | filled >> c * p & (1 << p) - 1), joined
 
 
-def _le_step(word: Word, j: int, filled: int):
-    # Walk index j stands for box position k = t+1-j, so the members after j
-    # are the boxes before k in column-major order, among them every box
-    # above k and every box to its left; filled has bit k'-1 per member k'.
-    # Box k may join when its column above it or its row to its left is full.
-    # The grid word opens with the run p, ..., 1, so p is its first letter.
-    # The walk starts at 0, the empty filling.
-    above, left, bit = _le_boxes(word.letters[0], word.t)[j - 1]
-    if filled & above == above or filled & left == left:
-        return filled, filled | bit
-    return filled, None
-
-
-def _le_walk(shape: GridShape) -> list[tuple[int, ...]]:
+def _le_walk(shape: GridShape) -> Iterator[tuple[int, ...]]:
     """Linear positions of every Le filling of the grid, in ascending
-    bitmask order, by one pruned walk instead of is_le_diagram per mask.
-    The walk runs over mirrored positions, but each leaf state is the
-    filling's own bitmask (see _le_step), so the sorted leaves are the
-    answer."""
-    t = shape.size
-    masks = sorted(mask for _, mask in _walk(quantum_matrices_word(shape), _le_step, 0))
-    return [tuple(k for k in range(1, t + 1) if mask >> (k - 1) & 1) for mask in masks]
+    bitmask order, one as it is reached, by a pruned walk over suffixes
+    (see _le_step) instead of is_le_diagram per mask."""
+    return (p for p, _ in _walk(quantum_matrices_word(shape), _le_step, (0, 0)))
 
 
 def pipe_dream_permutation(grid: GridDiagram) -> tuple[int, ...]:
@@ -199,6 +189,7 @@ def one_line(system: RootSystem, w: WeylElement) -> tuple[int, ...]:
     """
     if system.ctype.family != "A":
         raise DomainError("one-line notation needs a type A system")
+    _require_acts_on(system, w.matrix)
     n = system.rank
     sigma = [0] * (n + 1)
     prev_minus = None

@@ -7,8 +7,10 @@ same leaves, and each length leaf's key (u(2 rho), length) is taken out of
 a copy of the interval's, which diagrams._interval_points builds from
 2 rho under left multiplication without any matrix, and sent back to its
 diagram.  Letters are multiplied out only for interval points no leaf
-took.  Only the order stats keep the keys; they scan one interval per
-positive diagram the same way.  census counts the ascent rule's leaves
+took.  On a grid word the Le rule walks beside it (grid._le_walk), and
+each of its leaves is compared with the next positive leaf as both arrive.
+Only the order stats keep the keys; they scan one interval per positive
+diagram the same way.  census counts the ascent rule's leaves
 and enumerate_positive makes them Diagram objects, read off the same
 lockstep walk under __debug__ and off the ascent rule alone under
 python -O.
@@ -210,7 +212,12 @@ def order_preservation_stats(word: Word, keys: dict) -> dict:
     is a point of the interval that diagrams._interval_points scans from
     those letters.  A pair both included and Bruhat-below is counted once
     and reported under both inclusion_and_bruhat and bruhat_and_inclusion.
-    Reported as data only; no claim is asserted."""
+    Inclusion implies Bruhat order, so inclusion_and_bruhat always equals
+    inclusion_pairs: the letters of pos1 inside pos2 are a subword of a
+    reduced word of u2 (the subword property, Bjorner-Brenti 2.2.2).  The
+    converse fails: on A3 w0 there are 189 Bruhat pairs against 156
+    inclusions.  The counts are reported as data; the tests check both
+    halves."""
     system, letters = word.system, word.letters
     # One bitmask per diagram: pos1 lies inside pos2 when its mask has no
     # bit outside pos2's.
@@ -254,8 +261,9 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     a scan of the single point 2 rho under left multiplication, with the
     length carried by the sign of one pairing.  bijection_ok asks for one
     distinct key per positive diagram and for the leaf keys to be the
-    interval's.  No matrix is built for the interval, and positions are
-    kept only for the Le check and the order stats: subword_products, the
+    interval's.  On a grid word the Le rule's leaves, in the same order, must
+    be the positive leaves.  No matrix is built for the interval, and
+    positions are kept only for the order stats: subword_products, the
     slow oracle of the scan and of the order stats, serves bruhat_interval
     and the tests.
     """
@@ -273,14 +281,17 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     interval = _interval_points(word)
     unmatched = dict(interval)
     shape = detect_grid_shape(word)
-    found = None if shape is None else []  # read by the Le check alone
+    # On a grid word the Le rule walks on its own, and one of its leaves is
+    # taken per positive leaf; elsewhere the check stays None and reads none.
+    le = None if shape is None else grid_mod._le_walk(shape)
+    le_equivalence_ok = None if le is None else True
     keys = {} if include_order_stats else None
     positive_count = 0
     bijection_ok = roundtrip_ok = dual_ok = obstruction_ok = True
     for p, (a, n, o) in _walk(word, _lockstep_step, _lockstep_start(word)):
-        positive_count += a is not None
-        if a is not None and found is not None:
-            found.append(p)
+        if a is not None:
+            positive_count += 1
+            le_equivalence_ok = le_equivalence_ok and next(le, None) == p
         dual_ok &= (a is None) == (n is None)
         obstruction_ok &= (a is None) == (o is None)
         if n is not None:
@@ -298,7 +309,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     # bijection holds, are sent back as well.
     roundtrip_ok = roundtrip_ok and all(_multiplies_out(word, x, n) for x, n in unmatched.items())
 
-    le_equivalence_ok = None if shape is None else grid_mod._le_walk(shape) == found
+    le_equivalence_ok = le_equivalence_ok and next(le, None) is None
 
     stats = None if keys is None else order_preservation_stats(word, keys)
 

@@ -94,7 +94,7 @@ def test_le_count_2x2_is_14():
 def test_le_walk_lists_the_le_fillings_in_mask_order(p, m):
     shape = GridShape(p, m)
     expected = [linearize(g).positions for g in all_grids(shape) if is_le_diagram(g)]
-    assert _le_walk(shape) == expected
+    assert list(_le_walk(shape)) == expected
 
 
 def stirling2(n, k):
@@ -119,7 +119,7 @@ def test_le_walk_counts_are_poly_bernoulli_numbers():
     assert poly_bernoulli(2, 2) == 14 and poly_bernoulli(4, 5) == 41506
     for p in range(1, 5):
         for m in range(1, 6):
-            assert len(_le_walk(GridShape(p, m))) == poly_bernoulli(p, m), (p, m)
+            assert len(list(_le_walk(GridShape(p, m)))) == poly_bernoulli(p, m), (p, m)
 
 
 def test_grid_from_mask_rejects_masks_outside_the_grid():
@@ -170,6 +170,16 @@ def test_one_line_basics(a3):
     assert one_line(a3, element_of_word(a3, (2,))) == (1, 3, 2, 4)
     with pytest.raises(DomainError):
         one_line(system_of("B", 2), element_of_word(system_of("B", 2), ()))
+
+
+@pytest.mark.parametrize("rank,letters", [(4, (4,)), (2, (1,)), (4, (3, 4))])
+def test_one_line_rejects_an_element_of_another_rank(a3, rank, letters):
+    # Read by A3's rows, s_4 of A4 looks like the identity, an A2 element
+    # runs out of rows, and A4 (3, 4) has a row with no +1 coefficient.
+    w = element_of_word(system_of("A", rank), letters)
+    message = rf"^element of rank {rank} does not act on A3 \(rank 3\)$"
+    with pytest.raises(DomainError, match=message):
+        one_line(a3, w)
 
 
 def test_one_line_matches_transposition_composition(a3):

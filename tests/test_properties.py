@@ -158,4 +158,4 @@ def grid_shapes(draw):
 @settings(derandomize=True, database=None, deadline=None)
 @given(grid_shapes())
 def test_le_walk_equals_ascent_walk(shape):
-    assert _le_walk(shape) == ascent_walk(quantum_matrices_word(shape))
+    assert list(_le_walk(shape)) == ascent_walk(quantum_matrices_word(shape))

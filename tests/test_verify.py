@@ -230,6 +230,11 @@ def test_order_stats_match_the_subword_product_oracle(name):
     stats = verify_word(word, include_order_stats=True).order_stats
     assert stats == _order_stats_by_subword_products(word)
     assert 0 < stats["inclusion_and_bruhat"] < stats["bruhat_pairs"]
+    # Inclusion implies Bruhat order: when d1 lies inside d2, the letters of
+    # d1 are a subword of those of d2, a reduced word of zeta(d2) (the
+    # subword property, Bjorner-Brenti 2.2.2).  The converse fails.
+    assert stats["inclusion_and_bruhat"] == stats["inclusion_pairs"]
+    assert stats["bruhat_pairs"] > stats["inclusion_pairs"]
 
 
 def test_interval_and_group_caches_are_bounded():
@@ -637,24 +642,52 @@ def test_le_check_fails_on_an_injected_rule_defect(monkeypatch):
     import weyldiag.grid as grid_mod
     from weyldiag.cli import run
 
-    # The Le rule without its "row to the left" branch: a box in row 2 may
-    # join only below a filled box, so the Le filling {(2,1)} (position 2)
-    # goes missing.
+    # The Le rule arms every row below an empty box, filled there or not, so
+    # the empty filling, a Le filling, goes missing.
     word = quantum_matrices_word(GridShape(2, 2))
     clean = _verify_flags(verify_word(word))
     assert clean["le_equivalence_ok"] is True
 
-    def above_only(word, j, filled):
+    def arms_unfilled_rows(word, j, state):
+        filled, armed = state
         p = word.letters[0]
-        c, r = divmod(word.t - j, p)
-        above = ((1 << r) - 1) << (c * p)
-        return filled, (filled | 1 << (word.t - j) if filled & above == above else None)
+        r = (j - 1) % p
+        joined = filled | 1 << (j - 1), armed
+        if armed >> r & 1:
+            return None, joined
+        return (filled, armed | (1 << p) - (2 << r)), joined  # rows r+1..p-1
 
-    monkeypatch.setattr(grid_mod, "_le_step", above_only)
-    assert (2,) not in grid_mod._le_walk(GridShape(2, 2))
+    monkeypatch.setattr(grid_mod, "_le_step", arms_unfilled_rows)
+    assert () not in list(grid_mod._le_walk(GridShape(2, 2)))
     flags = _verify_flags(verify_word(word))
     assert flags == {**clean, "le_equivalence_ok": False}
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "2,1,3,2"])
+    assert res.exit_code == 1
+    assert "le_equivalence_ok false" in res.stdout.splitlines()
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 3)])
+def test_le_check_fails_on_a_rule_that_never_arms_a_row(monkeypatch, p, m):
+    import weyldiag.grid as grid_mod
+    from weyldiag.cli import run
+
+    # Without armed rows nothing is pruned: the walk yields every filling,
+    # the non-Le ones too, such as {(2,2)} alone (position p + 2).
+    shape = GridShape(p, m)
+    word = quantum_matrices_word(shape)
+    clean = _verify_flags(verify_word(word))
+    assert clean["le_equivalence_ok"] is True
+
+    def never_arms(word, j, state):
+        filled, armed = state
+        return state, (filled | 1 << (j - 1), armed)
+
+    monkeypatch.setattr(grid_mod, "_le_step", never_arms)
+    leaves = list(grid_mod._le_walk(shape))
+    assert len(leaves) == 1 << shape.size and (p + 2,) in leaves
+    assert _verify_flags(verify_word(word)) == {**clean, "le_equivalence_ok": False}
+    res = run(["verify", "--type", "A", "--rank", str(shape.n),
+               "--word", ",".join(map(str, word.letters))])
     assert res.exit_code == 1
     assert "le_equivalence_ok false" in res.stdout.splitlines()
 

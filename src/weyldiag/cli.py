@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, NotReducedError, SizeCapError, UsageError, WeylDiagError
 from .roots import CartanType, RootSystem, build_root_system
-from .words import Word, format_word, reduced_word, require_reduced
+from .words import Word, _parse_ints, format_word, reduced_word, require_reduced
 from .diagrams import Diagram, _interval_points, diagram_for, format_diagram, is_positive, zeta
 from .grid import (
     GridShape,
@@ -63,20 +63,6 @@ def parse_word(system: RootSystem, text: str) -> Word:
 
 def parse_diagram(word: Word, text: str) -> Diagram:
     return Diagram(word, _parse_ints(text))
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            out.append(int(token))
-        except ValueError:
-            raise UsageError(f"bad token {token!r}, expected an integer") from None
-    return tuple(out)
 
 
 class _Parser(argparse.ArgumentParser):

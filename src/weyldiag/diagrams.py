@@ -98,11 +98,6 @@ class Diagram:
     def size(self) -> int:
         return len(self.positions)
 
-    @property
-    def mask(self) -> int:
-        # Bit k-1 set for each position k.
-        return sum(1 << (pos - 1) for pos in self.positions)
-
     def __str__(self) -> str:
         return format_diagram(self)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 from .roots import CartanType, RootSystem, WeylElement, _require_acts_on, root_system
-from .words import Word
+from .words import Word, _parse_ints
 from .diagrams import Diagram, _walk
 
 
@@ -217,14 +217,10 @@ def format_grid(grid: GridDiagram) -> str:
 def parse_grid(shape: GridShape, text: str) -> GridDiagram:
     boxes = []
     for token in text.split():
-        parts = token.split(",")
-        if len(parts) != 2:
+        box = _parse_ints(token)
+        if len(box) != 2:
             raise UsageError(f"bad grid box {token!r}, expected 'row,col'")
-        try:
-            r, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise UsageError(f"bad grid box {token!r}, expected integers") from None
-        boxes.append((r, c))
+        boxes.append(box)
     seen = set()
     for b in boxes:
         if b in seen:

@@ -9,11 +9,12 @@ a copy of the interval's, which diagrams._interval_points builds from
 diagram.  Letters are multiplied out only for interval points no leaf
 took.  On a grid word the Le rule walks beside it (grid._le_walk), and
 each of its leaves is compared with the next positive leaf as both arrive.
-Only the order stats keep the keys; they scan one interval per positive
-diagram the same way.  census counts the ascent rule's leaves
-and enumerate_positive makes them Diagram objects, read off the same
-lockstep walk under __debug__ and off the ascent rule alone under
-python -O.
+Only the order stats keep the keys, each with its leaf's bitmask; they
+scan one interval per positive diagram the same way and look each point
+up among the keys, with no loop over pairs of diagrams.  census counts
+the ascent rule's leaves as they arrive and enumerate_positive makes them
+Diagram objects, read off the same lockstep walk under __debug__ and off
+the ascent rule alone under python -O.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -98,25 +100,28 @@ def _lockstep_step(word: Word, j: int, states: tuple):
     return (out if out != (None,) * 3 else None), (joined if joined != (None,) * 3 else None)
 
 
-def _positive_positions(word: Word) -> list[tuple[int, ...]]:
-    """The positions of the diagrams the ascent rule passes, in ascending
-    bitmask order.  Under __debug__ they come from verify_word's lockstep
-    walk, and the length and obstruction rules must pass each leaf too;
-    under python -O the ascent rule walks alone."""
+def _positive_leaves(word: Word) -> Iterator[tuple[tuple[int, ...], object]]:
+    """The leaves (positions, state) of the diagrams the ascent rule passes,
+    in ascending bitmask order, one at a time; callers read only the
+    positions, and the word is checked at the call.  Under __debug__ they come from verify_word's lockstep walk, and
+    the length and obstruction rules must pass each leaf too; under
+    python -O the ascent rule walks alone."""
     require_reduced(word)
     _guard_sweep(word.t)
     if not __debug__:
-        return [p for p, _ in _walk(word, _ascent_step, _ascent_start(word))]
-    found = []
-    for p, states in _walk(word, _lockstep_step, _lockstep_start(word)):
-        assert None not in states, f"positivity tests disagree on {p} over {word}"
-        found.append(p)
-    return found
+        return _walk(word, _ascent_step, _ascent_start(word))
+
+    def agreeing():
+        for p, states in _walk(word, _lockstep_step, _lockstep_start(word)):
+            assert None not in states, f"positivity tests disagree on {p} over {word}"
+            yield p, states
+
+    return agreeing()
 
 
 def enumerate_positive(word: Word) -> list[Diagram]:
     """All positive diagrams of a reduced word, in ascending bitmask order."""
-    return [Diagram(word, p) for p in _positive_positions(word)]
+    return [Diagram(word, p) for p, _ in _positive_leaves(word)]
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -205,39 +210,42 @@ def detect_grid_shape(word: Word) -> grid_mod.GridShape | None:
 def order_preservation_stats(word: Word, keys: dict) -> dict:
     """Counts over ordered pairs of distinct positive diagrams of the word,
     relating inclusion of the diagrams to Bruhat comparability of their
-    zeta images.  keys is {positions: (u(2 rho), l(u))} with u the zeta
-    image, as verify_word holds it; only u(2 rho) is read.  zeta keeps
-    lengths on positive diagrams, so the letters at a diagram's positions
-    are a reduced word of its image u2, and u1 <= u2 exactly when u1(2 rho)
-    is a point of the interval that diagrams._interval_points scans from
-    those letters.  A pair both included and Bruhat-below is counted once
-    and reported under both inclusion_and_bruhat and bruhat_and_inclusion.
-    Inclusion implies Bruhat order, so inclusion_and_bruhat always equals
-    inclusion_pairs: the letters of pos1 inside pos2 are a subword of a
-    reduced word of u2 (the subword property, Bjorner-Brenti 2.2.2).  The
+    zeta images.  keys is {u(2 rho): bitmask} with u the zeta image of the
+    diagram whose positions the bitmask holds (bit k-1 for position k), as
+    verify_word keeps it.  zeta keeps lengths on positive diagrams, so the
+    letters at a diagram's positions are a reduced word of its image u2,
+    and diagrams._interval_points scans from those letters the points
+    u1(2 rho) of the interval [e, u2].  Each point that is another
+    diagram's key is one Bruhat pair, and a nested one when that diagram's
+    bitmask lies inside the scanned one.  Inclusion implies Bruhat order:
+    the letters of pos1 inside pos2 are a subword of a reduced word of u2
+    (the subword property, Bjorner-Brenti 2.2.2), so every nested pair is
+    among the scan's points, and the nested count is reported as
+    inclusion_pairs, inclusion_and_bruhat and bruhat_and_inclusion.  The
     converse fails: on A3 w0 there are 189 Bruhat pairs against 156
-    inclusions.  The counts are reported as data; the tests check both
-    halves."""
+    inclusions.  The work is one scan per positive diagram and one lookup
+    per scan point, bruhat_pairs + P lookups in all.  The counts are
+    reported as data; the tests count inclusion over all pairs, by the
+    slow oracle, and so check both halves."""
     system, letters = word.system, word.letters
-    # One bitmask per diagram: pos1 lies inside pos2 when its mask has no
-    # bit outside pos2's.
-    masks = [(sum(1 << k for k in pos), x) for pos, (x, _) in keys.items()]
-    inclusion_pairs = bruhat_pairs = both = 0
-    for pos2, (mask2, _) in zip(keys, masks):
+    bruhat_pairs = nested = 0
+    for x2, mask2 in keys.items():
         # Uncached, and dropped after this pass: one interval at a time.
-        below = _interval_points.__wrapped__(Word(system, [letters[k - 1] for k in pos2]))
-        for mask1, x1 in masks:
-            if mask1 != mask2:
-                included = mask1 | mask2 == mask2
-                leq = x1 in below
-                inclusion_pairs += included
-                bruhat_pairs += leq
-                both += included and leq
+        below = _interval_points.__wrapped__(
+            Word(system, [a for k, a in enumerate(letters) if mask2 >> k & 1])
+        )
+        for x1 in below:
+            # .get: a report whose bijection failed is counted over the
+            # leaves it has.
+            mask1 = keys.get(x1)
+            if mask1 is not None and x1 != x2:
+                bruhat_pairs += 1
+                nested += mask1 | mask2 == mask2
     return {
-        "inclusion_pairs": inclusion_pairs,
-        "inclusion_and_bruhat": both,
+        "inclusion_pairs": nested,
+        "inclusion_and_bruhat": nested,
         "bruhat_pairs": bruhat_pairs,
-        "bruhat_and_inclusion": both,
+        "bruhat_and_inclusion": nested,
     }
 
 
@@ -263,7 +271,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     distinct key per positive diagram and for the leaf keys to be the
     interval's.  On a grid word the Le rule's leaves, in the same order, must
     be the positive leaves.  No matrix is built for the interval, and
-    positions are kept only for the order stats: subword_products, the
+    bitmasks are kept only for the order stats: subword_products, the
     slow oracle of the scan and of the order stats, serves bruhat_interval
     and the tests.
     """
@@ -302,7 +310,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
                 bijection_ok = False
             roundtrip_ok = roundtrip_ok and _descent_positions(word, x) == p
             if keys is not None:
-                keys[p] = x, n[2]
+                keys[x] = sum(1 << (k - 1) for k in p)
     bijection_ok = bijection_ok and not unmatched and len(interval) == positive_count
 
     # The interval points no leaf took, of which there are none when the
@@ -346,7 +354,7 @@ def longest_word_census(ctype: CartanType) -> CensusResult:
     system = build_root_system(ctype)
     return CensusResult(
         positive_root_count=system.num_positive_roots,
-        positive_count=len(_positive_positions(longest_word(system))),
+        positive_count=sum(1 for _ in _positive_leaves(longest_word(system))),
         group_order=group_order(system),
     )
 

@@ -16,11 +16,12 @@ caller reads it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .errors import NotReducedError
+from .errors import NotReducedError, UsageError
 from .roots import (
     RootSystem,
     RootVector,
@@ -108,6 +109,26 @@ class Word:
 
 def format_word(word: Word) -> str:
     return ",".join(str(i) for i in word.letters)
+
+
+# An optional sign and ASCII digits: int() alone also reads "1_0" as 10,
+# and digits of other scripts.
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers: a word's letters, a diagram's positions or
+    a grid box; the empty string is the empty tuple."""
+    text = text.strip()
+    if not text:
+        return ()
+    out = []
+    for token in text.split(","):
+        token = token.strip()
+        if not _INT_TOKEN.fullmatch(token):
+            raise UsageError(f"bad token {token!r}, expected an integer")
+        out.append(int(token))
+    return tuple(out)
 
 
 def is_reduced(word: Word) -> bool:

@@ -400,6 +400,14 @@ GOLDEN = [
     (["betas", *_A2, "--word", "1,x"], 2, "", None,
      "error: bad token 'x', expected an integer\n"),
     (["roots", *_A2, "--bogus"], 2, "", None, "error: unrecognized arguments: --bogus\n"),
+    # A token is an optional sign and ASCII digits: int() alone reads "1_0"
+    # as 10 and the Arabic-Indic digit two as 2.
+    (["verify", "--type", "A", "--rank", "10", "--word", "1_0"], 2, "", None,
+     "error: bad token '1_0', expected an integer\n"),
+    (["betas", *_A2, "--word", "1,\u0662"], 2, "", None,
+     "error: bad token '\u0662', expected an integer\n"),
+    (["le", "--p", "2", "--m", "12", "--grid", "1,1_0"], 2, "", None,
+     "error: bad token '1_0', expected an integer\n"),
     # The root system's note comes before the word's parse error ...
     (["betas", "--type", "D", "--rank", "3", "--word", "1,x"], 2, "", None,
      _D3_NOTE + "error: bad token 'x', expected an integer\n"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -43,7 +44,7 @@ def test_enumerate_positive_a2_exactly(a2):
 
 def test_enumerate_positive_is_in_ascending_mask_order(a2):
     word = Word(a2, (1, 2, 1))
-    masks = [d.mask for d in enumerate_positive(word)]
+    masks = [sum(1 << (k - 1) for k in d.positions) for d in enumerate_positive(word)]
     assert masks == sorted(masks)
 
 
@@ -218,23 +219,27 @@ def _order_stats_by_subword_products(word):
     }
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "D4", "grid2x3"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A4", "D4", "B4", "grid2x3", "grid3x3"])
 def test_order_stats_match_the_subword_product_oracle(name):
     # verify_word scans each positive diagram's letters from 2 rho and looks
-    # the other images up by their orbit points; the oracle multiplies out
-    # matrices for every subword of a reduced word of each image.
+    # the scan's points up among the other images' orbit points; the oracle
+    # multiplies out matrices for every subword of a reduced word of each
+    # image, and tests every ordered pair.
     if name.startswith("grid"):
-        word = quantum_matrices_word(GridShape(2, 3))
+        word = quantum_matrices_word(GridShape(int(name[4]), int(name[6])))
     else:
         word = longest_word(system_of(name[0], int(name[1:])))
     stats = verify_word(word, include_order_stats=True).order_stats
-    assert stats == _order_stats_by_subword_products(word)
+    oracle = _order_stats_by_subword_products(word)
+    assert stats == oracle
     assert 0 < stats["inclusion_and_bruhat"] < stats["bruhat_pairs"]
     # Inclusion implies Bruhat order: when d1 lies inside d2, the letters of
     # d1 are a subword of those of d2, a reduced word of zeta(d2) (the
-    # subword property, Bjorner-Brenti 2.2.2).  The converse fails.
-    assert stats["inclusion_and_bruhat"] == stats["inclusion_pairs"]
-    assert stats["bruhat_pairs"] > stats["inclusion_pairs"]
+    # subword property, Bjorner-Brenti 2.2.2).  The report counts nested
+    # pairs among the scan's points alone, so this half is checked by the
+    # oracle, which counts inclusion over all pairs.  The converse fails.
+    assert oracle["inclusion_and_bruhat"] == oracle["inclusion_pairs"]
+    assert oracle["bruhat_pairs"] > oracle["inclusion_pairs"]
 
 
 def test_interval_and_group_caches_are_bounded():
@@ -271,6 +276,14 @@ def test_sweep_cap_guard(monkeypatch):
         verify_word(longest_word(a3))
     with pytest.raises(SizeCapError):
         longest_word_census(CartanType("A", 3))
+    # The leaves arrive lazily, but the word is checked at the call.
+    from weyldiag import NotReducedError
+    from weyldiag.verify import _positive_leaves
+
+    with pytest.raises(SizeCapError):
+        _positive_leaves(longest_word(a3))
+    with pytest.raises(NotReducedError):
+        _positive_leaves(Word(b2, (1, 1)))
     monkeypatch.setenv(SWEEP_CAP_ENV, "junk")
     with pytest.raises(UsageError, match=r"WEYLDIAG_SWEEP_CAP='junk'"):
         sweep_cap()
@@ -382,7 +395,7 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "dual_ok false" in res.stdout.splitlines()
-    if __debug__:  # the walk comparison in _positive_positions is an assert
+    if __debug__:  # the walk comparison in _positive_leaves is an assert
         with pytest.raises(AssertionError, match=r"positivity tests disagree on \(3,\)"):
             longest_word_census(CartanType("A", 2))
     else:
@@ -717,7 +730,7 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
     assert res.exit_code == 1
     lines = res.stdout.splitlines()
     assert "dual_ok false" in lines and "bijection_ok false" in lines
-    if __debug__:  # the walk comparison in _positive_positions is an assert
+    if __debug__:  # the walk comparison in _positive_leaves is an assert
         with pytest.raises(AssertionError, match=r"positivity tests disagree on \(2,\)"):
             longest_word_census(CartanType("A", 2))
 
@@ -846,9 +859,27 @@ def test_checks_fail_on_a_walk_that_drops_its_last_leaf(monkeypatch, a3):
     assert (report.positive_count, report.interval_count) == (23, 24)
     assert _verify_flags(report) == {**clean, "bijection_ok": False}
     assert not longest_word_census(CartanType("A", 3)).ok
+    # The order stats look the scans' points up among the leaves the walk
+    # gave, and count over those without raising: of 156 nested pairs and
+    # 189 Bruhat pairs, the 23 with the top diagram above go.
+    report = verify_word(word, include_order_stats=True)
+    assert _verify_flags(report) == {**clean, "bijection_ok": False}
+    assert report.order_stats == {
+        "inclusion_pairs": 133, "inclusion_and_bruhat": 133,
+        "bruhat_pairs": 166, "bruhat_and_inclusion": 133,
+    }
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
     assert res.exit_code == 1
     assert "bijection_ok false" in res.stdout.splitlines()
+    # Without the first leaf, the empty diagram, every scan reaches a point,
+    # 2 rho, that is no leaf's key; the 23 pairs with it below go.
+    monkeypatch.setattr(verify_mod, "_walk", lambda *args: itertools.islice(real(*args), 1, None))
+    report = verify_word(word, include_order_stats=True)
+    assert _verify_flags(report) == {**clean, "bijection_ok": False}
+    assert report.order_stats == {
+        "inclusion_pairs": 133, "inclusion_and_bruhat": 133,
+        "bruhat_pairs": 166, "bruhat_and_inclusion": 133,
+    }
 
 
 def _read_off_without_the_offset(system, columns):

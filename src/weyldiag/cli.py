@@ -23,8 +23,8 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError, NotReducedError, SizeCapError, UsageError, WeylDiagError
-from .roots import CartanType, RootSystem, build_root_system
-from .words import Word, _parse_ints, format_word, reduced_word, require_reduced
+from .roots import FAMILIES, CartanType, RootSystem, build_root_system
+from .words import Word, _parse_int, _parse_ints, format_word, reduced_word
 from .diagrams import Diagram, _interval_points, diagram_for, format_diagram, is_positive, zeta
 from .grid import (
     GridShape,
@@ -88,16 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str, *, system=False, word=False, grid=False):
         cmd = sub.add_parser(name, help=help_text)
         if system:
-            cmd.add_argument("--type", required=True, choices=list("ABCDEFG"),
+            cmd.add_argument("--type", required=True, choices=list(FAMILIES),
                              help="Cartan family")
-            cmd.add_argument("--rank", required=True, type=int, help="rank n")
+            cmd.add_argument("--rank", required=True, type=_parse_int, help="rank n")
         if word:
             cmd.add_argument("--word", required=True,
                              help="reduced word, e.g. '1,2,1'")
         cmd.add_argument("--format", choices=["text", "json"], default="text")
         if grid:
-            cmd.add_argument("--p", required=True, type=int, help="rows")
-            cmd.add_argument("--m", required=True, type=int, help="columns")
+            cmd.add_argument("--p", required=True, type=_parse_int, help="rows")
+            cmd.add_argument("--m", required=True, type=_parse_int, help="columns")
         return cmd
 
     add("roots", "print the positive roots", system=True)
@@ -213,8 +213,7 @@ def _dispatch(args, out, err) -> int:
 
     elif command == "interval":
         # One orbit point per element: no matrix is built.
-        require_reduced(word)
-        _guard_sweep(word.t)
+        _guard_sweep(word)
         payload = {"interval_count": len(_interval_points(word))}
         lines = [str(payload["interval_count"])]
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from types import MappingProxyType
 
 from .errors import DomainError
@@ -88,6 +89,8 @@ class Diagram:
         positions = tuple(sorted(self.positions))
         t = self.word.t
         for k, pos in enumerate(positions):
+            if not isinstance(pos, int):
+                raise DomainError(f"diagram position {pos!r} is not an integer")
             if not 1 <= pos <= t:
                 raise DomainError(f"diagram position {pos} out of range 1..{t}")
             if k and positions[k - 1] == pos:
@@ -323,26 +326,34 @@ def _interval_points(word: Word) -> Mapping[RootVector, int]:
     p > 0 (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7 and
     1.12), so the length is carried by that sign.  Where p < 0, s_a u is
     below u and so already in the interval of the letters scanned, which is
-    closed downward; only the p > 0 points are added.  The scan acts on the
-    left, on one vector, and shares no arithmetic with the length rule
-    (packed image columns and a popcount) or the ascent rule (row sums
-    under right multiplication).  subword_products is its slow oracle in
-    the tests.
+    closed downward; only the p > 0 points are added.  So after letter a
+    the points are closed under s_a: a point with p > 0 has had its image
+    added, each image added has p < 0 and its preimage present, and a
+    point with p < 0 had its image already.  The next letter a then pairs
+    only the points added since: where[a] counts the points it has seen,
+    and the images of the earlier ones are present with the same lengths,
+    so the dict, its order included, is the one a scan of every point
+    builds.  The scan acts on the left, on one vector, and shares no
+    arithmetic with the length rule (packed image columns and a popcount)
+    or the ascent rule (row sums under right multiplication).
+    subword_products is its slow oracle in the tests.
     """
     system = word.system
     rows = system._cartan_rows
     points = {system.two_rho: 0}
+    where = [0] * system.rank
     for i in reversed(word.letters):
         a0 = i - 1
         row = rows[a0]
         fresh = {}
-        for v, n in points.items():
+        for v, n in islice(points.items(), where[a0], None):
             p = 0
             for j, c in row:
                 p += c * v[j]
             if p > 0:
                 fresh[v[:a0] + (v[a0] - p,) + v[a0 + 1 :]] = n + 1
         points.update(fresh)
+        where[a0] = len(points)
     return MappingProxyType(points)
 
 

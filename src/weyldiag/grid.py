@@ -74,13 +74,19 @@ class GridDiagram:
     boxes: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        boxes = frozenset((int(r), int(c)) for r, c in self.boxes)
-        for r, c in boxes:
-            if not (1 <= r <= self.shape.p and 1 <= c <= self.shape.m):
-                raise DomainError(
-                    f"box ({r},{c}) outside the {self.shape.p}x{self.shape.m} grid"
-                )
-        object.__setattr__(self, "boxes", boxes)
+        # Each box once, as Diagram checks positions: integers, inside the
+        # grid, not repeated.
+        p, m = self.shape.p, self.shape.m
+        boxes = set()
+        for r, c in self.boxes:
+            if not (isinstance(r, int) and isinstance(c, int)):
+                raise DomainError(f"box ({r!r},{c!r}) is not a pair of integers")
+            if not (1 <= r <= p and 1 <= c <= m):
+                raise DomainError(f"box ({r},{c}) outside the {p}x{m} grid")
+            if (r, c) in boxes:
+                raise DomainError(f"box {r},{c} repeated")
+            boxes.add((r, c))
+        object.__setattr__(self, "boxes", frozenset(boxes))
 
     def __str__(self) -> str:
         return format_grid(self)
@@ -122,7 +128,7 @@ def grid_from_mask(shape: GridShape, mask: int) -> GridDiagram:
     for k in range(1, shape.size + 1):
         if mask >> (k - 1) & 1:
             boxes.append(position_box(shape, k))
-    return GridDiagram(shape, frozenset(boxes))
+    return GridDiagram(shape, boxes)
 
 
 def is_le_diagram(grid: GridDiagram) -> bool:
@@ -221,12 +227,7 @@ def parse_grid(shape: GridShape, text: str) -> GridDiagram:
         if len(box) != 2:
             raise UsageError(f"bad grid box {token!r}, expected 'row,col'")
         boxes.append(box)
-    seen = set()
-    for b in boxes:
-        if b in seen:
-            raise DomainError(f"box {b[0]},{b[1]} repeated")
-        seen.add(b)
-    return GridDiagram(shape, frozenset(boxes))
+    return GridDiagram(shape, boxes)
 
 
 # -- rendering and wire tracing ----------------------------------------------

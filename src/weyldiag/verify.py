@@ -23,6 +23,7 @@ import json
 import os
 import time
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ from .roots import (
     build_root_system,
     element_of_word,
 )
-from .words import Word, format_word, longest_word, require_reduced
+from .words import Word, _parse_int, format_word, longest_word, require_reduced
 from .diagrams import (
     Diagram,
     _ascent_start,
@@ -63,19 +64,22 @@ GROUP_CACHE_SIZE = 16
 
 
 def sweep_cap() -> int:
-    raw = os.environ.get(SWEEP_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SWEEP_CAP
-    if not raw.strip().isdecimal():
-        raise UsageError(f"{SWEEP_CAP_ENV}={raw!r} is not a non-negative integer")
-    return int(raw)
+    raw = os.environ.get(SWEEP_CAP_ENV, str(DEFAULT_SWEEP_CAP))
+    # A cap is an integer token without a minus sign.
+    with suppress(UsageError):
+        if not raw.lstrip().startswith("-"):
+            return _parse_int(raw)
+    raise UsageError(f"{SWEEP_CAP_ENV}={raw!r} is not a non-negative integer")
 
 
-def _guard_sweep(t: int) -> None:
+def _guard_sweep(word: Word) -> None:
+    """The checks before any 2^t sweep of the word: reduced (exit 3 in the
+    command line), then t within the cap (exit 4)."""
+    require_reduced(word)
     cap = sweep_cap()
-    if t > cap:
+    if word.t > cap:
         raise SizeCapError(
-            f"2^{t} diagram sweep exceeds the cap of 2^{cap} "
+            f"2^{word.t} diagram sweep exceeds the cap of 2^{cap} "
             f"(override with {SWEEP_CAP_ENV})"
         )
 
@@ -103,11 +107,11 @@ def _lockstep_step(word: Word, j: int, states: tuple):
 def _positive_leaves(word: Word) -> Iterator[tuple[tuple[int, ...], object]]:
     """The leaves (positions, state) of the diagrams the ascent rule passes,
     in ascending bitmask order, one at a time; callers read only the
-    positions, and the word is checked at the call.  Under __debug__ they come from verify_word's lockstep walk, and
-    the length and obstruction rules must pass each leaf too; under
-    python -O the ascent rule walks alone."""
-    require_reduced(word)
-    _guard_sweep(word.t)
+    positions, and the word is checked at the call.  Under __debug__ they
+    come from verify_word's lockstep walk, and the length and obstruction
+    rules must pass each leaf too; under python -O the ascent rule walks
+    alone."""
+    _guard_sweep(word)
     if not __debug__:
         return _walk(word, _ascent_step, _ascent_start(word))
 
@@ -151,8 +155,7 @@ def group_order(system: RootSystem) -> int:
 def bruhat_interval(word: Word) -> frozenset[WeylElement]:
     """{u : u <= w} as subword products; cross-checked against the zeta image
     of the positive diagrams when __debug__ is set."""
-    require_reduced(word)
-    _guard_sweep(word.t)
+    _guard_sweep(word)
     interval = subword_products(word)
     if __debug__:
         images = {zeta(d) for d in enumerate_positive(word)}
@@ -275,8 +278,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     slow oracle of the scan and of the order stats, serves bruhat_interval
     and the tests.
     """
-    require_reduced(word)
-    _guard_sweep(word.t)
+    _guard_sweep(word)
     start = time.perf_counter()
 
     # Each verdict below is an AND over j of a rule on j and the members

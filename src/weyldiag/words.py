@@ -116,19 +116,21 @@ def format_word(word: Word) -> str:
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
+def _parse_int(token: str) -> int:
+    """One integer read from text, surrounding whitespace ignored.  Every
+    integer the user types goes through here: the command line's words,
+    diagrams, grid boxes, --rank, --p and --m, and WEYLDIAG_SWEEP_CAP."""
+    token = token.strip()
+    if not _INT_TOKEN.fullmatch(token):
+        raise UsageError(f"bad token {token!r}, expected an integer")
+    return int(token)
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     """Comma-separated integers: a word's letters, a diagram's positions or
     a grid box; the empty string is the empty tuple."""
     text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not _INT_TOKEN.fullmatch(token):
-            raise UsageError(f"bad token {token!r}, expected an integer")
-        out.append(int(token))
-    return tuple(out)
+    return tuple(map(_parse_int, text.split(","))) if text else ()
 
 
 def is_reduced(word: Word) -> bool:

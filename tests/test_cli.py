@@ -408,6 +408,18 @@ GOLDEN = [
      "error: bad token '\u0662', expected an integer\n"),
     (["le", "--p", "2", "--m", "12", "--grid", "1,1_0"], 2, "", None,
      "error: bad token '1_0', expected an integer\n"),
+    # The same rule holds for --rank, --p and --m, where argparse's int
+    # read "1_0" as 10 and the Arabic-Indic three as 3.
+    (["roots", "--type", "A", "--rank", "1_0"], 2, "", None,
+     "error: bad token '1_0', expected an integer\n"),
+    (["roots", "--type", "A", "--rank", "\u0663"], 2, "", None,
+     "error: bad token '\u0663', expected an integer\n"),
+    (["qm", "--p", "\u0662", "--m", "3"], 2, "", None,
+     "error: bad token '\u0662', expected an integer\n"),
+    (["le", "--p", "2", "--m", "1_0", "--grid", ""], 2, "", None,
+     "error: bad token '1_0', expected an integer\n"),
+    (["le", "--p", "2", "--m", "2", "--grid", "1,1 1,1"], 3, "", None,
+     "error: box 1,1 repeated\n"),
     # The root system's note comes before the word's parse error ...
     (["betas", "--type", "D", "--rank", "3", "--word", "1,x"], 2, "", None,
      _D3_NOTE + "error: bad token 'x', expected an integer\n"),

@@ -58,6 +58,8 @@ def test_diagram_validation(w121):
         Diagram(w121, (4,))
     with pytest.raises(DomainError):
         Diagram(w121, (2, 2))
+    with pytest.raises(DomainError, match=r"position 1\.0 is not an integer"):
+        Diagram(w121, (1.0, 2))
     assert Diagram(w121, (3, 1)).positions == (1, 3)
     assert Diagram(w121, ()).positions == ()
 

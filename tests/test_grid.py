@@ -76,6 +76,11 @@ def test_column_major_label_map():
 def test_grid_box_validation():
     with pytest.raises(DomainError):
         grid(2, 2, (3, 1))
+    # Each box is checked as given: int() would read (1.9, 2) as (1, 2),
+    # and a frozenset would drop the repeat.
+    for boxes in ([(1, 2), (1, 2)], [(1.9, 2)], [("2", "2")]):
+        with pytest.raises(DomainError):
+            GridDiagram(GridShape(2, 2), boxes)
 
 
 def test_le_examples():

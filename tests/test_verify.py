@@ -292,16 +292,20 @@ def test_sweep_cap_guard(monkeypatch):
 
     empty = ["verify", "--type", "A", "--rank", "2", "--word", ""]
     one_letter = ["verify", "--type", "A", "--rank", "2", "--word", "1"]
-    for bad in ["junk", "-1"]:
+    not_reduced = ["verify", "--type", "A", "--rank", "2", "--word", "1,1"]
+    for bad in ["junk", "-1", "-0", "\u0662"]:
         monkeypatch.setenv(SWEEP_CAP_ENV, bad)
         res = run(empty)
         assert res.exit_code == 2
         assert res.stderr == (
             f"error: WEYLDIAG_SWEEP_CAP={bad!r} is not a non-negative integer\n"
         )
-    monkeypatch.setenv(SWEEP_CAP_ENV, "0")
-    assert run(empty).exit_code == 0
-    assert run(one_letter).exit_code == 4
+    # A cap is read like any integer token, so a "+" sign is accepted.
+    for cap in ["0", " +0 "]:
+        monkeypatch.setenv(SWEEP_CAP_ENV, cap)
+        assert run(empty).exit_code == 0
+        assert run(one_letter).exit_code == 4
+        assert run(not_reduced).exit_code == 3  # reducedness before the cap
 
 
 def test_positive_count_is_word_independent(a3):

@@ -86,11 +86,13 @@ class Diagram:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        positions = tuple(sorted(self.positions))
-        t = self.word.t
-        for k, pos in enumerate(positions):
+        positions = tuple(self.positions)
+        for pos in positions:
             if not isinstance(pos, int):
                 raise DomainError(f"diagram position {pos!r} is not an integer")
+        positions = tuple(sorted(positions))
+        t = self.word.t
+        for k, pos in enumerate(positions):
             if not 1 <= pos <= t:
                 raise DomainError(f"diagram position {pos} out of range 1..{t}")
             if k and positions[k - 1] == pos:
@@ -114,8 +116,8 @@ def format_diagram(diagram: Diagram) -> str:
 
 def diagram_from_mask(word: Word, mask: int) -> Diagram:
     """Positions of set bits, bit k-1 meaning position k."""
-    if not 0 <= mask < 1 << word.t:
-        raise DomainError(f"mask {mask} outside 0..2^{word.t}-1")
+    if not (isinstance(mask, int) and 0 <= mask < 1 << word.t):
+        raise DomainError(f"mask {mask!r} is not an integer in 0..2^{word.t}-1")
     return Diagram(word, tuple(k for k in range(1, word.t + 1) if mask >> (k - 1) & 1))
 
 
@@ -127,20 +129,16 @@ class SubexpressionTrace:
 
 
 def subexpression(diagram: Diagram) -> SubexpressionTrace:
+    """v_k multiplies out the member letters after position t - k, highest
+    position first."""
     word = diagram.word
     require_reduced(word)
-    system = word.system
-    inside = set(diagram.positions)
-    m = _identity_matrix(system.rank)
-    ell = 0
-    vs = [WeylElement(m, 0)]
-    for pos in range(word.t, 0, -1):
-        if pos in inside:
-            a0 = word.letters[pos - 1] - 1
-            ell += 1 if sum(m[a0]) > 0 else -1
-            m = _right_mul(m, a0, system._cartan_rows)
-        vs.append(WeylElement(m, ell))
-    return SubexpressionTrace(tuple(vs))
+    t = word.t
+    members = [(pos, word.letters[pos - 1]) for pos in reversed(diagram.positions)]
+    return SubexpressionTrace(tuple(
+        element_of_word(word.system, [a for pos, a in members if pos > t - k])
+        for k in range(t + 1)
+    ))
 
 
 def zeta(diagram: Diagram) -> WeylElement:
@@ -443,8 +441,8 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     word = diagram.word
     require_reduced(word)
     t = word.t
-    if not (1 <= j < m <= t):
-        raise DomainError(f"need 1 <= j < m <= {t}, got j={j}, m={m}")
+    if not (isinstance(j, int) and isinstance(m, int) and 1 <= j < m <= t):
+        raise DomainError(f"need integers 1 <= j < m <= {t}, got j={j!r}, m={m!r}")
     if m not in diagram.positions:
         raise DomainError(f"position m={m} must belong to the diagram")
     inside = set(diagram.positions)

@@ -25,8 +25,8 @@ identity and the full grid to the inverse of the word's element.
 Rendering: each box is a 3x3 character tile, '+' at the center for a
 crossing, '.' for the double turn, with '|' and '-' stubs on all four
 sides (every box carries two wires either way); labels are printed along
-all four edges.  trace_rendered_wiring parses that text back and walks
-the wires, using only the characters.
+all four edges.  trace_rendered_wiring reads the tiles of that text back,
+requires the labels above on each edge, and walks the wires.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ class GridShape:
     m: int
 
     def __post_init__(self):
+        if not (isinstance(self.p, int) and isinstance(self.m, int)):
+            raise DomainError(f"grid shape needs integers p and m, got {self.p!r}x{self.m!r}")
         if self.p < 1 or self.m < 1:
             raise DomainError(f"grid shape needs p >= 1 and m >= 1, got {self.p}x{self.m}")
         CartanType("A", self.n)  # the rank bound holds for grid words too
@@ -122,8 +124,8 @@ def linearize(grid: GridDiagram) -> Diagram:
 
 
 def grid_from_mask(shape: GridShape, mask: int) -> GridDiagram:
-    if not 0 <= mask < 1 << shape.size:
-        raise DomainError(f"mask {mask} outside 0..2^{shape.size}-1")
+    if not (isinstance(mask, int) and 0 <= mask < 1 << shape.size):
+        raise DomainError(f"mask {mask!r} is not an integer in 0..2^{shape.size}-1")
     boxes = []
     for k in range(1, shape.size + 1):
         if mask >> (k - 1) & 1:
@@ -252,50 +254,57 @@ def trace_rendered_wiring(text: str) -> tuple[int, ...]:
     """Walk the wires of a rendering and return the entry-to-exit permutation.
 
     Uses only the text: '+' passes both wires straight through, '.' turns
-    the north wire east and the west wire south.
+    the north wire east and the west wire south.  Each edge must show the
+    labels that the shape forces, or UsageError names the edge.
     """
     lines = text.splitlines()
     if len(lines) < 5 or (len(lines) - 2) % 3:
         raise UsageError("not a wiring rendering")
     p = (len(lines) - 2) // 3
-    first_mid = lines[2]
-    gut = first_mid.index("-")
+    mids = lines[2::3]  # the rows of tile centers
+    gut = mids[0].index("-")
     centers = []
     col = gut + 1
-    while col < len(first_mid) and first_mid[col] in "+.":
+    while col < len(mids[0]) and mids[0][col] in "+.":
         centers.append(col)
         col += 3
     m = len(centers)
 
-    def tile(r: int, c: int) -> str:
-        return lines[2 + 3 * r][centers[c]]
-
-    top_labels = [int(tok) for tok in lines[0].split()]
-    bottom_labels = [int(tok) for tok in lines[-1].split()]
-    left_labels = [int(lines[2 + 3 * r][:gut]) for r in range(p)]
-    right_labels = [int(lines[2 + 3 * r][gut + 3 * m + 1 :]) for r in range(p)]
-    if len(top_labels) != m or len(bottom_labels) != m:
-        raise UsageError("label rows do not match the tile columns")
+    # The shape forces every label (see the module docstring), so the text
+    # must show exactly those, and the walk reads them off (p, m): row r,
+    # 0-based, enters at p - r and exits at p + m - r; column c enters at
+    # p + c + 1 and exits at c + 1.
+    for edge, shown, forced in (
+        ("top", lines[0].split(), range(p + 1, p + m + 1)),
+        ("left", [line[:gut].strip() for line in mids], range(p, 0, -1)),
+        ("right", [line[gut + 3 * m + 1 :].strip() for line in mids], range(p + m, m, -1)),
+        ("bottom", lines[-1].split(), range(1, m + 1)),
+    ):
+        if shown != [str(k) for k in forced]:
+            raise UsageError(
+                f"{edge} labels {' '.join(shown)!r} are not the {p}x{m} grid's "
+                f"{' '.join(map(str, forced))!r}"
+            )
 
     def walk(r: int, c: int, side: str) -> int:
         while True:
-            cross = tile(r, c) == "+"
+            cross = mids[r][centers[c]] == "+"
             out = ("E" if cross else "S") if side == "W" else ("S" if cross else "E")
             if out == "E":
                 if c == m - 1:
-                    return right_labels[r]
+                    return p + m - r
                 c, side = c + 1, "W"
             else:
                 if r == p - 1:
-                    return bottom_labels[c]
+                    return c + 1
                 r, side = r + 1, "N"
 
     size = p + m
     sigma = [0] * size
     for r in range(p):
-        sigma[left_labels[r] - 1] = walk(r, 0, "W")
+        sigma[p - r - 1] = walk(r, 0, "W")
     for c in range(m):
-        sigma[top_labels[c] - 1] = walk(0, c, "N")
+        sigma[p + c] = walk(0, c, "N")
     assert sorted(sigma) == list(range(1, size + 1))
     return tuple(sigma)
 

@@ -127,6 +127,8 @@ class CartanType:
         if rule is None:
             raise InvalidRankError(self.family, self.rank, f"a family letter in {FAMILIES}")
         lo, hi, allowed = rule
+        if not isinstance(self.rank, int):
+            raise InvalidRankError(self.family, self.rank, f"an integer rank, got {self.rank!r}")
         if not lo <= self.rank <= hi:
             raise InvalidRankError(self.family, self.rank, allowed)
 
@@ -300,6 +302,8 @@ class RootSystem:
         return f"RootSystem({self.ctype})"
 
     def check_letter(self, i: int) -> None:
+        if not isinstance(i, int):
+            raise DomainError(f"simple-root index {i!r} is not an integer")
         if not 1 <= i <= self.rank:
             raise DomainError(f"simple-root index {i} out of range 1..{self.rank}")
 
@@ -529,3 +533,22 @@ def compose(system: RootSystem, w: WeylElement, u: WeylElement) -> WeylElement:
     _require_acts_on(system, u.matrix)
     prod = tuple(_apply(w.matrix, row) for row in u.matrix)
     return WeylElement(prod, _count_inversions(system, prod))
+
+
+__all__ = [
+    "CartanType",
+    "RootSystem",
+    "RootVector",
+    "WeylElement",
+    "apply_element",
+    "bilinear",
+    "build_root_system",
+    "compose",
+    "coroot_pairing",
+    "element_of_word",
+    "identity_element",
+    "invert",
+    "reflect",
+    "root_system",
+    "simple_reflection",
+]

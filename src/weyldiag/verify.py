@@ -362,9 +362,6 @@ def longest_word_census(ctype: CartanType) -> CensusResult:
 
 
 __all__ = [
-    "DEFAULT_SWEEP_CAP",
-    "SWEEP_CAP_ENV",
-    "sweep_cap",
     "enumerate_positive",
     "group_elements",
     "group_order",
@@ -372,7 +369,6 @@ __all__ = [
     "VerificationReport",
     "CensusResult",
     "detect_grid_shape",
-    "order_preservation_stats",
     "verify_word",
     "longest_word_census",
 ]

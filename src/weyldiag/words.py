@@ -235,7 +235,6 @@ __all__ = [
     "Word",
     "format_word",
     "is_reduced",
-    "require_reduced",
     "root_sequence",
     "reduced_word",
     "longest_word",

@@ -7,6 +7,7 @@ from weyldiag import (
     GridDiagram,
     GridShape,
     InvalidRankError,
+    UsageError,
     box_position,
     element_of_word,
     format_grid,
@@ -280,6 +281,27 @@ def test_trace_handles_two_digit_labels():
     for mask in masks:
         g = grid_from_mask(shape, mask)
         assert trace_rendered_wiring(render_wiring(g)) == pipe_dream_permutation(g)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+@pytest.mark.parametrize("defect", ["other script", "wrong number", "missing", "swapped"])
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 4)])
+def test_trace_requires_the_labels_the_shape_forces(p, m, defect):
+    lines = render_wiring(grid_from_mask(GridShape(p, m), 5)).splitlines()
+    last = str(p + m)  # the last top label and the top row's right label
+    if defect == "other script":
+        lines[2] = lines[2].removesuffix(last) + last.translate(ARABIC_INDIC)
+    elif defect == "wrong number":
+        lines[0] = lines[0].removesuffix(last) + str(p + m + 1)
+    elif defect == "missing":
+        lines[-1] = lines[-1].removesuffix(str(m)).rstrip()
+    else:
+        lines[0] = lines[0].replace(f"{p + 1}  {p + 2}", f"{p + 2}  {p + 1}")
+    edge = {"other script": "right", "missing": "bottom"}.get(defect, "top")
+    with pytest.raises(UsageError, match=f"^{edge} labels .* are not the {p}x{m} grid's"):
+        trace_rendered_wiring("\n".join(lines) + "\n")
 
 
 def test_grid_text_round_trip():

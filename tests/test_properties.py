@@ -1,8 +1,12 @@
 """Property tests: carried lengths, extension to w0 and zeta' over many
 types, reducedness by heights against the carried length, the inversion
 count against its dot-product reference, the descent pairings against the
-inverse matrix, the ascent walk's heights against dense matrix products, and
-the obstruction and Le walks against the ascent walk."""
+inverse matrix, the ascent walk's heights against dense matrix products, the
+obstruction and Le walks against the ascent walk, and palindromic size
+distributions against Bruhat-regularity and pattern avoidance."""
+
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -16,9 +20,13 @@ from weyldiag import (
     diagram_for,
     element_of_word,
     extend_to_w0,
+    group_elements,
     invert,
+    one_line,
     quantum_matrices_word,
     reduced_word,
+    reflect,
+    subword_products,
     zeta,
     zeta_prime,
 )
@@ -30,7 +38,7 @@ from weyldiag.diagrams import (
     _walk,
 )
 from weyldiag.grid import _le_walk
-from weyldiag.roots import _count_inversions, _identity_matrix
+from weyldiag.roots import _apply, _count_inversions, _identity_matrix
 
 from conftest import (
     PROPERTY_TYPES,
@@ -159,3 +167,93 @@ def grid_shapes(draw):
 @given(grid_shapes())
 def test_le_walk_equals_ascent_walk(shape):
     assert list(_le_walk(shape)) == ascent_walk(quantum_matrices_word(shape))
+
+
+# -- palindromic size distributions --------------------------------------------
+#
+# zeta is a length-preserving bijection onto [e, w], so the sizes of the
+# positive diagrams are the rank generating function of the interval.  It
+# is palindromic exactly when the Bruhat graph on [e, w] is regular
+# (Carrell-Peterson; Carrell, Proc. Symp. Pure Math. 56, 1994), and in type
+# A exactly when w avoids 3412 and 4231 (Lakshmibai-Sandhya).  The weaker
+# count #{t <= w} = l(w) is not enough outside type A.
+
+
+def size_distribution(word):
+    counts = [0] * (word.t + 1)
+    for positions in ascent_walk(word):
+        counts[len(positions)] += 1
+    return counts
+
+
+def reflection_matrices(system):
+    """s_beta for each positive root beta: row i is s_beta(alpha_i)."""
+    return [
+        tuple(reflect(system, beta, alpha) for alpha in system.simple_roots)
+        for beta in system.positive_roots
+    ]
+
+
+def bruhat_regular(word, reflections):
+    """Every u <= w has exactly l(w) reflections t with ut <= w, read off the
+    subword products alone; row i of ut is u applied to t(alpha_i)."""
+    below = {u.matrix for u in subword_products.__wrapped__(word)}
+    return all(
+        sum(tuple(_apply(u, row) for row in t) in below for t in reflections) == word.t
+        for u in below
+    )
+
+
+def avoids_3412_and_4231(sigma):
+    return all(
+        tuple(sorted(sub).index(x) for x in sub) not in ((2, 3, 0, 1), (3, 1, 2, 0))
+        for sub in combinations(sigma, 4)
+    )
+
+
+def palindrome_mismatches(family, rank, regularity=True):
+    """The elements w whose size distribution is palindromic where [e, w] is
+    not Bruhat-regular, or the other way round, or, in type A, where w
+    contains 3412 or 4231, or the other way round."""
+    system = system_of(family, rank)
+    reflections = reflection_matrices(system)
+    found = []
+    for w in sorted(group_elements(system), key=lambda w: (w.length, w.matrix)):
+        word = reduced_word(system, w)
+        counts = size_distribution(word)
+        palindromic = counts == counts[::-1]
+        if regularity and palindromic != bruhat_regular(word, reflections):
+            found.append((str(word), counts, "regularity"))
+        if family == "A" and palindromic != avoids_3412_and_4231(one_line(system, w)):
+            found.append((str(word), counts, "patterns"))
+    return found
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("D", 4), ("B", 4), ("A", 5),
+])
+def test_palindromic_iff_bruhat_regular_and_pattern_avoiding(family, rank):
+    # A5 (720 elements) checks the patterns alone; F4 passes too, but takes
+    # about 8 s.
+    assert palindrome_mismatches(family, rank, regularity=(family, rank) != ("A", 5)) == []
+
+
+def test_palindrome_check_fails_on_injected_defects(monkeypatch):
+    here = sys.modules[__name__]
+    real_walk, real_reflections = _walk, reflection_matrices
+
+    def dropping_the_top(word, step, start):
+        return ((p, s) for p, s in real_walk(word, step, start) if len(p) < word.t)
+
+    def shifting_size_one(word, step, start):
+        return ((p[1:] if len(p) == 1 else p, s) for p, s in real_walk(word, step, start))
+
+    for walk in (dropping_the_top, shifting_size_one):
+        monkeypatch.setattr(here, "_walk", walk)
+        assert palindrome_mismatches("A", 3)
+    monkeypatch.undo()
+    # The highest root's reflection replaced by alpha_1's.
+    monkeypatch.setattr(here, "reflection_matrices", lambda system: (
+        real_reflections(system)[:-1] + real_reflections(system)[:1]
+    ))
+    assert palindrome_mismatches("A", 3)

@@ -69,6 +69,7 @@ from .roots import (
     _orbit_point,
     _pack,
     _reflect_by,
+    _require_ints,
     _right_mul,
     _simple_image,
     _simple_update,
@@ -87,16 +88,11 @@ class Diagram:
 
     def __post_init__(self):
         positions = tuple(self.positions)
-        for pos in positions:
-            if not isinstance(pos, int):
-                raise DomainError(f"diagram position {pos!r} is not an integer")
+        _require_ints(positions, 1, self.word.t, "diagram position")
         positions = tuple(sorted(positions))
-        t = self.word.t
-        for k, pos in enumerate(positions):
-            if not 1 <= pos <= t:
-                raise DomainError(f"diagram position {pos} out of range 1..{t}")
-            if k and positions[k - 1] == pos:
-                raise DomainError(f"diagram position {pos} repeated")
+        if len(set(positions)) < len(positions):
+            pos = next(a for a, b in zip(positions, positions[1:]) if a == b)
+            raise DomainError(f"diagram position {pos} repeated")
         object.__setattr__(self, "positions", positions)
 
     @property
@@ -116,8 +112,7 @@ def format_diagram(diagram: Diagram) -> str:
 
 def diagram_from_mask(word: Word, mask: int) -> Diagram:
     """Positions of set bits, bit k-1 meaning position k."""
-    if not (isinstance(mask, int) and 0 <= mask < 1 << word.t):
-        raise DomainError(f"mask {mask!r} is not an integer in 0..2^{word.t}-1")
+    _require_ints((mask,), 0, (1 << word.t) - 1, "mask")
     return Diagram(word, tuple(k for k in range(1, word.t + 1) if mask >> (k - 1) & 1))
 
 
@@ -440,9 +435,8 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     """
     word = diagram.word
     require_reduced(word)
-    t = word.t
-    if not (isinstance(j, int) and isinstance(m, int) and 1 <= j < m <= t):
-        raise DomainError(f"need integers 1 <= j < m <= {t}, got j={j!r}, m={m!r}")
+    _require_ints((j,), 1, word.t - 1, "position j")
+    _require_ints((m,), j + 1, word.t, "position m")
     if m not in diagram.positions:
         raise DomainError(f"position m={m} must belong to the diagram")
     inside = set(diagram.positions)

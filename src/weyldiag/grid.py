@@ -33,9 +33,17 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import inf
 
 from .errors import DomainError, UsageError
-from .roots import CartanType, RootSystem, WeylElement, _require_acts_on, root_system
+from .roots import (
+    CartanType,
+    RootSystem,
+    WeylElement,
+    _require_acts_on,
+    _require_ints,
+    root_system,
+)
 from .words import Word, _parse_ints
 from .diagrams import Diagram, _walk
 
@@ -46,10 +54,7 @@ class GridShape:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.m, int)):
-            raise DomainError(f"grid shape needs integers p and m, got {self.p!r}x{self.m!r}")
-        if self.p < 1 or self.m < 1:
-            raise DomainError(f"grid shape needs p >= 1 and m >= 1, got {self.p}x{self.m}")
+        _require_ints((self.p, self.m), 1, inf, "grid side")
         CartanType("A", self.n)  # the rank bound holds for grid words too
 
     @property
@@ -76,15 +81,15 @@ class GridDiagram:
     boxes: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        # Each box once, as Diagram checks positions: integers, inside the
-        # grid, not repeated.
-        p, m = self.shape.p, self.shape.m
+        # Each box once, as Diagram checks positions: a pair of integers
+        # inside the grid, not repeated.
         boxes = set()
-        for r, c in self.boxes:
-            if not (isinstance(r, int) and isinstance(c, int)):
-                raise DomainError(f"box ({r!r},{c!r}) is not a pair of integers")
-            if not (1 <= r <= p and 1 <= c <= m):
-                raise DomainError(f"box ({r},{c}) outside the {p}x{m} grid")
+        for box in self.boxes:
+            try:
+                r, c = box
+            except (TypeError, ValueError):
+                raise DomainError(f"box {box!r} is not a pair") from None
+            box_position(self.shape, r, c)
             if (r, c) in boxes:
                 raise DomainError(f"box {r},{c} repeated")
             boxes.add((r, c))
@@ -96,14 +101,13 @@ class GridDiagram:
 
 def box_position(shape: GridShape, r: int, c: int) -> int:
     """Column-major linear position of box (r, c), 1-based."""
-    if not (1 <= r <= shape.p and 1 <= c <= shape.m):
-        raise DomainError(f"box ({r},{c}) outside the {shape.p}x{shape.m} grid")
+    _require_ints((r,), 1, shape.p, "box row")
+    _require_ints((c,), 1, shape.m, "box column")
     return (c - 1) * shape.p + r
 
 
 def position_box(shape: GridShape, k: int) -> tuple[int, int]:
-    if not 1 <= k <= shape.size:
-        raise DomainError(f"position {k} outside 1..{shape.size}")
+    _require_ints((k,), 1, shape.size, "grid position")
     c, r = divmod(k - 1, shape.p)
     return r + 1, c + 1
 
@@ -124,8 +128,7 @@ def linearize(grid: GridDiagram) -> Diagram:
 
 
 def grid_from_mask(shape: GridShape, mask: int) -> GridDiagram:
-    if not (isinstance(mask, int) and 0 <= mask < 1 << shape.size):
-        raise DomainError(f"mask {mask!r} is not an integer in 0..2^{shape.size}-1")
+    _require_ints((mask,), 0, (1 << shape.size) - 1, "mask")
     boxes = []
     for k in range(1, shape.size + 1):
         if mask >> (k - 1) & 1:
@@ -262,13 +265,15 @@ def trace_rendered_wiring(text: str) -> tuple[int, ...]:
         raise UsageError("not a wiring rendering")
     p = (len(lines) - 2) // 3
     mids = lines[2::3]  # the rows of tile centers
-    gut = mids[0].index("-")
+    gut = mids[0].find("-")
     centers = []
     col = gut + 1
     while col < len(mids[0]) and mids[0][col] in "+.":
         centers.append(col)
         col += 3
     m = len(centers)
+    if gut < 0 or not m:
+        raise UsageError("not a wiring rendering")
 
     # The shape forces every label (see the module docstring), so the text
     # must show exactly those, and the walk reads them off (p, m): row r,

@@ -117,6 +117,16 @@ _RANK_RULES: dict[str, tuple[int, int, str]] = {
 }
 
 
+def _require_ints(values, lo: int, hi: int, name: str) -> None:
+    """Refuse, with DomainError naming it, any value that is not an int in lo..hi.
+
+    The test is type(x) is int, so a bool (an int subclass) is refused too.
+    """
+    for x in values:
+        if type(x) is not int or not lo <= x <= hi:
+            raise DomainError(f"{name} {x!r} is not an integer in {lo}..{hi}")
+
+
 @dataclass(frozen=True)
 class CartanType:
     family: str
@@ -127,10 +137,10 @@ class CartanType:
         if rule is None:
             raise InvalidRankError(self.family, self.rank, f"a family letter in {FAMILIES}")
         lo, hi, allowed = rule
-        if not isinstance(self.rank, int):
-            raise InvalidRankError(self.family, self.rank, f"an integer rank, got {self.rank!r}")
-        if not lo <= self.rank <= hi:
-            raise InvalidRankError(self.family, self.rank, allowed)
+        try:
+            _require_ints((self.rank,), lo, hi, "rank")
+        except DomainError:
+            raise InvalidRankError(self.family, self.rank, allowed) from None
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -300,12 +310,6 @@ class RootSystem:
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype})"
-
-    def check_letter(self, i: int) -> None:
-        if not isinstance(i, int):
-            raise DomainError(f"simple-root index {i!r} is not an integer")
-        if not 1 <= i <= self.rank:
-            raise DomainError(f"simple-root index {i} out of range 1..{self.rank}")
 
 
 _SYSTEMS: dict[CartanType, RootSystem] = {}
@@ -492,10 +496,11 @@ def element_of_word(system: RootSystem, letters) -> WeylElement:
     m(alpha_i) > 0 and l(m) - 1 otherwise, which is exact for any word,
     reduced or not.
     """
+    letters = tuple(letters)
+    _require_ints(letters, 1, system.rank, "simple-root index")
     m = _identity_matrix(system.rank)
     ell = 0
     for i in letters:
-        system.check_letter(i)
         ell += 1 if sum(m[i - 1]) > 0 else -1
         m = _right_mul(m, i - 1, system._cartan_rows)
     return WeylElement(m, ell)

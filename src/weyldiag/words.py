@@ -29,6 +29,7 @@ from .roots import (
     WeylElement,
     _identity_matrix,
     _left_descents,
+    _require_ints,
     _right_mul,
     _simple_update,
     element_of_word,
@@ -42,8 +43,7 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
-        for i in self.letters:
-            self.system.check_letter(i)
+        _require_ints(self.letters, 1, self.system.rank, "simple-root index")
 
     @property
     def t(self) -> int:

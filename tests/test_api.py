@@ -10,11 +10,14 @@ import weyldiag
 from weyldiag import (
     DomainError,
     Diagram,
+    GridDiagram,
     GridShape,
     Word,
+    box_position,
     diagram_from_mask,
     element_of_word,
     grid_from_mask,
+    position_box,
     positivity_obstruction,
     quantum_matrices_word,
     root_system,
@@ -71,6 +74,22 @@ NON_INTEGERS = {
     "diagram mask": (lambda: diagram_from_mask(W121, 1.5), "1.5"),
     "grid mask": (lambda: grid_from_mask(GridShape(2, 2), 1.5), "1.5"),
     "obstruction pair": (lambda: positivity_obstruction(Diagram(W121, (2, 3)), 1.0, 3), "1.0"),
+    # A bool is an int subclass, and is refused all the same.
+    "rank bool": (lambda: root_system("A", True), "True"),
+    "word letter bool": (lambda: Word(A2, (True, 2)), "True"),
+    "element letter bool": (lambda: element_of_word(A2, [True]), "True"),
+    "diagram position bool": (lambda: Diagram(W121, (True,)), "True"),
+    "diagram mask bool": (lambda: diagram_from_mask(W121, True), "True"),
+    "grid mask bool": (lambda: grid_from_mask(GridShape(2, 2), True), "True"),
+    "grid shape bool": (lambda: GridShape(2, True), "True"),
+    "grid box bool": (lambda: GridDiagram(GridShape(2, 2), [(True, 1)]), "True"),
+    "box position bool": (lambda: box_position(GridShape(2, 3), 1, True), "True"),
+    "grid position bool": (lambda: position_box(GridShape(2, 3), True), "True"),
+    "obstruction pair bool": (lambda: positivity_obstruction(Diagram(W121, (2, 3)), True, 3), "True"),
+    # A grid box or position that is not an int.
+    "box position float": (lambda: box_position(GridShape(2, 3), 1.0, 1), "1.0"),
+    "grid position float": (lambda: position_box(GridShape(2, 3), 1.5), "1.5"),
+    "grid position str": (lambda: position_box(GridShape(2, 3), "1"), "'1'"),
 }
 
 

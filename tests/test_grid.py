@@ -57,6 +57,8 @@ def test_shape_validation():
         GridShape(0, 2)
     with pytest.raises(InvalidRankError):
         GridShape(40, 26)  # A65
+    with pytest.raises(InvalidRankError):
+        GridShape(65, 1)  # the sides have no upper bound of their own
     assert GridShape(40, 25).n == 64
     assert GridShape(1, 4).degenerate
     assert not GridShape(2, 2).degenerate
@@ -78,8 +80,8 @@ def test_grid_box_validation():
     with pytest.raises(DomainError):
         grid(2, 2, (3, 1))
     # Each box is checked as given: int() would read (1.9, 2) as (1, 2),
-    # and a frozenset would drop the repeat.
-    for boxes in ([(1, 2), (1, 2)], [(1.9, 2)], [("2", "2")]):
+    # a frozenset would drop the repeat, and a box must be a pair.
+    for boxes in ([(1, 2), (1, 2)], [(1.9, 2)], [("2", "2")], [(1, 2, 3)], [1]):
         with pytest.raises(DomainError):
             GridDiagram(GridShape(2, 2), boxes)
 
@@ -302,6 +304,12 @@ def test_trace_requires_the_labels_the_shape_forces(p, m, defect):
     edge = {"other script": "right", "missing": "bottom"}.get(defect, "top")
     with pytest.raises(UsageError, match=f"^{edge} labels .* are not the {p}x{m} grid's"):
         trace_rendered_wiring("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("text", ["a\nb\nc\nd\ne\n", "3  4\n\n2 -\n\n\n"])
+def test_trace_refuses_a_text_with_no_tiles(text):
+    with pytest.raises(UsageError, match="^not a wiring rendering$"):
+        trace_rendered_wiring(text)
 
 
 def test_grid_text_round_trip():

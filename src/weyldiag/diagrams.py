@@ -52,11 +52,10 @@ signed byte per coordinate (roots._pack).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from types import MappingProxyType
 
 from .errors import DomainError
 from .roots import (
@@ -301,16 +300,10 @@ def _descent_positions(word: Word, x: RootVector) -> tuple[int, ...] | None:
     return tuple(positions) if p == [2] * system.rank else None
 
 
-# Entries kept by subword_products and by _interval_points, each on its
-# own; each benchmark pass fills at most 14 of either.
-SUBWORD_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=SUBWORD_CACHE_SIZE)
-def _interval_points(word: Word) -> Mapping[RootVector, int]:
-    """{u(2 rho): l(u)} over the interval {u : u <= w}, read-only: the keys
-    verify_word compares the zeta images with.  The order stats scan each
-    positive diagram's own letters with the uncached __wrapped__.
+def _interval_points(word: Word) -> dict[RootVector, int]:
+    """{u(2 rho): l(u)} over the interval {u : u <= w}, a fresh dict the
+    caller owns: the keys verify_word takes the zeta images out of.  The
+    order stats scan each positive diagram's own letters the same way.
 
     A right-to-left scan over the letters from {2 rho: 0}.  Letter a takes
     each point v so far to s_a v, which is v with coordinate a lowered by
@@ -347,7 +340,12 @@ def _interval_points(word: Word) -> Mapping[RootVector, int]:
                 fresh[v[:a0] + (v[a0] - p,) + v[a0 + 1 :]] = n + 1
         points.update(fresh)
         where[a0] = len(points)
-    return MappingProxyType(points)
+    return points
+
+
+# Entries kept by subword_products, which bruhat_leq_oracle asks for the
+# same few words again and again; each benchmark pass fills at most 14.
+SUBWORD_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=SUBWORD_CACHE_SIZE)

@@ -26,7 +26,8 @@ Rendering: each box is a 3x3 character tile, '+' at the center for a
 crossing, '.' for the double turn, with '|' and '-' stubs on all four
 sides (every box carries two wires either way); labels are printed along
 all four edges.  trace_rendered_wiring reads the tiles of that text back,
-requires the labels above on each edge, and walks the wires.
+requires every tile and stub row to be one of those and the labels above
+on each edge, and walks the wires.
 """
 
 from __future__ import annotations
@@ -257,23 +258,33 @@ def trace_rendered_wiring(text: str) -> tuple[int, ...]:
     """Walk the wires of a rendering and return the entry-to-exit permutation.
 
     Uses only the text: '+' passes both wires straight through, '.' turns
-    the north wire east and the west wire south.  Each edge must show the
-    labels that the shape forces, or UsageError names the edge.
+    the north wire east and the west wire south.  Each row of tiles must
+    hold m tiles, each '-+-' or '-.-', with a space on either side, and
+    each stub row must be the one over those tiles, or UsageError names
+    the line; each edge must show the labels that the shape forces, or
+    UsageError names the edge.
     """
     lines = text.splitlines()
     if len(lines) < 5 or (len(lines) - 2) % 3:
         raise UsageError("not a wiring rendering")
     p = (len(lines) - 2) // 3
-    mids = lines[2::3]  # the rows of tile centers
+    mids = lines[2::3]  # the rows of tiles, line numbers 3, 6, ...
     gut = mids[0].find("-")
-    centers = []
-    col = gut + 1
-    while col < len(mids[0]) and mids[0][col] in "+.":
-        centers.append(col)
-        col += 3
-    m = len(centers)
+    m = 0
+    while mids[0][gut + 3 * m : gut + 3 * m + 3] in ("-+-", "-.-"):
+        m += 1
     if gut < 0 or not m:
         raise UsageError("not a wiring rendering")
+    # Between its labels, a row of m tiles, each '-+-' or '-.-', reads
+    # " -.--.- ... -.- " with '+' as '.'.
+    stub = (" " * (gut + 1) + "|  " * m).rstrip()
+    row = " " + "-.-" * m + " "
+    for k, line in enumerate(lines[1:-1], start=2):
+        if k % 3:
+            if line != stub:
+                raise UsageError(f"line {k} is not the stub row {stub!r}")
+        elif line[gut - 1 : gut + 3 * m + 1].replace("+", ".") != row:
+            raise UsageError(f"line {k} is not a row of {m} tiles '-+-' or '-.-'")
 
     # The shape forces every label (see the module docstring), so the text
     # must show exactly those, and the walk reads them off (p, m): row r,
@@ -293,7 +304,7 @@ def trace_rendered_wiring(text: str) -> tuple[int, ...]:
 
     def walk(r: int, c: int, side: str) -> int:
         while True:
-            cross = mids[r][centers[c]] == "+"
+            cross = mids[r][gut + 3 * c + 1] == "+"
             out = ("E" if cross else "S") if side == "W" else ("S" if cross else "E")
             if out == "E":
                 if c == m - 1:

@@ -90,6 +90,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import inf
 from operator import add, mul, neg
 
 from .errors import DomainError, InvalidRankError
@@ -328,9 +329,11 @@ def root_system(family: str, rank: int) -> RootSystem:
 
 
 def _require_rank(x: RootVector, rank: int) -> None:
-    # zip would silently truncate a vector of another length.
+    # zip would silently truncate a vector of another length, and the
+    # arithmetic would carry a float or a bool coordinate along.
     if len(x) != rank:
         raise DomainError(f"vector of length {len(x)} does not match rank {rank}")
+    _require_ints(x, -inf, inf, "coordinate")
 
 
 def bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:

@@ -4,8 +4,8 @@ verify_word walks the diagrams once (diagrams._walk), with the ascent,
 length and obstruction rules side by side (_lockstep_step), and checks each
 leaf as it arrives, in ascending bitmask order: the rules must pass the
 same leaves, and each length leaf's key (u(2 rho), length) is taken out of
-a copy of the interval's, which diagrams._interval_points builds from
-2 rho under left multiplication without any matrix, and sent back to its
+the interval's, a dict diagrams._interval_points builds afresh from 2 rho
+under left multiplication without any matrix, and sent back to its
 diagram.  Letters are multiplied out only for interval points no leaf
 took.  On a grid word the Le rule walks beside it (grid._le_walk), and
 each of its leaves is compared with the next positive leaf as both arrive.
@@ -233,8 +233,8 @@ def order_preservation_stats(word: Word, keys: dict) -> dict:
     system, letters = word.system, word.letters
     bruhat_pairs = nested = 0
     for x2, mask2 in keys.items():
-        # Uncached, and dropped after this pass: one interval at a time.
-        below = _interval_points.__wrapped__(
+        # Dropped after this pass: one interval at a time.
+        below = _interval_points(
             Word(system, [a for k, a in enumerate(letters) if mask2 >> k & 1])
         )
         for x1 in below:
@@ -288,8 +288,10 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     # rows alone, so each checks the other: exactly the positive diagrams
     # trip no root-sum obstruction pair.
     system = word.system
-    interval = _interval_points(word)
-    unmatched = dict(interval)
+    # The leaves take their keys out of the interval dict, so what is left
+    # at the end is the points no leaf took.
+    unmatched = _interval_points(word)
+    interval_count = len(unmatched)
     shape = detect_grid_shape(word)
     # On a grid word the Le rule walks on its own, and one of its leaves is
     # taken per positive leaf; elsewhere the check stays None and reads none.
@@ -313,7 +315,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
             roundtrip_ok = roundtrip_ok and _descent_positions(word, x) == p
             if keys is not None:
                 keys[x] = sum(1 << (k - 1) for k in p)
-    bijection_ok = bijection_ok and not unmatched and len(interval) == positive_count
+    bijection_ok = bijection_ok and not unmatched and interval_count == positive_count
 
     # The interval points no leaf took, of which there are none when the
     # bijection holds, are sent back as well.
@@ -328,7 +330,7 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
         word=format_word(word),
         total_diagrams=1 << word.t,
         positive_count=positive_count,
-        interval_count=len(interval),
+        interval_count=interval_count,
         bijection_ok=bijection_ok,
         roundtrip_ok=roundtrip_ok,
         dual_ok=dual_ok,

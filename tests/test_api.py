@@ -13,13 +13,17 @@ from weyldiag import (
     GridDiagram,
     GridShape,
     Word,
+    apply_element,
+    bilinear,
     box_position,
+    coroot_pairing,
     diagram_from_mask,
     element_of_word,
     grid_from_mask,
     position_box,
     positivity_obstruction,
     quantum_matrices_word,
+    reflect,
     root_system,
 )
 from weyldiag import diagrams, errors, grid, roots, verify, words
@@ -90,6 +94,11 @@ NON_INTEGERS = {
     "box position float": (lambda: box_position(GridShape(2, 3), 1.0, 1), "1.0"),
     "grid position float": (lambda: position_box(GridShape(2, 3), 1.5), "1.5"),
     "grid position str": (lambda: position_box(GridShape(2, 3), "1"), "'1'"),
+    # A root vector's coordinates, wherever a vector enters.
+    "applied vector": (lambda: apply_element(element_of_word(A2, (1,)), (1.0, True)), "1.0"),
+    "reflected vector": (lambda: reflect(A2, (1.0, 0), (0, 1)), "1.0"),
+    "paired vector": (lambda: coroot_pairing(A2, (True, 0), (0.5, 1)), "True"),
+    "bilinear vector": (lambda: bilinear(A2, (1, 0), (0, 2.0)), "2.0"),
 }
 
 

@@ -242,7 +242,7 @@ def test_interval_points_are_the_keys_of_the_subword_products(family, rank):
     for word in words:
         products = subword_products.__wrapped__(word)
         keys = {_orbit_point(system, u.matrix): u.length for u in products}
-        assert _interval_points.__wrapped__(word) == keys, word
+        assert _interval_points(word) == keys, word
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])

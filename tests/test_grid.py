@@ -306,6 +306,24 @@ def test_trace_requires_the_labels_the_shape_forces(p, m, defect):
         trace_rendered_wiring("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("line,text,message", [
+    (6, "1 -x--x- 3", "not a row of 2 tiles"),
+    (6, "1 -.- 3", "not a row of 2 tiles"),
+    (3, "2 -+--+-x4", "not a row of 2 tiles"),
+    (3, "2 -+--+-4", "not a row of 2 tiles"),
+    (2, "garbage", "not the stub row"),
+    (4, "   |  |  ", "not the stub row"),
+])
+def test_trace_requires_every_tile_and_stub_row(line, text, message):
+    # Defects where the walk does not look: it reads only '+' at the tile
+    # centers, so with line 6 as "1 -x--x- 3", or line 2 as "garbage", it
+    # would still trace mask 5 to (1, 4, 2, 3).
+    lines = render_wiring(grid_from_mask(GridShape(2, 2), 5)).splitlines()
+    lines[line - 1] = text
+    with pytest.raises(UsageError, match=f"^line {line} is {message}"):
+        trace_rendered_wiring("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("text", ["a\nb\nc\nd\ne\n", "3  4\n\n2 -\n\n\n"])
 def test_trace_refuses_a_text_with_no_tiles(text):
     with pytest.raises(UsageError, match="^not a wiring rendering$"):

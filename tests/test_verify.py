@@ -148,16 +148,14 @@ def test_order_stats_reported_not_asserted(a2):
 
 
 def test_order_stats_leave_the_interval_cache_alone(a3):
-    from weyldiag.diagrams import _interval_points, subword_products
+    from weyldiag.diagrams import subword_products
 
-    # The stats compute one below-set per positive diagram (24 here), none
-    # of them cached; verify keys the word's own interval by its points and
-    # builds no matrix set for it.
+    # The stats scan one below-set per positive diagram (24 here) from
+    # 2 rho; verify keys the word's own interval by its points and builds
+    # no matrix set for it.
     subword_products.cache_clear()
-    _interval_points.cache_clear()
     verify_word(longest_word(a3), include_order_stats=True)
     assert subword_products.cache_info().currsize == 0
-    assert _interval_points.cache_info().currsize == 1
 
 
 def _full_report(**changes):
@@ -243,25 +241,24 @@ def test_order_stats_match_the_subword_product_oracle(name):
 
 
 def test_interval_and_group_caches_are_bounded():
-    from weyldiag.diagrams import SUBWORD_CACHE_SIZE, _interval_points, subword_products
+    from weyldiag.diagrams import SUBWORD_CACHE_SIZE, subword_products
     from weyldiag.verify import GROUP_CACHE_SIZE
 
     assert group_elements.cache_info().maxsize == GROUP_CACHE_SIZE == 16
     words = list(dict.fromkeys(random_reduced_words(system_of("A", 4), 400, 8, seed=5)))
     words = words[:SUBWORD_CACHE_SIZE + 1]
     assert len(words) == SUBWORD_CACHE_SIZE + 1
-    for oracle in (subword_products, _interval_points):
-        assert oracle.cache_info().maxsize == SUBWORD_CACHE_SIZE == 64
-        oracle.cache_clear()
-        for word in words:
-            oracle(word)
-        filled = oracle.cache_info()
-        assert filled.currsize == SUBWORD_CACHE_SIZE
-        oracle(words[1])  # the oldest entry left is still cached
-        assert oracle.cache_info().hits == filled.hits + 1
-        oracle(words[0])  # the 65th word evicted the first
-        assert oracle.cache_info().misses == filled.misses + 1
-        oracle.cache_clear()
+    assert subword_products.cache_info().maxsize == SUBWORD_CACHE_SIZE == 64
+    subword_products.cache_clear()
+    for word in words:
+        subword_products(word)
+    filled = subword_products.cache_info()
+    assert filled.currsize == SUBWORD_CACHE_SIZE
+    subword_products(words[1])  # the oldest entry left is still cached
+    assert subword_products.cache_info().hits == filled.hits + 1
+    subword_products(words[0])  # the 65th word evicted the first
+    assert subword_products.cache_info().misses == filled.misses + 1
+    subword_products.cache_clear()
 
 
 def test_sweep_cap_guard(monkeypatch):
@@ -884,6 +881,33 @@ def test_checks_fail_on_a_walk_that_drops_its_last_leaf(monkeypatch, a3):
         "inclusion_pairs": 133, "inclusion_and_bruhat": 133,
         "bruhat_pairs": 166, "bruhat_and_inclusion": 133,
     }
+
+
+def test_verify_takes_each_leaf_key_out_of_the_interval_dict(monkeypatch, a3):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag.roots import _orbit_point, element_of_word
+
+    # verify_word keeps no copy of the interval: each leaf takes its key out
+    # of the dict the scan returned, so what is left is the points no leaf
+    # took.
+    handed = []
+
+    def recording(word):
+        handed.append(diagrams._interval_points(word))
+        return handed[-1]
+
+    monkeypatch.setattr(verify_mod, "_interval_points", recording)
+    word = longest_word(a3)
+    assert verify_word(word).all_ok()
+    assert handed == [{}]
+
+    real = diagrams._walk
+    monkeypatch.setattr(verify_mod, "_walk", lambda *args: list(real(*args))[:-1])
+    top = element_of_word(a3, word.letters)
+    handed.clear()
+    assert not verify_word(word).bijection_ok
+    assert handed == [{_orbit_point(a3, top.matrix): top.length}]
 
 
 def _read_off_without_the_offset(system, columns):

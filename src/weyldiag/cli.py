@@ -220,7 +220,7 @@ def _dispatch(args, out, err) -> int:
     elif command == "verify":
         report = verify_word(word, include_order_stats=args.order_stats)
         code = EXIT_OK if report.all_ok() else EXIT_VERIFY_FAILED
-        if args.output:
+        if args.output is not None:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(report.to_json(include_elapsed=args.elapsed))

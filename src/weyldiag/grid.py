@@ -25,9 +25,9 @@ identity and the full grid to the inverse of the word's element.
 Rendering: each box is a 3x3 character tile, '+' at the center for a
 crossing, '.' for the double turn, with '|' and '-' stubs on all four
 sides (every box carries two wires either way); labels are printed along
-all four edges.  trace_rendered_wiring reads the tiles of that text back,
-requires every tile and stub row to be one of those and the labels above
-on each edge, and walks the wires.
+all four edges.  render_wiring alone states that layout:
+trace_rendered_wiring accepts exactly the text it writes, by reading the
+crossings back and rendering them again, and then walks the wires.
 """
 
 from __future__ import annotations
@@ -257,14 +257,17 @@ def render_wiring(grid: GridDiagram) -> str:
 def trace_rendered_wiring(text: str) -> tuple[int, ...]:
     """Walk the wires of a rendering and return the entry-to-exit permutation.
 
-    Uses only the text: '+' passes both wires straight through, '.' turns
-    the north wire east and the west wire south.  Each row of tiles must
-    hold m tiles, each '-+-' or '-.-', with a space on either side, and
-    each stub row must be the one over those tiles, or UsageError names
-    the line; each edge must show the labels that the shape forces, or
-    UsageError names the edge.
+    Accepts exactly the text render_wiring writes: the shape is read off
+    the line count (p) and the first row of tiles (m), the crossings off
+    the '+' at the tile centers, and the text must then equal the rendering
+    of that filling line for line, or UsageError names the first line that
+    differs and the line expected there.  A text whose shape lies beyond
+    the rank cap cannot be a rendering: GridShape raises InvalidRankError.
+    The wires are then walked over the crossings alone: '+' passes both
+    wires straight through, '.' turns the north wire east and the west
+    wire south.
     """
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
     if len(lines) < 5 or (len(lines) - 2) % 3:
         raise UsageError("not a wiring rendering")
     p = (len(lines) - 2) // 3
@@ -275,53 +278,32 @@ def trace_rendered_wiring(text: str) -> tuple[int, ...]:
         m += 1
     if gut < 0 or not m:
         raise UsageError("not a wiring rendering")
-    # Between its labels, a row of m tiles, each '-+-' or '-.-', reads
-    # " -.--.- ... -.- " with '+' as '.'.
-    stub = (" " * (gut + 1) + "|  " * m).rstrip()
-    row = " " + "-.-" * m + " "
-    for k, line in enumerate(lines[1:-1], start=2):
-        if k % 3:
-            if line != stub:
-                raise UsageError(f"line {k} is not the stub row {stub!r}")
-        elif line[gut - 1 : gut + 3 * m + 1].replace("+", ".") != row:
-            raise UsageError(f"line {k} is not a row of {m} tiles '-+-' or '-.-'")
+    boxes = {
+        (r, c)
+        for r in range(1, p + 1)
+        for c in range(1, m + 1)
+        if mids[r - 1][gut + 3 * c - 2 : gut + 3 * c - 1] == "+"
+    }
+    rendered = render_wiring(GridDiagram(GridShape(p, m), boxes)).splitlines(keepends=True)
+    for k, (line, expected) in enumerate(zip(lines, rendered), start=1):
+        if line != expected:
+            raise UsageError(f"line {k} is {line!r}, expected {expected!r}")
 
-    # The shape forces every label (see the module docstring), so the text
-    # must show exactly those, and the walk reads them off (p, m): row r,
-    # 0-based, enters at p - r and exits at p + m - r; column c enters at
-    # p + c + 1 and exits at c + 1.
-    for edge, shown, forced in (
-        ("top", lines[0].split(), range(p + 1, p + m + 1)),
-        ("left", [line[:gut].strip() for line in mids], range(p, 0, -1)),
-        ("right", [line[gut + 3 * m + 1 :].strip() for line in mids], range(p + m, m, -1)),
-        ("bottom", lines[-1].split(), range(1, m + 1)),
-    ):
-        if shown != [str(k) for k in forced]:
-            raise UsageError(
-                f"{edge} labels {' '.join(shown)!r} are not the {p}x{m} grid's "
-                f"{' '.join(map(str, forced))!r}"
-            )
-
-    def walk(r: int, c: int, side: str) -> int:
-        while True:
-            cross = mids[r][gut + 3 * c + 1] == "+"
-            out = ("E" if cross else "S") if side == "W" else ("S" if cross else "E")
-            if out == "E":
-                if c == m - 1:
-                    return p + m - r
-                c, side = c + 1, "W"
-            else:
-                if r == p - 1:
-                    return c + 1
-                r, side = r + 1, "N"
-
-    size = p + m
-    sigma = [0] * size
-    for r in range(p):
-        sigma[p - r - 1] = walk(r, 0, "W")
-    for c in range(m):
-        sigma[p + c] = walk(0, c, "N")
-    assert sorted(sigma) == list(range(1, size + 1))
+    # Sweep the tiles row by row, carrying the entry label of the wire on
+    # each tile's west and north side (row r enters at p + 1 - r, column c
+    # at p + c): a turn swaps the two, a crossing passes both straight on.
+    # Row r's wire leaves east at p + m + 1 - r, column c's south at c.
+    sigma = [0] * (p + m)
+    north = list(range(p + 1, p + m + 1))
+    for r in range(1, p + 1):
+        west = p + 1 - r
+        for c in range(1, m + 1):
+            if (r, c) not in boxes:
+                west, north[c - 1] = north[c - 1], west
+        sigma[west - 1] = p + m + 1 - r
+    for c, entry in enumerate(north, start=1):
+        sigma[entry - 1] = c
+    assert sorted(sigma) == list(range(1, p + m + 1))
     return tuple(sigma)
 
 

@@ -86,8 +86,8 @@ class Word:
         """Row l lists the nonzero (k, (beta_l^vee, alpha_k)), so its dot
         product with x is (beta_l^vee, x) by linearity.  The obstruction rule
         reads them at every position it leaves out, so they are built on
-        first read: t * n coroot pairings, at most 24 * 32 for a word that
-        verify accepts (t <= 24 by default) at rank 32.  The form values
+        first read: t * n coroot pairings, at most 24 * 64 for a word that
+        verify accepts (t <= 24 by default) at the rank cap 64.  The form values
         (beta_l, alpha_k) come off the sparse Cartan columns scaled by the
         symmetrizer, and the norm ||beta_l||^2 = sum_k beta_l[k] (beta_l,
         alpha_k) from them, so a row costs O(n) and no bilinear call."""

@@ -249,11 +249,12 @@ def test_verify_output_file(tmp_path):
 
 def test_verify_output_to_unwritable_path_gives_exit_2(tmp_path):
     target = tmp_path / "missing" / "report.json"
-    res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1",
-               "--output", str(target)])
-    assert res.exit_code == 2
-    assert res.stderr.startswith("error: cannot write report: ")
-    assert res.stdout == ""
+    for path in (str(target), ""):  # an empty path names no file either
+        res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1",
+                   "--output", path])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: cannot write report: ")
+        assert res.stdout == ""
     assert not target.exists()
 
 

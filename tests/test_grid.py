@@ -1,3 +1,4 @@
+import re
 from math import factorial
 
 import pytest
@@ -277,36 +278,62 @@ def test_trace_of_rendering_reproduces_permutation(p, m):
 def test_trace_handles_two_digit_labels():
     import random
 
-    shape = GridShape(5, 6)  # 11 wires, two-digit labels
     rng = random.Random(47)
-    masks = [0, (1 << shape.size) - 1] + [rng.randrange(1 << shape.size) for _ in range(10)]
-    for mask in masks:
-        g = grid_from_mask(shape, mask)
-        assert trace_rendered_wiring(render_wiring(g)) == pipe_dream_permutation(g)
+    # 11 wires, and the rank-cap shape: 65 wires, labels up to 65.
+    for shape in (GridShape(5, 6), GridShape(32, 33)):
+        masks = [0, (1 << shape.size) - 1] + [rng.randrange(1 << shape.size) for _ in range(10)]
+        for mask in masks:
+            g = grid_from_mask(shape, mask)
+            assert trace_rendered_wiring(render_wiring(g)) == pipe_dream_permutation(g)
+
+
+@pytest.mark.parametrize("p,m", [(1, 4), (4, 1), (5, 6), (32, 33)])
+def test_render_labels_each_edge_as_the_module_docstring_says(p, m):
+    # The trace checks a text by rendering it again, so the labels are
+    # checked against the docstring's formulas here: row r shows p + 1 - r
+    # on the left and p + m + 1 - r on the right, column c shows p + c on
+    # top and c at the bottom.
+    lines = render_wiring(grid_from_mask(GridShape(p, m), 5)).splitlines()
+    mids = lines[2::3]
+    gut = mids[0].find("-")
+    assert lines[0].split() == [str(p + c) for c in range(1, m + 1)]
+    assert [line[:gut].strip() for line in mids] == [str(p + 1 - r) for r in range(1, p + 1)]
+    assert [line[gut + 3 * m + 1 :].strip() for line in mids] == [
+        str(p + m + 1 - r) for r in range(1, p + 1)
+    ]
+    assert lines[-1].split() == [str(c) for c in range(1, m + 1)]
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
 
-@pytest.mark.parametrize("defect", ["other script", "wrong number", "missing", "swapped"])
+@pytest.mark.parametrize("defect", [
+    "other script", "wrong number", "missing", "swapped",
+    "top spread", "top shifted", "bottom spread", "right padded", "right spaced",
+])
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 4)])
 def test_trace_requires_the_labels_the_shape_forces(p, m, defect):
     lines = render_wiring(grid_from_mask(GridShape(p, m), 5)).splitlines()
     last = str(p + m)  # the last top label and the top row's right label
-    if defect == "other script":
-        lines[2] = lines[2].removesuffix(last) + last.translate(ARABIC_INDIC)
-    elif defect == "wrong number":
-        lines[0] = lines[0].removesuffix(last) + str(p + m + 1)
-    elif defect == "missing":
-        lines[-1] = lines[-1].removesuffix(str(m)).rstrip()
-    else:
-        lines[0] = lines[0].replace(f"{p + 1}  {p + 2}", f"{p + 2}  {p + 1}")
-    edge = {"other script": "right", "missing": "bottom"}.get(defect, "top")
-    with pytest.raises(UsageError, match=f"^{edge} labels .* are not the {p}x{m} grid's"):
+    edits = {  # defect: (line number, that line as edited)
+        "other script": (3, lines[2].removesuffix(last) + last.translate(ARABIC_INDIC)),
+        "wrong number": (1, lines[0].removesuffix(last) + str(p + m + 1)),
+        "missing": (len(lines), lines[-1].removesuffix(str(m)).rstrip()),
+        "swapped": (1, lines[0].replace(f"{p + 1}  {p + 2}", f"{p + 2}  {p + 1}")),
+        # The right labels in the wrong place: a reading of the label rows
+        # with split() or strip() would take these.
+        "top spread": (1, lines[0].replace(f"{p + 1}  ", f"{p + 1}     ")),
+        "top shifted": (1, " " + lines[0].lstrip()),
+        "bottom spread": (len(lines), lines[-1].replace("1  ", "1    ")),
+        "right padded": (3, lines[2] + "   "),
+        "right spaced": (len(lines) - 2, lines[-3].replace("- ", "-  ")),
+    }
+    k, lines[k - 1] = edits[defect]
+    with pytest.raises(UsageError, match=f"^line {k} is "):
         trace_rendered_wiring("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("line,text,message", [
+@pytest.mark.parametrize("line,text,defect", [
     (6, "1 -x--x- 3", "not a row of 2 tiles"),
     (6, "1 -.- 3", "not a row of 2 tiles"),
     (3, "2 -+--+-x4", "not a row of 2 tiles"),
@@ -314,13 +341,15 @@ def test_trace_requires_the_labels_the_shape_forces(p, m, defect):
     (2, "garbage", "not the stub row"),
     (4, "   |  |  ", "not the stub row"),
 ])
-def test_trace_requires_every_tile_and_stub_row(line, text, message):
+def test_trace_requires_every_tile_and_stub_row(line, text, defect):
     # Defects where the walk does not look: it reads only '+' at the tile
     # centers, so with line 6 as "1 -x--x- 3", or line 2 as "garbage", it
-    # would still trace mask 5 to (1, 4, 2, 3).
+    # would still trace mask 5 to (1, 4, 2, 3).  The error shows the line
+    # the rendering has there.
     lines = render_wiring(grid_from_mask(GridShape(2, 2), 5)).splitlines()
+    expected = repr(lines[line - 1] + "\n")
     lines[line - 1] = text
-    with pytest.raises(UsageError, match=f"^line {line} is {message}"):
+    with pytest.raises(UsageError, match=f"^line {line} is .*, expected {re.escape(expected)}$"):
         trace_rendered_wiring("\n".join(lines) + "\n")
 
 
@@ -328,6 +357,17 @@ def test_trace_requires_every_tile_and_stub_row(line, text, message):
 def test_trace_refuses_a_text_with_no_tiles(text):
     with pytest.raises(UsageError, match="^not a wiring rendering$"):
         trace_rendered_wiring(text)
+
+
+@pytest.mark.parametrize("p,m", [(1, 65), (33, 33)])
+def test_trace_refuses_a_shape_beyond_the_rank_cap(p, m):
+    # The shape is read off the line count and the first row of tiles
+    # before any line is compared, and GridShape refuses a grid word beyond
+    # A64: no rendering has that shape.
+    lines = [""] * (3 * p + 2)
+    lines[2] = "1 " + "-.-" * m
+    with pytest.raises(InvalidRankError):
+        trace_rendered_wiring("\n".join(lines) + "\n")
 
 
 def test_grid_text_round_trip():

@@ -62,17 +62,18 @@ from .roots import (
     IntMatrix,
     RootVector,
     WeylElement,
+    _coroot_pairing,
     _count_inversions,
     _descent_pairings,
     _identity_matrix,
     _orbit_point,
     _pack,
+    _packed_product,
     _reflect_by,
     _require_ints,
     _right_mul,
     _simple_image,
     _simple_update,
-    coroot_pairing,
     element_of_word,
 )
 from .words import Word, require_reduced
@@ -451,7 +452,7 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
     gammas[p] = beta_m
     for i in range(p, 0, -1):
         beta_l = betas[ls[i - 1] - 1]
-        coeffs[i - 1] = a = coroot_pairing(system, beta_l, gammas[i])
+        coeffs[i - 1] = a = _coroot_pairing(system, beta_l, gammas[i])
         gammas[i - 1] = _reflect_by(beta_l, a, gammas[i])
         accumulated = [x + a * b for x, b in zip(accumulated, beta_l)]
     trace = GammaTrace(j, m, ls, tuple(gammas), tuple(coeffs))
@@ -467,7 +468,7 @@ def positivity_obstruction(diagram: Diagram, j: int, m: int) -> ObstructionCheck
 def _obstruction_start(word: Word):
     # (w^{-1} packed row by row, no members): the word's letters reversed,
     # multiplied out.
-    return tuple(map(_pack, element_of_word(word.system, word.letters[::-1]).matrix)), frozenset()
+    return tuple(_packed_product(word.system, word.letters[::-1])[0]), frozenset()
 
 
 def _obstruction_step(word: Word, j: int, state):

@@ -61,6 +61,17 @@ By regularity u(2 rho) is a one-to-one key of u (ibid. 1.12): 2 rho dotted
 with the columns of the matrix (_orbit_point), or the byte sums of packed
 image columns, the images of all N roots summed (_orbit_point_of_columns).
 
+Products of letters carry the same packing row by row: each row of the
+matrix, a root, packed one signed byte per coordinate (_pack), beside its
+height (_packed_product).  No root coefficient exceeds the highest root's,
+at most 6 in absolute value (E8), and each RootSystem asserts that a byte
+holds them, so a letter updates each row listed in its Cartan row with one
+big-int multiply-subtract and builds no tuple.  element_of_word and
+words.root_sequence unpack the rows to tuples once, at the end (_unpack),
+and a row no letter touched stays the identity's own tuple.  _right_mul,
+the product on tuples, serves only the oracles (diagrams.subword_products,
+verify.group_elements), so they share no kernel with what they check.
+
 The positive roots are the closure of the simple roots under raising
 reflections: if <alpha_i^vee, beta> = k < 0, then s_i(beta) = beta - k
 alpha_i is a higher positive root, and every positive root beta that is
@@ -92,6 +103,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import inf
 from operator import add, mul, neg
+from struct import Struct
 
 from .errors import DomainError, InvalidRankError
 
@@ -286,6 +298,13 @@ class RootSystem:
                 frontier.append((up, h - k, up_pair, up_negative))
         positive = [x for h in sorted(levels) for x in sorted(levels[h])]
 
+        # Products carry each row packed one signed byte per coordinate
+        # (_packed_product); every row is a root, and the highest root bounds
+        # the coefficients of every root, 6 at most (E8).
+        assert max(positive[-1]) < 128, "root coefficients must fit a signed byte"
+        self._packed_identity = tuple(map(_pack, self.simple_roots))
+        self._byte_bias = int.from_bytes(b"\x80" * n, "little")
+        self._signed_bytes = Struct(f"<{n}b")
         self.positive_roots: tuple[RootVector, ...] = tuple(positive)
         self.num_positive_roots = len(positive)
         self.two_rho: RootVector = tuple(map(sum, zip(*positive)))
@@ -339,8 +358,13 @@ def _require_rank(x: RootVector, rank: int) -> None:
 def bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:
     _require_rank(x, system.rank)
     _require_rank(y, system.rank)
+    return _bilinear(system, x, y)
+
+
+def _bilinear(system: RootSystem, x: RootVector, y: RootVector) -> int:
     # x . form . y, where form[i][j] = symmetrizer[i] * a[i][j]: row i of the
-    # form is sparse Cartan row i scaled.
+    # form is sparse Cartan row i scaled.  Unchecked: for vectors the
+    # library built.
     rows, d = system._cartan_rows, system.symmetrizer
     return sum(xi * d[i] * sum(c * y[j] for j, c in rows[i]) for i, xi in enumerate(x) if xi)
 
@@ -350,8 +374,16 @@ def coroot_pairing(system: RootSystem, beta: RootVector, x: RootVector) -> int:
     beta = tuple(beta)
     if beta not in system.roots:
         raise DomainError(f"{beta} is not a root of {system.ctype}")
-    num = bilinear(system, beta, x)
-    d = bilinear(system, beta, beta) // 2
+    _require_rank(beta, system.rank)
+    _require_rank(x, system.rank)
+    return _coroot_pairing(system, beta, x)
+
+
+def _coroot_pairing(system: RootSystem, beta: RootVector, x: RootVector) -> int:
+    # coroot_pairing without its checks, for a beta the library built as a
+    # root; the integrality is still asserted.
+    num = _bilinear(system, beta, x)
+    d = _bilinear(system, beta, beta) // 2
     assert num % d == 0, "coroot pairing must be integral on the root lattice"
     return num // d
 
@@ -386,7 +418,9 @@ def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
     # Matrix of (elem . s_a): new row j = row j - a[a0][j] * row a0, so only
     # the rows listed in Cartan row a0 change; the others stay shared.  The
     # entry is 2 only on the diagonal, where the new row is -row a0; off it
-    # the entry is most often -1, and the new row a plain sum.
+    # the entry is most often -1, and the new row a plain sum.  Only the
+    # oracles (subword_products, group_elements) multiply by it: products of
+    # words go through _packed_product, so the two share no kernel.
     arow = m[a0]
     out = list(m)
     for j, c in rows[a0]:
@@ -397,6 +431,34 @@ def _right_mul(m: IntMatrix, a0: int, rows: SparseLines) -> IntMatrix:
         else:
             out[j] = tuple([v - c * w for v, w in zip(m[j], arow)])
     return tuple(out)
+
+
+def _packed_product(system: RootSystem, letters) -> tuple[list[int], list[tuple[int, int]]]:
+    # The rows of s_{a_1} ... s_{a_t}, each packed into one int (_pack),
+    # beside their heights.  Letter a takes row j to row j - c * row a for
+    # each (j, c) in Cartan row a, as _right_mul does, with one big-int
+    # multiply-subtract and no tuple built.  Returns the packed rows and,
+    # for each letter, row a and its height before the letter joins: the
+    # packed beta_k and its sign.
+    rows = system._cartan_rows
+    packed = list(system._packed_identity)
+    heights = [1] * system.rank
+    steps = []
+    for i in letters:
+        x, h = packed[i - 1], heights[i - 1]
+        steps.append((x, h))
+        for j, c in rows[i - 1]:
+            packed[j] -= c * x
+            heights[j] -= c * h
+    return packed, steps
+
+
+def _unpack(system: RootSystem, x: int) -> RootVector:
+    # The n coordinates of a packed vector.  Adding 128 to each byte leaves
+    # no negative byte to borrow from the next, the xor takes each byte back
+    # to its coordinate mod 256, and n signed bytes read it.
+    bias = system._byte_bias
+    return system._signed_bytes.unpack(((x + bias) ^ bias).to_bytes(system.rank, "little"))
 
 
 def _apply(m: IntMatrix, x: RootVector) -> RootVector:
@@ -501,12 +563,13 @@ def element_of_word(system: RootSystem, letters) -> WeylElement:
     """
     letters = tuple(letters)
     _require_ints(letters, 1, system.rank, "simple-root index")
-    m = _identity_matrix(system.rank)
-    ell = 0
-    for i in letters:
-        ell += 1 if sum(m[i - 1]) > 0 else -1
-        m = _right_mul(m, i - 1, system._cartan_rows)
-    return WeylElement(m, ell)
+    packed, steps = _packed_product(system, letters)
+    # A row no letter's Cartan row lists is still the identity's own.
+    m = list(_identity_matrix(system.rank))
+    rows = system._cartan_rows
+    for j in {j for i in set(letters) for j, _ in rows[i - 1]}:
+        m[j] = _unpack(system, packed[j])
+    return WeylElement(tuple(m), sum(1 if h > 0 else -1 for _, h in steps))
 
 
 def apply_element(w: WeylElement, x: RootVector) -> RootVector:

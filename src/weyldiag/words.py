@@ -11,7 +11,9 @@ sign is the sign of that row's sum (its height), and the row sums of
 m s_a follow from those of m alone (roots._simple_update).  So
 reducedness and the extension to w0 carry n heights, from (1,) * n, and
 multiply out no matrix; Word.element builds the word's matrix only when a
-caller reads it.
+caller reads it.  root_sequence runs one product of the letters with each
+row packed into one int and its height beside it (roots._packed_product),
+and unpacks the betas once, at the end.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .roots import (
     RootVector,
     SparseLines,
     WeylElement,
-    _identity_matrix,
     _left_descents,
+    _packed_product,
     _require_ints,
-    _right_mul,
     _simple_update,
+    _unpack,
     element_of_word,
 )
 
@@ -148,23 +150,20 @@ def root_sequence(word: Word) -> tuple[RootVector, ...]:
     """The roots (beta_1, ..., beta_t) attached to a reduced word's positions.
 
     beta_k is row a_k of the product of the first k-1 letters, read off one
-    running product as each letter joins it; the first negative root is
-    reported.  A repeat needs no test of its own: while every root so far
-    is positive, the prefix is reduced and its roots are distinct.
+    running product of packed rows as each letter joins it, with its sign
+    from the height carried beside it; the first negative root is reported.
+    A repeat needs no test of its own: while every root so far is positive,
+    the prefix is reduced and its roots are distinct.
     """
-    rows = word.system._cartan_rows
-    m = _identity_matrix(word.system.rank)
-    betas: list[RootVector] = []
-    for pos, i in enumerate(word.letters, start=1):
-        beta = m[i - 1]
-        if sum(beta) < 0:
+    system = word.system
+    steps = _packed_product(system, word.letters)[1]
+    for pos, (x, h) in enumerate(steps, start=1):
+        if h < 0:
             raise NotReducedError(
                 f"word {format_word(word)} is not reduced: "
-                f"root {beta} at position {pos} is negative"
+                f"root {_unpack(system, x)} at position {pos} is negative"
             )
-        betas.append(beta)
-        m = _right_mul(m, i - 1, rows)
-    return tuple(betas)
+    return tuple([_unpack(system, x) for x, _ in steps])
 
 
 def reduced_word(system: RootSystem, w: WeylElement) -> Word:

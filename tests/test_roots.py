@@ -1,13 +1,17 @@
 import random
+import sys
 from fractions import Fraction
 from operator import mul, neg
 
 import pytest
 
+import weyldiag.roots as roots_mod
+import weyldiag.words as words_mod
 from weyldiag import (
     CartanType,
     InvalidRankError,
     DomainError,
+    NotReducedError,
     Word,
     WeylElement,
     apply_element,
@@ -20,7 +24,10 @@ from weyldiag import (
     longest_word,
     reduced_word,
     reflect,
+    root_sequence,
     simple_reflection,
+    verify_word,
+    zeta,
 )
 from weyldiag.roots import (
     MAX_CLASSICAL_RANK,
@@ -43,6 +50,7 @@ from weyldiag.diagrams import (
     _walk,
     diagram_for,
     is_positive_by_ascents,
+    subword_products,
 )
 from weyldiag.verify import group_elements, group_order
 
@@ -258,6 +266,143 @@ def test_sparse_comparison_fails_on_a_dropped_entry(attr, entry, caught):
     lines[1] = tuple(e for e in lines[1] if e[0] != entry)
     setattr(system, attr, tuple(lines))
     assert _sparse_mismatches(system, seed=3) == caught
+
+
+def _product_words(system, seed):
+    """t = 0 and every t = 1, where most rows stay the identity's; seeded
+    reduced words, each also with one seeded letter doubled, which is
+    reduced up to the double; seeded random words; and, up to 120 positive
+    roots, the longest word, which reaches the highest root's coefficients
+    (6 on E8)."""
+    n = system.rank
+    rng = random.Random(seed)
+    words = [(), *((i,) for i in range(1, n + 1))]
+    for word in random_reduced_words(system, 3, 2 * n, seed):
+        k = rng.randint(1, word.t) if word.t else 0
+        words += [word.letters, word.letters[:k] + word.letters[k - 1 :]]
+    words += [tuple(rng.randint(1, n) for _ in range(rng.randint(2, 2 * n))) for _ in range(3)]
+    if system.num_positive_roots <= 120:
+        words.append(longest_word(system).letters)
+    return words
+
+
+def _product_mismatches(system, words):
+    """Names of the word products that disagree with dense prefix products
+    (conftest.dense_right_mul) on the words: element_of_word's matrix and
+    carried length, and root_sequence's betas, or, for a word that is not
+    reduced, the position and root its NotReducedError names.  The
+    functions are read off their modules at each call, so a test can patch
+    them."""
+    n, cartan = system.rank, system.cartan
+    bad = set()
+    for letters in words:
+        m, betas = _identity_matrix(n), []
+        for i in letters:
+            betas.append(m[i - 1])
+            m = dense_right_mul(m, i - 1, cartan)
+        u = roots_mod.element_of_word(system, letters)
+        if u.matrix != m or u.length != sum(1 if sum(b) > 0 else -1 for b in betas):
+            bad.add("element_of_word")
+        first = next((k for k, b in enumerate(betas, 1) if sum(b) < 0), None)
+        try:
+            got = words_mod.root_sequence(Word(system, letters))
+        except NotReducedError as e:
+            tail = f"root {betas[first - 1]} at position {first} is negative" if first else None
+            if tail is None or not str(e).endswith(tail):
+                bad.add("root_sequence")
+        else:
+            if first is not None or got != tuple(betas):
+                bad.add("root_sequence")
+    return bad
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("G", 2), ("E", 8), *((f, MAX_CLASSICAL_RANK) for f in "ABCD"),
+])
+def test_word_products_match_dense_prefix_products(family, rank):
+    system = system_of(family, rank)
+    assert _product_mismatches(system, _product_words(system, seed=rank)) == set()
+
+
+def _patch_everywhere(monkeypatch, name, value):
+    # The library function roots.<name>, replaced in roots and in every
+    # module that imported it under that name.
+    real = getattr(roots_mod, name)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("weyldiag") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, value)
+
+
+def _without_the_bias(system, x):
+    # Unpacking without the 128 per byte: a negative coordinate borrows
+    # from the next byte up.
+    return system._signed_bytes.unpack(x.to_bytes(system.rank, "little", signed=True))
+
+
+def _reusing_touched_identity_rows(real):
+    # element_of_word as if only the rows of the letters themselves were
+    # touched: a Cartan neighbour's row is left the identity's.
+    def element(system, letters):
+        u = real(system, letters)
+        own = {i - 1 for i in letters}
+        ident = _identity_matrix(system.rank)
+        rows = tuple(row if j in own else ident[j] for j, row in enumerate(u.matrix))
+        return WeylElement(rows, u.length)
+    return element
+
+
+@pytest.mark.parametrize("defect,caught", [
+    ("unbiased unpack", {"element_of_word", "root_sequence"}),
+    ("diagonal skipped", {"element_of_word", "root_sequence"}),
+    ("touched identity row reused", {"element_of_word"}),
+])
+@pytest.mark.parametrize("family,rank", [("A", 3), ("G", 2)])
+def test_product_comparison_fails_on_an_injected_defect(monkeypatch, defect, caught, family, rank):
+    # A fresh system (not the cached one), so a dropped diagonal stays local.
+    system = RootSystem(CartanType(family, rank))
+    words = _product_words(system, seed=rank)
+    assert _product_mismatches(system, words) == set()
+    if defect == "unbiased unpack":
+        _patch_everywhere(monkeypatch, "_unpack", _without_the_bias)
+    elif defect == "diagonal skipped":
+        system._cartan_rows = tuple(
+            tuple((j, c) for j, c in row if j != i) for i, row in enumerate(system._cartan_rows)
+        )
+    else:
+        monkeypatch.setattr(
+            roots_mod, "element_of_word", _reusing_touched_identity_rows(element_of_word)
+        )
+    assert _product_mismatches(system, words) == caught
+
+
+def test_right_mul_serves_the_oracles_alone(monkeypatch, a3):
+    # Products of words share no kernel with the oracles that check them:
+    # with _right_mul raising wherever it is bound, the point API on A3 w0
+    # returns what it returns with it, and only the oracles fail.
+    def point_api():
+        word = longest_word(a3)
+        u = element_of_word(a3, (1, 2, 1, 3))
+        return (
+            element_of_word(a3, word.letters),
+            root_sequence(Word(a3, word.letters)),
+            zeta(Diagram(word, (1, 3, 4, 6))),
+            diagram_for(word, u),
+            reduced_word(a3, u),
+            invert(u),
+            verify_word(word).to_dict(),
+        )
+
+    expected = point_api()
+
+    def raising(*args):
+        raise AssertionError("_right_mul called outside the oracles")
+
+    _patch_everywhere(monkeypatch, "_right_mul", raising)
+    assert point_api() == expected
+    with pytest.raises(AssertionError, match="outside the oracles"):
+        subword_products.__wrapped__(longest_word(a3))
+    with pytest.raises(AssertionError, match="outside the oracles"):
+        group_elements.__wrapped__(a3)
 
 
 def test_a1_is_trivial():

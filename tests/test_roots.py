@@ -328,8 +328,8 @@ def _patch_everywhere(monkeypatch, name, value):
     # The library function roots.<name>, replaced in roots and in every
     # module that imported it under that name.
     real = getattr(roots_mod, name)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("weyldiag") and getattr(module, name, None) is real:
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("weyldiag") and getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, value)
 
 

@@ -37,7 +37,9 @@ looks up among _interval_points; of the other rules it reads only which
 passed.  enumerate_positive and census read the same three-rule walk
 whenever __debug__ is set (the normal interpreter and pytest), and
 is_positive compares the two positivity tests; under python -O,
-enumerate_positive walks with the ascent test alone.
+enumerate_positive and census walk the completion rule alone
+(_completion_step): the ascent rule's tree cut to the branches with a
+positive leaf below them, by length additivity, one packed int per node.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed
@@ -47,7 +49,10 @@ sum, the packed image heights.  A letter lowers every image by its
 pairing with alpha_a^vee, itself packed from at most four columns, so a
 node costs a few big-int operations and one popcount whatever the rank.
 The obstruction rule keeps its rows and its set as roots packed one
-signed byte per coordinate (roots._pack).
+signed byte per coordinate (roots._pack).  The completion rule packs one
+height per byte, over the roots the prefix of the word sends negative,
+and a step is a shift, one multiply-subtract and a mask test
+(Word.completion_table).
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ from .roots import (
     _descent_pairings,
     _identity_matrix,
     _orbit_point,
-    _pack,
     _packed_product,
     _reflect_by,
     _require_ints,
@@ -88,6 +92,17 @@ class Diagram:
 
     def __post_init__(self):
         positions = tuple(self.positions)
+        # One pass accepts what the walks build, strictly increasing ints in
+        # 1..t; anything else takes the checks below, which name the fault.
+        last = 0
+        for p in positions:
+            if type(p) is not int or p <= last:
+                break
+            last = p
+        else:
+            if last <= self.word.t:
+                object.__setattr__(self, "positions", positions)
+                return
         _require_ints(positions, 1, self.word.t, "diagram position")
         positions = tuple(sorted(positions))
         if len(set(positions)) < len(positions):
@@ -170,6 +185,59 @@ def _ascent_step(word: Word, j: int, h: tuple[int, ...]):
     joined = list(h)
     _simple_update(joined, a0, word.system._cartan_rows)
     return h, tuple(joined)
+
+
+def _completion_start(word: Word) -> int:
+    # The heights of Phi(w) themselves (no members), each raised by 128.
+    return word.completion_table[0]
+
+
+def _completion_step(word: Word, j: int, q: int):
+    """The ascent rule cut to live nodes: a branch is kept exactly when some
+    positive diagram lies below it.  Start the walk at _completion_start.
+
+    Let z be the product of the members after j, left to right, x_j =
+    s_{a_1} ... s_{a_j}, and call the node at j live when l(x_j z) =
+    j + l(z).  Additivity l(xy) = l(x) + l(y) holds exactly when no root
+    lies in both Phi(x) = {delta > 0 : x delta < 0} and N(y) = {gamma > 0 :
+    y^{-1} gamma < 0} (Humphreys, Reflection Groups and Coxeter Groups,
+    1.6-1.7; Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 1).
+
+    Lemma: if x s > x, s z > z and l(xz) = l(x) + l(z), then l(xsz) =
+    l(x) + 1 + l(z).  N(sz) is alpha_s with s N(z), and x(alpha_s) > 0 as
+    x s > x.  Take gamma in N(z), with k = <gamma, alpha_s^vee>.  If k > 0,
+    then z^{-1}(s gamma) = z^{-1} gamma - k z^{-1} alpha_s < 0, a negative
+    root less a multiple of the positive root z^{-1} alpha_s, and s gamma >
+    0 as gamma is not alpha_s; so s gamma lies in N(z) and x(s gamma) > 0.
+    If k <= 0, then x(s gamma) = x(gamma) - k x(alpha_s) > 0.
+
+    Every node above a positive leaf is live, by induction on j from the
+    leaf (j = 0, x_0 = e).  With z_k the members after k, the ascent rule
+    holds there at every k: s_{a_k} z_k > z_k.  If j joins, z_{j-1} =
+    s_{a_j} z and x_j z = x_{j-1} z_{j-1}, of length j - 1 + l(z) + 1; if j
+    is left out, z_{j-1} = z and the lemma, with x = x_{j-1} and s =
+    s_{a_j} (x s > x as the word is reduced), gives l(x_j z) = j + l(z).
+    Conversely l(x_j z) <= l(x_{j-1}) + l(s_{a_j} z) <= j + l(z), so at a
+    live node s_{a_j} z > z: the ascent holds at j whichever child is
+    taken, and the joined child (x_{j-1}, s_{a_j} z) is live.  The root
+    (x_t = w, z = e) is live as the word is reduced.  So a walk that keeps
+    exactly the live children keeps every node above a positive leaf and
+    no other: each node it keeps passes the ascent at every k > j, and its
+    joined children lead down to a positive leaf.  It tests no ascent,
+    keeps every joined child, and keeps the out child (x_{j-1}, z) exactly
+    when z^{-1}(delta) > 0 for every delta in Phi(x_{j-1}).
+
+    q packs the heights of z^{-1}(delta) over Phi(x_j), each raised by
+    128, in the lanes of word.completion_table; lane 0 holds alpha_{a_j},
+    whose height h is the ascent rule's own h[a_j].  The joined child's
+    z^{-1} s_{a_j} reads Phi(x_{j-1}) off lanes 1 on: q >> 8.  The out
+    child's z^{-1}(delta) is z^{-1}(s_{a_j} delta) + <delta,
+    alpha_{a_j}^vee> h, so it subtracts h K_j before the shift, and each
+    lane keeps its top bit exactly where its height is positive.
+    """
+    K, M = word.completion_table[1][j - 1]
+    out = (q - ((q & 255) - 128) * K) >> 8
+    return (out if out & M == M else None), q >> 8
 
 
 def _length_start(word: Word) -> tuple[tuple[int, ...], int, int]:

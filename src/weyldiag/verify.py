@@ -13,8 +13,9 @@ Only the order stats keep the keys, each with its leaf's bitmask; they
 scan one interval per positive diagram the same way and look each point
 up among the keys, with no loop over pairs of diagrams.  census counts
 the ascent rule's leaves as they arrive and enumerate_positive makes them
-Diagram objects, read off the same lockstep walk under __debug__ and off
-the ascent rule alone under python -O.
+Diagram objects, read off the same lockstep walk under __debug__ and, under
+python -O, off the completion rule alone, which passes the same leaves in
+the same order but steps only the branches that have one below them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .diagrams import (
     Diagram,
     _ascent_start,
     _ascent_step,
+    _completion_start,
+    _completion_step,
     _descent_positions,
     _interval_points,
     _length_start,
@@ -109,11 +112,11 @@ def _positive_leaves(word: Word) -> Iterator[tuple[tuple[int, ...], object]]:
     in ascending bitmask order, one at a time; callers read only the
     positions, and the word is checked at the call.  Under __debug__ they
     come from verify_word's lockstep walk, and the length and obstruction
-    rules must pass each leaf too; under python -O the ascent rule walks
-    alone."""
+    rules must pass each leaf too; under python -O the completion rule
+    walks alone, the ascent rule's tree cut to the branches with a leaf."""
     _guard_sweep(word)
     if not __debug__:
-        return _walk(word, _ascent_step, _ascent_start(word))
+        return _walk(word, _completion_step, _completion_start(word))
 
     def agreeing():
         for p, states in _walk(word, _lockstep_step, _lockstep_start(word)):

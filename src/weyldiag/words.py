@@ -102,6 +102,43 @@ class Word:
             rows.append(tuple((k, v // d) for k, v in enumerate(form) if v))
         return tuple(rows)
 
+    @cached_property
+    def completion_table(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(start, steps) for the completion rule (diagrams._completion_step).
+
+        Phi(x_j) = {delta > 0 : x_j(delta) < 0} for the prefix product
+        x_j = s_{a_1} ... s_{a_j} is {alpha_{a_j}} with s_{a_j} Phi(x_{j-1}),
+        laid out one byte lane per root: alpha_{a_j} in lane 0, and lane i
+        the root of lane i - 1 of Phi(x_{j-1}) reflected in alpha_{a_j}.
+        steps[j - 1] is (K_j, M_{j-1}): K_j packs <delta, alpha_{a_j}^vee>
+        over those lanes (2 in lane 0), M_{j-1} the top bit of each of the
+        j - 1 lanes of Phi(x_{j-1}); start packs the heights of Phi(w), each
+        raised by 128.  n packed coordinate columns C_k carry the lanes:
+        per letter a, p = sum of c C_k over Cartan row a packs the pairings
+        of Phi(x_{j-1}) with alpha_a^vee, reflecting lowers C_a by p, and a
+        shift makes room for alpha_a.  Every lane is a positive root, and
+        heights fit a signed byte (RootSystem._height_table), so no lane
+        borrows from the next.  Built on first read, in O(t deg) big-int
+        operations.
+        """
+        system = self.system
+        assert sum(system.positive_roots[-1]) < 128, "root heights must fit a signed byte"
+        rows = system._cartan_rows
+        columns = [0] * system.rank
+        mask = 0
+        steps = []
+        for i in self.letters:
+            a0 = i - 1
+            p = 0
+            for k, c in rows[a0]:
+                p += c * columns[k]
+            columns[a0] -= p
+            columns = [c << 8 for c in columns]
+            columns[a0] += 1
+            steps.append(((-p << 8) + 2, mask))
+            mask = mask << 8 | 0x80
+        return sum(columns) + mask, tuple(steps)
+
     def __str__(self) -> str:
         return format_word(self)
 

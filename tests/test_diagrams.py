@@ -64,6 +64,25 @@ def test_diagram_validation(w121):
     assert Diagram(w121, ()).positions == ()
 
 
+def test_diagram_position_errors_are_pinned(w121):
+    # Strictly increasing ints in 1..t pass one loop; everything else takes
+    # the full checks, whose messages these are.
+    for positions, message in [
+        ((2, 1, 1), "diagram position 1 repeated"),
+        ((1, 1), "diagram position 1 repeated"),
+        ((3, True), "diagram position True is not an integer in 1..3"),
+        ((True, 2), "diagram position True is not an integer in 1..3"),
+        ((0, 2), "diagram position 0 is not an integer in 1..3"),
+        ((1, "2"), "diagram position '2' is not an integer in 1..3"),
+        ((1, 2, 3, 4), "diagram position 4 is not an integer in 1..3"),
+    ]:
+        with pytest.raises(DomainError) as caught:
+            Diagram(w121, positions)
+        assert str(caught.value) == message, positions
+    assert Diagram(w121, iter([1, 2, 3])).positions == (1, 2, 3)
+    assert Diagram(w121, [2, 3]).positions == (2, 3)
+
+
 def test_diagram_from_mask_rejects_masks_outside_the_word(w121):
     for mask in (-1, 1 << w121.t):
         with pytest.raises(DomainError):

@@ -2,8 +2,9 @@
 types, reducedness by heights against the carried length, the inversion
 count against its dot-product reference, the descent pairings against the
 inverse matrix, the ascent walk's heights against dense matrix products, the
-obstruction and Le walks against the ascent walk, and palindromic size
-distributions against Bruhat-regularity and pattern avoidance."""
+completion, obstruction and Le walks against the ascent walk, and
+palindromic size distributions against Bruhat-regularity and pattern
+avoidance."""
 
 import sys
 from itertools import combinations
@@ -51,6 +52,7 @@ from conftest import (
     reduced_word_by_inverse,
     system_of,
 )
+from test_completion import same_leaves
 from test_words import check_reduced_by_length, extend_by_inverse_formula
 
 MAX_LEN = 14
@@ -146,6 +148,17 @@ def test_ascent_walk_leaves_are_heights_of_dense_products(ctype, data):
     assert () in leaves
     for members, heights in leaves.items():
         assert heights == tuple(map(sum, product(members))), (walk, members)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(words())
+def test_completion_walk_equals_ascent_walk(pair):
+    # The seeded reduced word, a prefix of w0, and, up to 24 positive roots
+    # (F4; E6 w0 has a test of its own, E7 and E8 w0 are out of reach), the
+    # reduced word of w0 that extends it.
+    _, walk = pair
+    for word in [walk] + [extend_to_w0(walk)] * (walk.system.num_positive_roots <= 24):
+        same_leaves(word)
 
 
 @settings(derandomize=True, database=None, deadline=None)

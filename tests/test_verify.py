@@ -400,7 +400,17 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
         with pytest.raises(AssertionError, match=r"positivity tests disagree on \(3,\)"):
             longest_word_census(CartanType("A", 2))
     else:
-        assert not longest_word_census(CartanType("A", 2)).ok
+        # Under python -O census walks the completion rule, not the ascent
+        # rule.  Its out child with the lanes left unlowered by h K_j keeps
+        # every branch, (3,) and (1, 3) among them.
+        def unlowered(word, j, q):
+            M = word.completion_table[1][j - 1][1]
+            out = q >> 8
+            return (out if out & M == M else None), q >> 8
+
+        monkeypatch.setattr(verify_mod, "_completion_step", unlowered)
+        census = longest_word_census(CartanType("A", 2))
+        assert (census.positive_count, census.ok) == (8, False)
 
 
 def test_checks_fail_on_an_injected_height_table_defect(monkeypatch):
@@ -550,6 +560,7 @@ def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
 def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod
+    from weyldiag.roots import _pack
 
     # The real rule, but a joining member j also puts -beta_j in the set, a
     # root of the wrong frame, so a later position whose x is -beta_j is
@@ -564,7 +575,7 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
         if pair is None:
             return None
         out, (rows, ys) = pair
-        return out, (rows, ys | {-diagrams._pack(word.betas[j - 1])})
+        return out, (rows, ys | {-_pack(word.betas[j - 1])})
 
     start = diagrams._obstruction_start(word)
     found = {p for p, _ in diagrams._walk(word, adding_minus_beta, start)}

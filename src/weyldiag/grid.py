@@ -25,9 +25,11 @@ identity and the full grid to the inverse of the word's element.
 Rendering: each box is a 3x3 character tile, '+' at the center for a
 crossing, '.' for the double turn, with '|' and '-' stubs on all four
 sides (every box carries two wires either way); labels are printed along
-all four edges.  render_wiring alone states that layout:
+all four edges.  render_wiring alone states that layout, in _render:
 trace_rendered_wiring accepts exactly the text it writes, by reading the
-crossings back and rendering them again, and then walks the wires.
+crossings back and rendering them again through _render, which takes the
+boxes as read and checks none (the trace placed each inside the grid), and
+then walks the wires.
 """
 
 from __future__ import annotations
@@ -240,7 +242,11 @@ def parse_grid(shape: GridShape, text: str) -> GridDiagram:
 
 
 def render_wiring(grid: GridDiagram) -> str:
-    shape = grid.shape
+    return _render(grid.shape, grid.boxes)
+
+
+def _render(shape: GridShape, boxes) -> str:
+    # render_wiring for boxes already known to lie in the shape, each once.
     p, m = shape.p, shape.m
     gut = len(str(shape.n + 1)) + 1
     # Column c's labels and stubs sit over its tile's center, gut + 3c - 2.
@@ -248,7 +254,7 @@ def render_wiring(grid: GridDiagram) -> str:
     stub = pad + "|  " * m
     lines = [pad + "".join(str(p + c).ljust(3) for c in range(1, m + 1))]
     for r in range(1, p + 1):
-        tiles = "".join("-+-" if (r, c) in grid.boxes else "-.-" for c in range(1, m + 1))
+        tiles = "".join("-+-" if (r, c) in boxes else "-.-" for c in range(1, m + 1))
         lines += [stub, f"{str(p + 1 - r).rjust(gut - 1)} {tiles} {p + m + 1 - r}", stub]
     lines.append(pad + "".join(str(c).ljust(3) for c in range(1, m + 1)))
     return "\n".join(line.rstrip() for line in lines) + "\n"
@@ -284,7 +290,7 @@ def trace_rendered_wiring(text: str) -> tuple[int, ...]:
         for c in range(1, m + 1)
         if mids[r - 1][gut + 3 * c - 2 : gut + 3 * c - 1] == "+"
     }
-    rendered = render_wiring(GridDiagram(GridShape(p, m), boxes)).splitlines(keepends=True)
+    rendered = _render(GridShape(p, m), boxes).splitlines(keepends=True)
     for k, (line, expected) in enumerate(zip(lines, rendered), start=1):
         if line != expected:
             raise UsageError(f"line {k} is {line!r}, expected {expected!r}")

@@ -99,6 +99,7 @@ simple reflection acts by s_i(alpha_j) = alpha_j - a[i][j] alpha_i.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import inf
@@ -241,12 +242,10 @@ class RootSystem:
         self.rank = n
         self.cartan = cartan
         self.symmetrizer = symmetrizer
-        self.form: IntMatrix = tuple(
-            tuple(symmetrizer[i] * cartan[i][j] for j in range(n)) for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                assert self.form[i][j] == self.form[j][i], "form must be symmetric"
+        # The symmetrized form symmetrizer[i] * a[i][j], which _bilinear reads
+        # row by row off the sparse Cartan rows, must be symmetric.
+        form = [tuple(d * c for c in crow) for d, crow in zip(symmetrizer, cartan)]
+        assert form == list(zip(*form)), "form must be symmetric"
         self.simple_roots: tuple[RootVector, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
@@ -327,6 +326,16 @@ class RootSystem:
         assert sum(self.positive_roots[-1]) < 128, "image heights must fit a signed byte"
         columns = tuple(int.from_bytes(bytes(col), "little") for col in zip(*self.positive_roots))
         return columns, int.from_bytes(b"\x80" * self.num_positive_roots, "little")
+
+    @cached_property
+    def _exponents(self) -> tuple[int, ...]:
+        """The exponents e_1 >= ... >= e_n of the Weyl group, so that
+        |W| = prod (e_i + 1): the dual partition of the numbers of positive
+        roots of each height, e_j being the number of heights that hold at
+        least j roots (Kostant; Humphreys, Reflection Groups and Coxeter
+        Groups, 3.20).  Read by verify.group_order."""
+        counts = Counter(map(sum, self.positive_roots)).values()
+        return tuple(sum(c >= j for c in counts) for j in range(1, self.rank + 1))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.ctype})"

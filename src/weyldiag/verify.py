@@ -16,6 +16,10 @@ the ascent rule's leaves as they arrive and enumerate_positive makes them
 Diagram objects, read off the same lockstep walk under __debug__ and, under
 python -O, off the completion rule alone, which passes the same leaves in
 the same order but steps only the branches that have one below them.
+census compares its count with |W| = prod (e_i + 1) over the exponents of
+W, which group_order reads off the numbers of positive roots of each
+height.  group_elements, the closure of the whole group, is the tests'
+oracle for that product and for the interval of w0; no command builds it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from math import prod
 
 from .errors import SizeCapError, UsageError
 from .roots import (
@@ -62,7 +67,9 @@ from . import grid as grid_mod
 
 DEFAULT_SWEEP_CAP = 24
 SWEEP_CAP_ENV = "WEYLDIAG_SWEEP_CAP"
-# Groups kept by group_elements; each benchmark pass builds at most 9.
+# Groups kept by group_elements, which no command calls: the tests read the
+# same small groups over and over as their reference, and the bound keeps
+# memory flat when they sweep more types than it holds.
 GROUP_CACHE_SIZE = 16
 
 
@@ -133,26 +140,25 @@ def enumerate_positive(word: Word) -> list[Diagram]:
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
 def group_elements(system: RootSystem) -> frozenset[WeylElement]:
-    """The whole Weyl group by breadth-first closure of the generators."""
-    ident = _identity_matrix(system.rank)
-    seen: dict[IntMatrix, int] = {ident: 0}
-    frontier = [ident]
-    depth = 0
-    while frontier:
-        depth += 1
-        fresh = []
-        for m in frontier:
-            for i0 in range(system.rank):
-                nxt = _right_mul(m, i0, system._cartan_rows)
-                if nxt not in seen:
-                    seen[nxt] = depth
-                    fresh.append(nxt)
-        frontier = fresh
+    """The whole Weyl group by breadth-first closure of the generators: a
+    slow oracle for the tests, which the library itself never calls."""
+    # seen maps each matrix to its depth, the length; the queue grows as it
+    # is read, in breadth-first order.
+    seen: dict[IntMatrix, int] = {_identity_matrix(system.rank): 0}
+    queue = list(seen)
+    for m in queue:
+        for i0 in range(system.rank):
+            nxt = _right_mul(m, i0, system._cartan_rows)
+            if nxt not in seen:
+                seen[nxt] = seen[m] + 1
+                queue.append(nxt)
     return frozenset(WeylElement(m, d) for m, d in seen.items())
 
 
 def group_order(system: RootSystem) -> int:
-    return len(group_elements(system))
+    """|W| = prod (e_i + 1) over the exponents of W, read off the numbers of
+    positive roots of each height (RootSystem._exponents); no group is built."""
+    return prod(e + 1 for e in system._exponents)
 
 
 def bruhat_interval(word: Word) -> frozenset[WeylElement]:
@@ -357,7 +363,9 @@ class CensusResult:
 
 def longest_word_census(ctype: CartanType) -> CensusResult:
     """Count the ascent rule's leaves over a reduced word of w0 and compare
-    with |W|."""
+    with |W|, which group_order reads off the root heights.  zeta maps the
+    positive diagrams of w0 one-to-one onto [e, w0] = W, so the two agree;
+    no group element is built."""
     system = build_root_system(ctype)
     return CensusResult(
         positive_root_count=system.num_positive_roots,

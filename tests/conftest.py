@@ -41,6 +41,12 @@ def dense_simple_image(x, i0, cartan):
     return tuple(out)
 
 
+def dense_form(system):
+    """The symmetrized form, symmetrizer[i] * a[i][j], as a dense matrix."""
+    d, cartan = system.symmetrizer, system.cartan
+    return tuple(tuple(d[i] * c for c in crow) for i, crow in enumerate(cartan))
+
+
 def dense_bilinear(x, y, form):
     """x . form . y over whole rows of the dense form."""
     return sum(xi * f * yj for xi, frow in zip(x, form) for f, yj in zip(frow, y))

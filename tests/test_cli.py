@@ -208,6 +208,26 @@ def test_census_command():
     }
 
 
+@pytest.mark.parametrize("family,rank,roots,order", [
+    ("A", 2, 3, 6), ("A", 3, 6, 24), ("A", 4, 10, 120), ("B", 3, 9, 48),
+    ("C", 3, 9, 48), ("D", 4, 12, 192), ("G", 2, 6, 12), ("F", 4, 24, 1152),
+])
+def test_census_command_builds_no_group(monkeypatch, family, rank, roots, order):
+    import weyldiag.verify as verify_mod
+
+    # census reads |W| off the root heights; the closure must not run, nor
+    # its product on tuples.
+    def refusing(*args):
+        raise AssertionError("census built the group")
+
+    monkeypatch.setattr(verify_mod, "group_elements", refusing)
+    monkeypatch.setattr(verify_mod, "_right_mul", refusing)
+    res = run(["census", "--type", family, "--rank", str(rank)])
+    assert (res.exit_code, res.stdout) == (
+        0, f"positive_root_count {roots}\npositive_count {order}\ngroup_order {order}\nok true\n"
+    )
+
+
 def test_qm_command_and_degenerate_note():
     res = run(["qm", "--p", "2", "--m", "3"])
     assert res.exit_code == 0

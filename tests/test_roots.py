@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 from operator import mul, neg
 
 import pytest
@@ -59,6 +60,7 @@ from conftest import (
     _invert_matrix,
     count_inversions_by_dot_products,
     dense_bilinear,
+    dense_form,
     dense_orbit_point,
     dense_right_mul,
     dense_simple_image,
@@ -202,10 +204,10 @@ def test_simple_coroots_pair_to_two_with_two_rho(family, rank):
 
 def _sparse_mismatches(system, seed):
     """Names of the sparse-row operations that disagree with dense reference
-    arithmetic from system.cartan (system.form for bilinear), on seeded
+    arithmetic from system.cartan (dense_form for bilinear), on seeded
     random (not always reduced) words and a random simple reflection and
     lattice vector for each."""
-    cartan, n = system.cartan, system.rank
+    cartan, n, form = system.cartan, system.rank, dense_form(system)
     rows, cols = system._cartan_rows, system._cartan_cols
     bad = set()
     if tuple(tuple(dict(row).get(j, 0) for j in range(n)) for row in rows) != cartan:
@@ -242,7 +244,7 @@ def _sparse_mismatches(system, seed):
         if h != list(map(sum, dense_right_mul(m, a0, cartan))):
             bad.add("_simple_update")
         y = tuple(rng.randint(-3, 3) for _ in range(n))
-        if any(bilinear(system, row, y) != dense_bilinear(row, y, system.form) for row in m):
+        if any(bilinear(system, row, y) != dense_bilinear(row, y, form) for row in m):
             bad.add("bilinear")
     return bad
 
@@ -485,7 +487,7 @@ def _leading_minors_positive(form):
 ])
 def test_form_symmetric_positive_definite_with_small_diagonal(family, rank):
     system = system_of(family, rank)
-    form = system.form
+    form = dense_form(system)
     assert all(form[i][j] == form[j][i] for i in range(rank) for j in range(rank))
     assert all(form[i][i] in (2, 4, 6) for i in range(rank))
     assert _leading_minors_positive(form)
@@ -493,10 +495,10 @@ def test_form_symmetric_positive_definite_with_small_diagonal(family, rank):
 
 def test_norm_six_only_in_g2():
     for family, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4)]:
-        system = system_of(family, rank)
-        assert all(system.form[i][i] in (2, 4) for i in range(rank))
-    g2 = system_of("G", 2)
-    assert [g2.form[i][i] for i in range(2)] == [2, 6]
+        form = dense_form(system_of(family, rank))
+        assert all(form[i][i] in (2, 4) for i in range(rank))
+    g2 = dense_form(system_of("G", 2))
+    assert [g2[i][i] for i in range(2)] == [2, 6]
 
 
 def test_coroot_pairing_with_itself_is_two():
@@ -797,4 +799,48 @@ def test_roots_pack_one_to_one_and_obstruction_start_rows_are_packed_inverse(fam
     ("B", 2, 8), ("B", 3, 48), ("C", 3, 48), ("D", 4, 192), ("G", 2, 12),
 ])
 def test_group_order_by_bfs_matches_classical_formula(family, rank, order):
+    system = system_of(family, rank)
+    assert len(group_elements(system)) == group_order(system) == order
+
+
+# Every type whose group the closure builds in well under a second, |W| at
+# most 5040 (A6).  Type A's heights form a staircase, its own dual
+# partition, so only the other families catch a product that skips the
+# dual; B3's heights hold 3, 2, 2, 1, 1 roots, its exponents are 5, 3, 1.
+SMALL_GROUP_TYPES = (
+    [("A", n) for n in range(1, 7)] + [(f, n) for f in "BC" for n in range(2, 6)]
+    + [("D", n) for n in range(3, 6)] + [("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", SMALL_GROUP_TYPES)
+def test_group_order_by_exponents_matches_the_closure(family, rank):
+    system = system_of(family, rank)
+    assert group_order(system) == len(group_elements(system))
+
+
+def test_exponents_of_b3_are_the_dual_of_its_height_counts():
+    system = system_of("B", 3)
+    heights = [sum(x) for x in system.positive_roots]
+    assert [heights.count(h) for h in range(1, max(heights) + 1)] == [3, 2, 2, 1, 1]
+    assert system._exponents == (5, 3, 1)
+
+
+def _classical_order(family, n):
+    return {"A": factorial(n + 1), "B": 2**n * factorial(n), "C": 2**n * factorial(n),
+            "D": 2 ** (n - 1) * factorial(n)}[family]
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_group_order_by_exponents_matches_classical_formula_to_the_rank_cap(family):
+    # Systems built outside the cache, so that 64 ranks are not all held.
+    lo, hi, _ = _RANK_RULES[family]
+    for n in range(lo, hi + 1):
+        assert group_order(RootSystem(CartanType(family, n))) == _classical_order(family, n), n
+
+
+@pytest.mark.parametrize("family,rank,order", [
+    ("E", 6, 51_840), ("E", 7, 2_903_040), ("E", 8, 696_729_600),
+])
+def test_group_order_by_exponents_matches_exceptional_literature_values(family, rank, order):
     assert group_order(system_of(family, rank)) == order

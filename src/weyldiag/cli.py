@@ -232,7 +232,9 @@ def _dispatch(args, out, err) -> int:
 
     elif command == "census":
         result = longest_word_census(system.ctype)
-        counts = {**asdict(result), "ok": result.ok}
+        # A witness that is None is left out, as VerificationReport.to_dict does.
+        counts = {key: value for key, value in asdict(result).items() if value is not None}
+        counts["ok"] = result.ok
         payload = {"type": str(system.ctype), **counts}
         lines = _key_value_lines(counts)
         code = EXIT_OK if result.ok else EXIT_VERIFY_FAILED

@@ -34,12 +34,16 @@ two halves) follow one rule along the one branch a diagram takes
 (_passes).  The length rule's leaf is zeta(d) as packed image columns
 with len(d), which verify_word turns into its key u(2 rho) on arrival and
 looks up among _interval_points; of the other rules it reads only which
-passed.  enumerate_positive and census read the same three-rule walk
-whenever __debug__ is set (the normal interpreter and pytest), and
-is_positive compares the two positivity tests; under python -O,
-enumerate_positive and census walk the completion rule alone
-(_completion_step): the ascent rule's tree cut to the branches with a
-positive leaf below them, by length additivity, one packed int per node.
+passed.  enumerate_positive reads the same three-rule walk whenever
+__debug__ is set (the normal interpreter and pytest), and is_positive
+compares the two positivity tests; under python -O, enumerate_positive
+walks the completion rule alone (_completion_step): the ascent rule's tree
+cut to the branches with a positive leaf below them, by length
+additivity, one packed int per node.  census counts the completion
+rule's leaves by size under both interpreters with _sizes, which sweeps
+the levels of any rule whose step reads only (j, state), merging equal
+states, and visits no leaf; under __debug__ it counts the three-rule
+walk's leaves as well.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed
@@ -292,6 +296,40 @@ def _walk(word: Word, step, start) -> Iterator[tuple[tuple[int, ...], object]]:
                 stack.append((j - 1, joined, (j,) + members))
             if out is not None:
                 stack.append((j - 1, out, members))
+
+
+def _sizes(word: Word, step, start) -> list[int]:
+    """The number of diagrams of each size 0..t that pass step at all t
+    positions, the leaves _walk would yield counted by len(positions),
+    without visiting one.
+
+    step reads only j and the state, so the leaves below a node, and their
+    sizes, depend on (j, state) alone, and equal states at one level can be
+    merged.  The sweep keeps one dict per level j = t, ..., 1 of {state:
+    packed counts}, lane k counting the paths from position t down to that
+    state with k members; an out child keeps its counts, a joined child
+    shifts them up one lane, and equal states add theirs.  At j = 0 the
+    lanes of the states left (the completion rule leaves one) are the
+    counts by size.  A lane is t + 1 bits wide: the paths with k members
+    down to any level number at most C(t, k) < 2^(t+1), whatever the rule,
+    so no lane carries into the next.
+    """
+    width = word.t + 1
+    level = {start: 1}
+    for j in range(word.t, 0, -1):
+        below = {}
+        get = below.get
+        for state, counts in level.items():
+            if (pair := step(word, j, state)) is not None:
+                out, joined = pair
+                if out is not None:
+                    below[out] = get(out, 0) + counts
+                if joined is not None:
+                    below[joined] = get(joined, 0) + (counts << width)
+        level = below
+    packed = sum(level.values())
+    lane = (1 << width) - 1
+    return [packed >> width * k & lane for k in range(width)]
 
 
 def _passes(diagram: Diagram, step, start) -> bool:

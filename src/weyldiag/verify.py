@@ -11,15 +11,19 @@ took.  On a grid word the Le rule walks beside it (grid._le_walk), and
 each of its leaves is compared with the next positive leaf as both arrive.
 Only the order stats keep the keys, each with its leaf's bitmask; they
 scan one interval per positive diagram the same way and look each point
-up among the keys, with no loop over pairs of diagrams.  census counts
-the ascent rule's leaves as they arrive and enumerate_positive makes them
-Diagram objects, read off the same lockstep walk under __debug__ and, under
-python -O, off the completion rule alone, which passes the same leaves in
-the same order but steps only the branches that have one below them.
-census compares its count with |W| = prod (e_i + 1) over the exponents of
-W, which group_order reads off the numbers of positive roots of each
-height.  group_elements, the closure of the whole group, is the tests'
-oracle for that product and for the interval of w0; no command builds it.
+up among the keys, with no loop over pairs of diagrams.
+enumerate_positive makes the positive leaves Diagram objects, read off the
+same lockstep walk under __debug__ and, under python -O, off the completion
+rule alone, which passes the same leaves in the same order but steps only
+the branches that have one below them.  census counts the completion
+rule's leaves by size without visiting them (diagrams._sizes, equal states
+merged level by level) and compares the sizes with the rank generating
+function prod [e_i + 1]_q of W, and their sum with |W| = prod (e_i + 1),
+the e_i the exponents that group_order reads off the numbers of positive
+roots of each height; under __debug__ the lockstep walk's leaves, counted
+by size, must match too.  group_elements, the closure of the whole group,
+is the tests' oracle for that product and for the interval of w0; no
+command builds it.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .diagrams import (
     _length_step,
     _obstruction_start,
     _obstruction_step,
+    _sizes,
     _walk,
     subword_products,
     zeta,
@@ -355,22 +360,63 @@ class CensusResult:
     positive_root_count: int
     positive_count: int
     group_order: int
+    # The first size k whose count differs from the coefficient of q^k in
+    # prod [e_i + 1]_q, as {"size", "count", "expected"}; None when none does.
+    witness: dict | None = None
 
     @property
     def ok(self) -> bool:
-        return self.positive_count == self.group_order
+        return self.positive_count == self.group_order and self.witness is None
+
+
+def _rank_sizes(system: RootSystem) -> list[int]:
+    # The coefficients of prod_i [e_i + 1]_q = prod_i (1 + q + ... + q^e_i),
+    # the number of elements of W of each length (Humphreys, Reflection
+    # Groups and Coxeter Groups, ch. 3): each factor turns a coefficient
+    # list into its sums over windows of e_i + 1.
+    sizes = [1]
+    for e in system._exponents:
+        padded = [0] * e + sizes + [0] * e
+        sizes = [sum(padded[k : k + e + 1]) for k in range(len(sizes) + e)]
+    return sizes
 
 
 def longest_word_census(ctype: CartanType) -> CensusResult:
-    """Count the ascent rule's leaves over a reduced word of w0 and compare
-    with |W|, which group_order reads off the root heights.  zeta maps the
-    positive diagrams of w0 one-to-one onto [e, w0] = W, so the two agree;
-    no group element is built."""
+    """Count the positive diagrams of a reduced word of w0 by size and
+    compare them with W: zeta maps them one-to-one onto [e, w0] = W and
+    keeps lengths, so the counts by size are prod [e_i + 1]_q and their sum
+    is |W|, both read off the root heights.  No group element is built.
+
+    The counts come from diagrams._sizes over the completion rule, under
+    both interpreters: equal states are merged level by level and no leaf
+    is visited.  Under __debug__ the leaves of the lockstep walk
+    (_positive_leaves), counted by size, must match as well, so a defect of
+    _walk or of the three rules fails debug census; under python -O census
+    no longer walks, and such a defect goes unseen there.  The witness
+    names the first size whose count is wrong: the sweep's, or, where the
+    sweep is right, the walk's."""
     system = build_root_system(ctype)
+    word = longest_word(system)
+    _guard_sweep(word)
+    sizes = _sizes(word, _completion_step, _completion_start(word))
+    counted = [sizes]
+    if __debug__:
+        tally = [0] * (word.t + 1)
+        for p, _ in _positive_leaves(word):
+            tally[len(p)] += 1
+        counted.append(tally)
+    expected = _rank_sizes(system)
+    witness = next((
+        {"size": k, "count": c, "expected": e}
+        for counts in counted
+        for k, (c, e) in enumerate(zip(counts, expected))
+        if c != e
+    ), None)
     return CensusResult(
         positive_root_count=system.num_positive_roots,
-        positive_count=sum(1 for _ in _positive_leaves(longest_word(system))),
+        positive_count=sum(sizes),
         group_order=group_order(system),
+        witness=witness,
     )
 
 

@@ -10,6 +10,7 @@ from weyldiag import UsageError, Word
 from weyldiag.cli import parse_diagram, parse_word, run
 
 from conftest import system_of
+from test_completion import mutant_sizes
 
 
 def test_verify_json_example():
@@ -206,6 +207,23 @@ def test_census_command():
         "group_order": 6,
         "ok": True,
     }
+
+
+def test_census_command_names_the_first_wrong_size(monkeypatch):
+    import weyldiag.verify as verify_mod
+
+    # A sweep whose joined child moves up two lanes: A2's sizes 1, 2, 2, 1
+    # read 1, 0, 2, 0, so size 1 is the first wrong one.  The witness is
+    # printed only when there is one.
+    monkeypatch.setattr(verify_mod, "_sizes", mutant_sizes(shift=2))
+    res = run(["census", "--type", "A", "--rank", "2"])
+    assert (res.exit_code, res.stdout) == (1, (
+        "positive_root_count 3\npositive_count 3\ngroup_order 6\n"
+        'witness {"size": 1, "count": 0, "expected": 2}\nok false\n'
+    ))
+    res = run(["census", "--type", "A", "--rank", "2", "--format", "json"])
+    assert res.exit_code == 1
+    assert json.loads(res.stdout)["witness"] == {"size": 1, "count": 0, "expected": 2}
 
 
 @pytest.mark.parametrize("family,rank,roots,order", [

@@ -1,10 +1,16 @@
-"""The completion rule (diagrams._completion_step), which python -O census
-and enumerate walk: its leaves against the ascent walk's, in order; every
+"""The completion rule (diagrams._completion_step), which python -O
+enumerate walks: its leaves against the ascent walk's, in order; every
 node it keeps has a leaf below it; its table against roots reflected one
 at a time; the lemma behind it by brute force; and three injected defects,
-each caught."""
+each caught.  And the sweep that counts a rule's leaves by size with equal
+states merged (diagrams._sizes), over the completion rule as census runs
+it: against the ascent walk's leaves, the interval scan's lengths, the
+sweep of the ascent rule and prod [e_i + 1]_q on the longest word of every
+type up to rank 8 but E8; four injected defects, each caught by each of
+these."""
 
 import random
+from collections import Counter
 from itertools import zip_longest
 
 import pytest
@@ -22,7 +28,8 @@ from weyldiag import (
     longest_word,
     simple_reflection,
 )
-from weyldiag.diagrams import _ascent_start, _ascent_step, _walk
+from weyldiag.diagrams import _ascent_start, _ascent_step, _interval_points, _walk
+from weyldiag.verify import _rank_sizes
 
 from conftest import dense_simple_image, random_reduced_word, random_reduced_words, system_of
 from test_acceptance import suite_words
@@ -191,6 +198,12 @@ def test_completion_walk_steps_only_live_nodes(a3):
     assert calls == 30
 
 
+def skipping_the_out_test(word, j, q):
+    # The completion step with every out child kept, M never tested.
+    K = word.completion_table[1][j - 1][0]
+    return (q - ((q & 255) - 128) * K) >> 8, q >> 8
+
+
 def test_completion_checks_fail_on_injected_defects(monkeypatch, a3):
     word = Word(a3, (1, 2, 1, 3, 2, 1))
     real_table = Word.completion_table.func
@@ -205,10 +218,6 @@ def test_completion_checks_fail_on_injected_defects(monkeypatch, a3):
         check_completion_table(Word(a3, word.letters))
     monkeypatch.undo()
 
-    def skipping_the_out_test(word, j, q):
-        K = word.completion_table[1][j - 1][0]
-        return (q - ((q & 255) - 128) * K) >> 8, q >> 8
-
     def one_level_off(word, j, q):
         K, M = word.completion_table[1][j - 2]
         out = (q - ((q & 255) - 128) * K) >> 8
@@ -220,3 +229,99 @@ def test_completion_checks_fail_on_injected_defects(monkeypatch, a3):
             check_completion_walk(word)
         monkeypatch.undo()
     check_completion_walk(word)
+
+
+# -- counting by size with merged states ---------------------------------------
+
+
+def completion_sizes(word):
+    return diagrams._sizes(word, diagrams._completion_step, diagrams._completion_start(word))
+
+
+def leaf_sizes(word):
+    # The ascent walk's leaves counted by size, one at a time.
+    counts = [0] * (word.t + 1)
+    for positions, _ in _walk(word, _ascent_step, _ascent_start(word)):
+        counts[len(positions)] += 1
+    return counts
+
+
+def interval_sizes(word):
+    # The interval scan's points counted by length: zeta keeps lengths.
+    lengths = Counter(_interval_points(word).values())
+    return [lengths[k] for k in range(word.t + 1)]
+
+
+def check_sizes(word):
+    """The completion sweep's counts by size against the ascent walk's
+    leaves, the interval scan's lengths, and the sweep of the ascent rule,
+    whose state, the heights of zeta'(d) so far, merges too."""
+    sizes = completion_sizes(word)
+    assert sizes == leaf_sizes(word), word
+    assert sizes == interval_sizes(word), word
+    assert sizes == diagrams._sizes(word, _ascent_step, _ascent_start(word)), word
+
+
+# Every type up to rank 8 but E8, whose t = 120 sweep is a CI step of its own.
+RANK_8_TYPES = (
+    [("A", n) for n in range(1, 9)] + [(f, n) for f in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)] + [("E", 6), ("E", 7), ("F", 4), ("G", 2)]
+)
+
+
+def test_sizes_equal_the_walk_and_the_interval_on_the_acceptance_words():
+    for word in suite_words():
+        check_sizes(word)
+
+
+@pytest.mark.parametrize("family,rank", RANK_8_TYPES)
+def test_sizes_on_longest_words_are_kostants_product(family, rank):
+    system = system_of(family, rank)
+    assert completion_sizes(longest_word(system)) == _rank_sizes(system)
+
+
+def mutant_sizes(shift=1, carry=False):
+    """diagrams._sizes with a joined child shifted by shift lanes, and, with
+    carry, each level's dict carried over into the next."""
+
+    def sizes(word, step, start):
+        width = word.t + 1
+        level = {start: 1}
+        for j in range(word.t, 0, -1):
+            below = dict(level) if carry else {}
+            for state, counts in level.items():
+                if (pair := step(word, j, state)) is not None:
+                    out, joined = pair
+                    if out is not None:
+                        below[out] = below.get(out, 0) + counts
+                    if joined is not None:
+                        below[joined] = below.get(joined, 0) + (counts << shift * width)
+            level = below
+        packed = sum(level.values())
+        return [packed >> width * k & (1 << width) - 1 for k in range(width)]
+
+    return sizes
+
+
+def test_sizes_checks_fail_on_injected_defects(monkeypatch, a3):
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    check_sizes(word)
+    references = (leaf_sizes(word), interval_sizes(word), _rank_sizes(a3))
+    assert len(set(map(tuple, references))) == 1
+    real = diagrams._sizes
+    defects = [
+        (mutant_sizes(shift=2), diagrams._completion_step),
+        (mutant_sizes(shift=0), diagrams._completion_step),
+        (mutant_sizes(carry=True), diagrams._completion_step),
+        (real, skipping_the_out_test),
+    ]
+    for sizes, step in defects:
+        monkeypatch.setattr(diagrams, "_sizes", sizes)
+        monkeypatch.setattr(diagrams, "_completion_step", step)
+        found = completion_sizes(word)
+        # Each reference alone sees the defect.
+        assert all(found != reference for reference in references), (sizes, step, found)
+        with pytest.raises(AssertionError):
+            check_sizes(word)
+        monkeypatch.undo()
+    assert mutant_sizes()(word, _ascent_step, _ascent_start(word)) == references[0]

@@ -34,8 +34,11 @@ from weyldiag import (
 from weyldiag.diagrams import (
     _ascent_start,
     _ascent_step,
+    _completion_start,
+    _completion_step,
     _obstruction_start,
     _obstruction_step,
+    _sizes,
     _walk,
 )
 from weyldiag.grid import _le_walk
@@ -49,10 +52,11 @@ from conftest import (
     diagram_positions_by_inverse,
     obstruction_step_by_reflection,
     random_reduced_word,
+    random_reduced_words,
     reduced_word_by_inverse,
     system_of,
 )
-from test_completion import same_leaves
+from test_completion import check_sizes, mutant_sizes, same_leaves
 from test_words import check_reduced_by_length, extend_by_inverse_formula
 
 MAX_LEN = 14
@@ -163,6 +167,15 @@ def test_completion_walk_equals_ascent_walk(pair):
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(words())
+def test_sizes_equal_the_ascent_walk_and_the_interval(pair):
+    # The completion sweep's counts by size on the same words.
+    _, walk = pair
+    for word in [walk] + [extend_to_w0(walk)] * (walk.system.num_positive_roots <= 24):
+        check_sizes(word)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(words())
 def test_obstruction_walk_equals_ascent_walk(pair):
     _, walk = pair
     found = ascent_walk(walk)
@@ -193,6 +206,12 @@ def test_le_walk_equals_ascent_walk(shape):
 
 
 def size_distribution(word):
+    # The sizes of the positive diagrams, counted by the completion sweep.
+    return _sizes(word, _completion_step, _completion_start(word))
+
+
+def size_distribution_by_leaves(word):
+    # The same, counted over the ascent walk's leaves: the sweep's check.
     counts = [0] * (word.t + 1)
     for positions in ascent_walk(word):
         counts[len(positions)] += 1
@@ -224,37 +243,68 @@ def avoids_3412_and_4231(sigma):
     )
 
 
-def palindrome_mismatches(family, rank, regularity=True):
-    """The elements w whose size distribution is palindromic where [e, w] is
-    not Bruhat-regular, or the other way round, or, in type A, where w
-    contains 3412 or 4231, or the other way round."""
+def word_mismatches(word, reflections, regularity=True, leaves=True):
+    """What is wrong with one reduced word: a size distribution that is
+    palindromic where [e, w] is not Bruhat-regular, or the other way round;
+    in type A, one that is palindromic where w contains 3412 or 4231, or the
+    other way round; and, with leaves, sizes from the sweep that differ from
+    the ascent walk's."""
+    system = word.system
+    counts = size_distribution(word)
+    palindromic = counts == counts[::-1]
+    found = []
+    if leaves and counts != size_distribution_by_leaves(word):
+        found.append((str(word), counts, "leaf walk"))
+    if regularity and palindromic != bruhat_regular(word, reflections):
+        found.append((str(word), counts, "regularity"))
+    if system.ctype.family == "A" and palindromic != avoids_3412_and_4231(
+        one_line(system, word.element)
+    ):
+        found.append((str(word), counts, "patterns"))
+    return found
+
+
+def palindrome_mismatches(family, rank, regularity=True, leaves=True):
+    """word_mismatches over a reduced word of every element of the group."""
     system = system_of(family, rank)
     reflections = reflection_matrices(system)
     found = []
     for w in sorted(group_elements(system), key=lambda w: (w.length, w.matrix)):
-        word = reduced_word(system, w)
-        counts = size_distribution(word)
-        palindromic = counts == counts[::-1]
-        if regularity and palindromic != bruhat_regular(word, reflections):
-            found.append((str(word), counts, "regularity"))
-        if family == "A" and palindromic != avoids_3412_and_4231(one_line(system, w)):
-            found.append((str(word), counts, "patterns"))
+        found += word_mismatches(reduced_word(system, w), reflections, regularity, leaves)
     return found
 
 
 @pytest.mark.parametrize("family,rank", [
-    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("D", 4), ("B", 4), ("A", 5),
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("D", 4), ("B", 4), ("A", 5), ("A", 6),
 ])
 def test_palindromic_iff_bruhat_regular_and_pattern_avoiding(family, rank):
-    # A5 (720 elements) checks the patterns alone; F4 passes too, but takes
-    # about 8 s.
-    assert palindrome_mismatches(family, rank, regularity=(family, rank) != ("A", 5)) == []
+    # A5 (720 elements) and A6 (5040) check the patterns alone, and A6 takes
+    # its sizes from the sweep alone; F4 passes too, but takes about 8 s.
+    assert palindrome_mismatches(
+        family, rank, regularity=family != "A" or rank < 5, leaves=rank < 6
+    ) == []
+
+
+@pytest.mark.parametrize("family,rank", [("A", 7), ("B", 5), ("D", 5), ("F", 4), ("E", 6)])
+def test_palindromic_iff_bruhat_regular_on_seeded_words(family, rank):
+    # Seeded reduced words of up to 12 letters, beyond the types whose
+    # every element is checked above; both verdicts occur.
+    system = system_of(family, rank)
+    reflections = reflection_matrices(system)
+    verdicts = set()
+    for word in random_reduced_words(system, 12, 12, seed=rank):
+        assert word_mismatches(word, reflections) == []
+        counts = size_distribution(word)
+        verdicts.add(counts == counts[::-1])
+    assert verdicts == {False, True}
 
 
 def test_palindrome_check_fails_on_injected_defects(monkeypatch):
     here = sys.modules[__name__]
-    real_walk, real_reflections = _walk, reflection_matrices
+    real_walk, real_sizes, real_reflections = _walk, _sizes, reflection_matrices
 
+    # The leaf walk without its top diagram, or with size 1 moved to size 0:
+    # the sweep's check sees each.
     def dropping_the_top(word, step, start):
         return ((p, s) for p, s in real_walk(word, step, start) if len(p) < word.t)
 
@@ -263,8 +313,22 @@ def test_palindrome_check_fails_on_injected_defects(monkeypatch):
 
     for walk in (dropping_the_top, shifting_size_one):
         monkeypatch.setattr(here, "_walk", walk)
-        assert palindrome_mismatches("A", 3)
-    monkeypatch.undo()
+        assert palindrome_mismatches("A", 3, regularity=False)
+        monkeypatch.undo()
+    # The same defects in the sweep, and a joined child kept in its
+    # parent's lane: the palindrome check alone sees each.
+    def sweep_dropping_the_top(word, step, start):
+        counts = real_sizes(word, step, start)
+        return counts[:-1] + [0]
+
+    def sweep_shifting_size_one(word, step, start):
+        counts = real_sizes(word, step, start)
+        return [counts[0] + counts[1], 0] + counts[2:] if word.t else counts
+
+    for sizes in (sweep_dropping_the_top, sweep_shifting_size_one, mutant_sizes(shift=0)):
+        monkeypatch.setattr(here, "_sizes", sizes)
+        assert palindrome_mismatches("A", 3, leaves=False)
+        monkeypatch.undo()
     # The highest root's reflection replaced by alpha_1's.
     monkeypatch.setattr(here, "reflection_matrices", lambda system: (
         real_reflections(system)[:-1] + real_reflections(system)[:1]

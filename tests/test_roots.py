@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from operator import mul, neg
@@ -53,7 +54,7 @@ from weyldiag.diagrams import (
     is_positive_by_ascents,
     subword_products,
 )
-from weyldiag.verify import group_elements, group_order
+from weyldiag.verify import _rank_sizes, group_elements, group_order
 
 from conftest import (
     PROPERTY_TYPES,
@@ -815,8 +816,13 @@ SMALL_GROUP_TYPES = (
 
 @pytest.mark.parametrize("family,rank", SMALL_GROUP_TYPES)
 def test_group_order_by_exponents_matches_the_closure(family, rank):
+    # The order, and the number of elements of each length, which census
+    # reads off prod [e_i + 1]_q.
     system = system_of(family, rank)
-    assert group_order(system) == len(group_elements(system))
+    group = group_elements(system)
+    assert group_order(system) == len(group)
+    lengths = Counter(u.length for u in group)
+    assert _rank_sizes(system) == [lengths[k] for k in range(system.num_positive_roots + 1)]
 
 
 def test_exponents_of_b3_are_the_dual_of_its_height_counts():

@@ -140,7 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out, args, payload: dict, text_lines: list[str]) -> None:
+def _emit(out, args, payload: dict | None, text_lines: list[str] | None) -> None:
+    # The payload for --format json, the lines for text; a command may build
+    # only the one its format reads.
     if args.format == "json":
         out.write(json.dumps(payload, indent=2) + "\n")
     else:
@@ -207,9 +209,14 @@ def _dispatch(args, out, err) -> int:
             payload, lines = {"diagram": list(found.positions)}, [format_diagram(found)]
 
     elif command == "enumerate":
+        # Only the output the format prints is built: on D7 w0 the other
+        # one would be 322,560 more lists or strings.
         diagrams = enumerate_positive(word)
-        payload = {"count": len(diagrams), "diagrams": [list(d.positions) for d in diagrams]}
-        lines = [f"count {len(diagrams)}"] + [format_diagram(d) for d in diagrams]
+        payload = lines = None
+        if args.format == "json":
+            payload = {"count": len(diagrams), "diagrams": [list(d.positions) for d in diagrams]}
+        else:
+            lines = [f"count {len(diagrams)}", *map(format_diagram, diagrams)]
 
     elif command == "interval":
         # One orbit point per element: no matrix is built.

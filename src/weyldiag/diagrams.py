@@ -39,11 +39,14 @@ __debug__ is set (the normal interpreter and pytest), and is_positive
 compares the two positivity tests; under python -O, enumerate_positive
 walks the completion rule alone (_completion_step): the ascent rule's tree
 cut to the branches with a positive leaf below them, by length
-additivity, one packed int per node.  census counts the completion
-rule's leaves by size under both interpreters with _sizes, which sweeps
-the levels of any rule whose step reads only (j, state), merging equal
-states, and visits no leaf; under __debug__ it counts the three-rule
-walk's leaves as well.
+additivity, one packed int per node.  Either way it makes each leaf a
+Diagram with _leaf_diagram, which sets the two slots without Diagram's
+check, as a walk builds its positions strictly increasing in 1..t; only
+under __debug__ is each leaf checked against Diagram(word, positions).
+census counts the completion rule's leaves by size under both
+interpreters with _sizes, which sweeps the levels of any rule whose step
+reads only (j, state), merging equal states, and visits no leaf; under
+__debug__ it counts the three-rule walk's leaves as well.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed
@@ -87,7 +90,7 @@ from .roots import (
 from .words import Word, require_reduced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     """A subset of word positions, stored sorted and 1-based."""
 
@@ -96,8 +99,10 @@ class Diagram:
 
     def __post_init__(self):
         positions = tuple(self.positions)
-        # One pass accepts what the walks build, strictly increasing ints in
-        # 1..t; anything else takes the checks below, which name the fault.
+        # One pass accepts strictly increasing ints in 1..t; anything else
+        # takes the checks below, which name the fault.  enumerate_positive
+        # builds its leaves without this method (_leaf_diagram), which runs
+        # it on each leaf under __debug__ alone.
         last = 0
         for p in positions:
             if type(p) is not int or p <= last:
@@ -125,8 +130,40 @@ class Diagram:
         return f"Diagram({self.word!r}, {self.positions})"
 
 
+# _leaf_diagram sets the two slots through their descriptors, past the
+# frozen __setattr__ and __post_init__.
+_new_diagram = object.__new__
+_set_word = Diagram.word.__set__
+_set_positions = Diagram.positions.__set__
+
+
+def _leaf_diagram(word: Word, positions: tuple[int, ...]) -> Diagram:
+    """The Diagram of a walk's leaf, its two fields set without
+    __post_init__: _walk builds positions as the check keeps them, a tuple
+    of strictly increasing ints.  Under __debug__ each leaf must still pass
+    Diagram(word, positions) unchanged; under python -O nothing checks that
+    the walk's positions are strictly increasing ints in 1..t."""
+    diagram = _new_diagram(Diagram)
+    _set_word(diagram, word)
+    _set_positions(diagram, positions)
+    assert not (fault := _leaf_fault(word, positions)), (
+        f"walk leaf {positions} over {word}: {fault}"
+    )
+    return diagram
+
+
+def _leaf_fault(word: Word, positions) -> str:
+    # Why Diagram(word, positions) would refuse or change positions, or ""
+    # when it keeps them as they are.
+    try:
+        kept = Diagram(word, positions).positions
+    except DomainError as exc:
+        return str(exc)
+    return "" if kept == positions else f"Diagram makes it {kept}"
+
+
 def format_diagram(diagram: Diagram) -> str:
-    return ",".join(str(p) for p in diagram.positions)
+    return ",".join(map(str, diagram.positions))
 
 
 def diagram_from_mask(word: Word, mask: int) -> Diagram:
@@ -281,21 +318,32 @@ def _walk(word: Word, step, start) -> Iterator[tuple[tuple[int, ...], object]]:
     (start when there are none) and returns None when j fails either way,
     else (state if j is left out, state if j joins); a None entry drops
     that branch alone.  Depth-first from position t, leaving j out before
-    putting it in.  The leaf state is the one built from all the members.
+    putting it in: where both children pass, the joined one is pushed and
+    the walk goes straight on down the out child, kept in hand, and where
+    one passes, straight down it, so only the joined children of two-way
+    nodes are pushed and popped.  The leaf state is the one built from all
+    the members.
     A test of a single diagram reads the same protocol along the one branch
     the diagram takes (_passes).
     """
     stack = [(word.t, start, ())]
     while stack:
         j, state, members = stack.pop()
-        if not j:
-            yield members, state
-        elif (pair := step(word, j, state)) is not None:
+        while j:
+            if (pair := step(word, j, state)) is None:
+                break
             out, joined = pair
-            if joined is not None:
-                stack.append((j - 1, joined, (j,) + members))
             if out is not None:
-                stack.append((j - 1, out, members))
+                if joined is not None:
+                    stack.append((j - 1, joined, (j,) + members))
+                state = out
+            elif joined is not None:
+                state, members = joined, (j,) + members
+            else:
+                break
+            j -= 1
+        else:
+            yield members, state
 
 
 def _sizes(word: Word, step, start) -> list[int]:

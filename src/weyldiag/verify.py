@@ -12,16 +12,17 @@ each of its leaves is compared with the next positive leaf as both arrive.
 Only the order stats keep the keys, each with its leaf's bitmask; they
 scan one interval per positive diagram the same way and look each point
 up among the keys, with no loop over pairs of diagrams.
-enumerate_positive makes the positive leaves Diagram objects, read off the
-same lockstep walk under __debug__ and, under python -O, off the completion
+enumerate_positive makes the positive leaves Diagram objects without
+re-checking their positions (diagrams._leaf_diagram), read off the same
+lockstep walk under __debug__ and, under python -O, off the completion
 rule alone, which passes the same leaves in the same order but steps only
-the branches that have one below them.  census counts the completion
-rule's leaves by size without visiting them (diagrams._sizes, equal states
-merged level by level) and compares the sizes with the rank generating
-function prod [e_i + 1]_q of W, and their sum with |W| = prod (e_i + 1),
-the e_i the exponents that group_order reads off the numbers of positive
-roots of each height; under __debug__ the lockstep walk's leaves, counted
-by size, must match too.  group_elements, the closure of the whole group,
+the branches that have one below them.  census counts the completion rule's leaves by size
+without visiting them (diagrams._sizes, equal states merged level by
+level) and compares the sizes with the rank generating function
+prod [e_i + 1]_q of W, and their sum with |W| = prod (e_i + 1), the e_i
+the exponents that group_order reads off the numbers of positive roots of
+each height; under __debug__ the lockstep walk's leaves, counted by size,
+must match too.  group_elements, the closure of the whole group,
 is the tests' oracle for that product and for the interval of w0; no
 command builds it.
 """
@@ -59,6 +60,7 @@ from .diagrams import (
     _completion_step,
     _descent_positions,
     _interval_points,
+    _leaf_diagram,
     _length_start,
     _length_step,
     _obstruction_start,
@@ -139,8 +141,13 @@ def _positive_leaves(word: Word) -> Iterator[tuple[tuple[int, ...], object]]:
 
 
 def enumerate_positive(word: Word) -> list[Diagram]:
-    """All positive diagrams of a reduced word, in ascending bitmask order."""
-    return [Diagram(word, p) for p, _ in _positive_leaves(word)]
+    """All positive diagrams of a reduced word, in ascending bitmask order.
+
+    Each leaf becomes a Diagram through diagrams._leaf_diagram, which sets
+    its fields without Diagram's check; under __debug__ it asserts that the
+    check would keep the positions as they are, and under python -O nothing
+    checks that the walk's positions are strictly increasing ints in 1..t."""
+    return [_leaf_diagram(word, p) for p, _ in _positive_leaves(word)]
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)

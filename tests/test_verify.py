@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 
 from weyldiag import (
     CartanType,
+    Diagram,
     SizeCapError,
     UsageError,
     Word,
@@ -57,6 +59,60 @@ def test_enumerate_positive_a1():
 def test_enumerate_positive_qm_2x2_has_14():
     word = quantum_matrices_word(GridShape(2, 2))
     assert len(enumerate_positive(word)) == 14
+
+
+def test_leaf_diagrams_behave_as_checked_ones():
+    from test_acceptance import suite_words
+
+    # enumerate_positive sets each leaf's fields without Diagram's check;
+    # a leaf must be indistinguishable from the Diagram the check builds.
+    for word in suite_words():
+        for leaf in enumerate_positive(word):
+            checked = Diagram(word, leaf.positions)
+            assert leaf == checked and hash(leaf) == hash(checked), leaf
+            assert (repr(leaf), str(leaf)) == (repr(checked), str(checked))
+            assert type(leaf.positions) is tuple and leaf.positions == checked.positions
+    # Slotted and still frozen; test_diagram_position_errors_are_pinned
+    # keeps the messages of bad positions.
+    assert not hasattr(leaf, "__dict__") and Diagram.__slots__ == ("word", "positions")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        leaf.positions = ()
+
+
+# Leaf defects that Diagram's check refuses or mends, each applied to every
+# walk leaf of two or more positions, with the fault debug enumerate names.
+SPOILED_LEAVES = {
+    "a position 0": (lambda p: (0,) + p[1:], "diagram position 0 is not an integer in 1..6"),
+    "a repeated position": (lambda p: p[:1] + p, "diagram position 1 repeated"),
+    "positions out of order": (lambda p: p[::-1], "Diagram makes it (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPOILED_LEAVES))
+def test_debug_enumerate_checks_each_walk_leaf(monkeypatch, a3, name):
+    import weyldiag.verify as verify_mod
+
+    spoil, fault = SPOILED_LEAVES[name]
+    real = verify_mod._walk
+
+    def spoiling(word, step, start):
+        for p, state in real(word, step, start):
+            yield (spoil(p) if len(p) > 1 else p), state
+
+    word = Word(a3, (1, 2, 1, 3, 2, 1))
+    clean = [d.positions for d in enumerate_positive(word)]
+    monkeypatch.setattr(verify_mod, "_walk", spoiling)
+    if __debug__:
+        # The first spoiled leaf is (1, 2)'s: the leaf and the fault are named.
+        first = spoil((1, 2))
+        with pytest.raises(AssertionError, match=re.escape(f"walk leaf {first} over ")) as caught:
+            enumerate_positive(word)
+        assert str(caught.value).endswith(f": {fault}")
+    else:
+        # Under python -O leaves are not checked, as enumerate_positive's
+        # docstring says: the spoiled positions come back as they are.
+        spoiled = enumerate_positive(word)
+        assert [d.positions for d in spoiled] == [spoil(p) if len(p) > 1 else p for p in clean]
 
 
 def test_bruhat_interval_counts(a2, a3):

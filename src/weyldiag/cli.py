@@ -144,7 +144,9 @@ def _emit(out, args, payload: dict | None, text_lines: list[str] | None) -> None
     # The payload for --format json, the lines for text; a command may build
     # only the one its format reads.
     if args.format == "json":
-        out.write(json.dumps(payload, indent=2) + "\n")
+        # Streamed: no string of the whole document is built.
+        json.dump(payload, out, indent=2)
+        out.write("\n")
     else:
         for line in text_lines:
             out.write(line + "\n")

@@ -34,19 +34,16 @@ two halves) follow one rule along the one branch a diagram takes
 (_passes).  The length rule's leaf is zeta(d) as packed image columns
 with len(d), which verify_word turns into its key u(2 rho) on arrival and
 looks up among _interval_points; of the other rules it reads only which
-passed.  enumerate_positive reads the same three-rule walk whenever
-__debug__ is set (the normal interpreter and pytest), and is_positive
-compares the two positivity tests; under python -O, enumerate_positive
-walks the completion rule alone (_completion_step): the ascent rule's tree
-cut to the branches with a positive leaf below them, by length
-additivity, one packed int per node.  Either way it makes each leaf a
-Diagram with _leaf_diagram, which sets the two slots without Diagram's
-check, as a walk builds its positions strictly increasing in 1..t; only
-under __debug__ is each leaf checked against Diagram(word, positions).
-census counts the completion rule's leaves by size under both
-interpreters with _sizes, which sweeps the levels of any rule whose step
-reads only (j, state), merging equal states, and visits no leaf; under
-__debug__ it counts the three-rule walk's leaves as well.
+passed.  Under __debug__ is_positive compares the two positivity tests.
+enumerate_positive walks the completion rule alone (_completion_step),
+under python and python -O alike: the ascent rule's tree cut to the
+branches with a positive leaf below them, by length additivity, one packed
+int per node.  It makes each leaf a Diagram with _leaf_diagram, which sets
+the two slots without Diagram's check, as a walk builds its positions
+strictly increasing in 1..t; only under __debug__ is each leaf checked
+against Diagram(word, positions).  census counts the completion rule's
+leaves by size with _sizes, which sweeps the levels of any rule whose step
+reads only (j, state), merging equal states, and visits no leaf.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed

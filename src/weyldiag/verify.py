@@ -13,18 +13,17 @@ Only the order stats keep the keys, each with its leaf's bitmask; they
 scan one interval per positive diagram the same way and look each point
 up among the keys, with no loop over pairs of diagrams.
 enumerate_positive makes the positive leaves Diagram objects without
-re-checking their positions (diagrams._leaf_diagram), read off the same
-lockstep walk under __debug__ and, under python -O, off the completion
-rule alone, which passes the same leaves in the same order but steps only
-the branches that have one below them.  census counts the completion rule's leaves by size
-without visiting them (diagrams._sizes, equal states merged level by
-level) and compares the sizes with the rank generating function
-prod [e_i + 1]_q of W, and their sum with |W| = prod (e_i + 1), the e_i
-the exponents that group_order reads off the numbers of positive roots of
-each height; under __debug__ the lockstep walk's leaves, counted by size,
-must match too.  group_elements, the closure of the whole group,
-is the tests' oracle for that product and for the interval of w0; no
-command builds it.
+re-checking their positions (diagrams._leaf_diagram), read off the
+completion rule alone, which passes the same leaves in the same order as
+the ascent rule but steps only the branches that have one below them.  census
+counts the completion rule's leaves by size without visiting them
+(diagrams._sizes, equal states merged level by level) and compares the
+sizes with the rank generating function prod [e_i + 1]_q of W, and their
+sum with |W| = prod (e_i + 1), the e_i the exponents that group_order
+reads off the numbers of positive roots of each height.  Both read the
+completion rule alone, under python and python -O alike.  group_elements,
+the closure of the whole group, is the tests' oracle for that product and
+for the interval of w0; no command builds it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -121,33 +119,20 @@ def _lockstep_step(word: Word, j: int, states: tuple):
     return (out if out != (None,) * 3 else None), (joined if joined != (None,) * 3 else None)
 
 
-def _positive_leaves(word: Word) -> Iterator[tuple[tuple[int, ...], object]]:
-    """The leaves (positions, state) of the diagrams the ascent rule passes,
-    in ascending bitmask order, one at a time; callers read only the
-    positions, and the word is checked at the call.  Under __debug__ they
-    come from verify_word's lockstep walk, and the length and obstruction
-    rules must pass each leaf too; under python -O the completion rule
-    walks alone, the ascent rule's tree cut to the branches with a leaf."""
-    _guard_sweep(word)
-    if not __debug__:
-        return _walk(word, _completion_step, _completion_start(word))
-
-    def agreeing():
-        for p, states in _walk(word, _lockstep_step, _lockstep_start(word)):
-            assert None not in states, f"positivity tests disagree on {p} over {word}"
-            yield p, states
-
-    return agreeing()
-
-
 def enumerate_positive(word: Word) -> list[Diagram]:
     """All positive diagrams of a reduced word, in ascending bitmask order.
 
-    Each leaf becomes a Diagram through diagrams._leaf_diagram, which sets
-    its fields without Diagram's check; under __debug__ it asserts that the
-    check would keep the positions as they are, and under python -O nothing
-    checks that the walk's positions are strictly increasing ints in 1..t."""
-    return [_leaf_diagram(word, p) for p, _ in _positive_leaves(word)]
+    The completion rule walks alone: the ascent rule's tree cut to the
+    branches with a positive leaf below them (the tests compare its leaves
+    with the ascent rule's, which verify_word checks against the length and
+    obstruction rules).  Each leaf becomes a Diagram through
+    diagrams._leaf_diagram, which sets its fields without Diagram's check;
+    under __debug__ it asserts that the check would keep the positions as
+    they are, and under python -O nothing checks that the walk's positions
+    are strictly increasing ints in 1..t."""
+    _guard_sweep(word)
+    leaves = _walk(word, _completion_step, _completion_start(word))
+    return [_leaf_diagram(word, p) for p, _ in leaves]
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -394,29 +379,16 @@ def longest_word_census(ctype: CartanType) -> CensusResult:
     keeps lengths, so the counts by size are prod [e_i + 1]_q and their sum
     is |W|, both read off the root heights.  No group element is built.
 
-    The counts come from diagrams._sizes over the completion rule, under
-    both interpreters: equal states are merged level by level and no leaf
-    is visited.  Under __debug__ the leaves of the lockstep walk
-    (_positive_leaves), counted by size, must match as well, so a defect of
-    _walk or of the three rules fails debug census; under python -O census
-    no longer walks, and such a defect goes unseen there.  The witness
-    names the first size whose count is wrong: the sweep's, or, where the
-    sweep is right, the walk's."""
+    The counts come from diagrams._sizes over the completion rule: equal
+    states are merged level by level and no leaf is visited.  The witness
+    names the first size whose count is wrong."""
     system = build_root_system(ctype)
     word = longest_word(system)
     _guard_sweep(word)
     sizes = _sizes(word, _completion_step, _completion_start(word))
-    counted = [sizes]
-    if __debug__:
-        tally = [0] * (word.t + 1)
-        for p, _ in _positive_leaves(word):
-            tally[len(p)] += 1
-        counted.append(tally)
-    expected = _rank_sizes(system)
     witness = next((
         {"size": k, "count": c, "expected": e}
-        for counts in counted
-        for k, (c, e) in enumerate(zip(counts, expected))
+        for k, (c, e) in enumerate(zip(sizes, _rank_sizes(system)))
         if c != e
     ), None)
     return CensusResult(

@@ -113,8 +113,7 @@ def test_criterion_2_longest_word_census():
         for family, rank in CENSUS_TYPES:
             result = longest_word_census(CartanType(family, rank))
             assert result.positive_count == result.group_order, (family, rank)
-            # ok also needs the counts by size to be prod [e_i + 1]_q, and in
-            # debug mode the lockstep walk's leaves to match them.
+            # ok also needs the counts by size to be prod [e_i + 1]_q.
             assert result.ok, (family, rank, result.witness)
         assert time.perf_counter() - start < 60.0
 

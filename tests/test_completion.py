@@ -1,7 +1,7 @@
-"""The completion rule (diagrams._completion_step), which python -O
-enumerate walks: its leaves against the ascent walk's, in order; every
-node it keeps has a leaf below it; its table against roots reflected one
-at a time; the lemma behind it by brute force; and three injected defects,
+"""The completion rule (diagrams._completion_step), which enumerate walks:
+its leaves against the ascent walk's, in order; every node it keeps has a
+leaf below it; its table against roots reflected one at a time; the lemma
+behind it by brute force; and three injected defects,
 each caught.  And the sweep that counts a rule's leaves by size with equal
 states merged (diagrams._sizes), over the completion rule as census runs
 it: against the ascent walk's leaves, the interval scan's lengths, the

@@ -8,6 +8,7 @@ import pytest
 from weyldiag import (
     CartanType,
     Diagram,
+    NotReducedError,
     SizeCapError,
     UsageError,
     Word,
@@ -330,14 +331,8 @@ def test_sweep_cap_guard(monkeypatch):
         verify_word(longest_word(a3))
     with pytest.raises(SizeCapError):
         longest_word_census(CartanType("A", 3))
-    # The leaves arrive lazily, but the word is checked at the call.
-    from weyldiag import NotReducedError
-    from weyldiag.verify import _positive_leaves
-
-    with pytest.raises(SizeCapError):
-        _positive_leaves(longest_word(a3))
     with pytest.raises(NotReducedError):
-        _positive_leaves(Word(b2, (1, 1)))
+        enumerate_positive(Word(b2, (1, 1)))
     monkeypatch.setenv(SWEEP_CAP_ENV, "junk")
     with pytest.raises(UsageError, match=r"WEYLDIAG_SWEEP_CAP='junk'"):
         sweep_cap()
@@ -402,6 +397,7 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     # roots._count_inversions, which the patch does not reach, so the defect
     # reaches the length walk alone.
     clean = _verify_flags(verify_word(word))
+    unpatched = enumerate_positive(word), longest_word_census(CartanType("A", 3))
 
     def over_counting_w0(word, j, state):
         pair = real(word, j, state)
@@ -418,9 +414,9 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
     res = run(["verify", "--type", "A", "--rank", "3", "--word", "1,2,1,3,2,1"])
     assert res.exit_code == 1
     assert "dual_ok false" in res.stdout.splitlines()
-    if __debug__:  # the walk comparison in enumerate_positive is an assert
-        with pytest.raises(AssertionError, match=r"disagree on \(2, 3, 4, 5, 6\) over"):
-            enumerate_positive(word)
+    # enumerate and census read the completion rule alone, not the length
+    # rule, so their results stay clean.
+    assert (enumerate_positive(word), longest_word_census(CartanType("A", 3))) == unpatched
 
 
 def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
@@ -453,21 +449,19 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "dual_ok false" in res.stdout.splitlines()
-    if __debug__:  # the walk comparison in _positive_leaves is an assert
-        with pytest.raises(AssertionError, match=r"positivity tests disagree on \(3,\)"):
-            longest_word_census(CartanType("A", 2))
-    else:
-        # Under python -O census walks the completion rule, not the ascent
-        # rule.  Its out child with the lanes left unlowered by h K_j keeps
-        # every branch, (3,) and (1, 3) among them.
-        def unlowered(word, j, q):
-            M = word.completion_table[1][j - 1][1]
-            out = q >> 8
-            return (out if out & M == M else None), q >> 8
+    # census walks the completion rule, not the ascent rule, so the defect
+    # leaves it clean.  The completion rule's out child with the lanes left
+    # unlowered by h K_j keeps every branch, (3,) and (1, 3) among them.
+    assert longest_word_census(CartanType("A", 2)).ok
 
-        monkeypatch.setattr(verify_mod, "_completion_step", unlowered)
-        census = longest_word_census(CartanType("A", 2))
-        assert (census.positive_count, census.ok) == (8, False)
+    def unlowered(word, j, q):
+        M = word.completion_table[1][j - 1][1]
+        out = q >> 8
+        return (out if out & M == M else None), q >> 8
+
+    monkeypatch.setattr(verify_mod, "_completion_step", unlowered)
+    census = longest_word_census(CartanType("A", 2))
+    assert (census.positive_count, census.ok) == (8, False)
 
 
 def test_checks_fail_on_an_injected_height_table_defect(monkeypatch):
@@ -787,6 +781,7 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
     # the length rule.
     word = Word(a2, (1, 2, 1))
     clean = _verify_flags(verify_word(word))
+    unpatched = enumerate_positive(word), longest_word_census(CartanType("A", 2))
     real = diagrams._length_step
 
     def keeping_the_count(word, j, state):
@@ -799,9 +794,9 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
     assert res.exit_code == 1
     lines = res.stdout.splitlines()
     assert "dual_ok false" in lines and "bijection_ok false" in lines
-    if __debug__:  # the walk comparison in _positive_leaves is an assert
-        with pytest.raises(AssertionError, match=r"positivity tests disagree on \(2,\)"):
-            longest_word_census(CartanType("A", 2))
+    # enumerate and census read the completion rule alone, not the length
+    # rule, so their results stay clean.
+    assert (enumerate_positive(word), longest_word_census(CartanType("A", 2))) == unpatched
 
 
 def test_checks_fail_when_the_length_step_joins_with_the_parent(monkeypatch, a2):
@@ -866,9 +861,9 @@ def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, 
 def test_verify_and_enumerate_walk_the_diagrams_once(monkeypatch, a3):
     import weyldiag.verify as verify_mod
 
-    # The three rules run in lockstep on one walk, which verify_word and
-    # enumerate_positive each start once per word, under python and python
-    # -O alike.
+    # verify_word starts one walk per word, the three rules in lockstep,
+    # and enumerate_positive one, the completion rule alone, under python
+    # and python -O alike.
     calls = []
     real = verify_mod._walk
 
@@ -883,6 +878,28 @@ def test_verify_and_enumerate_walk_the_diagrams_once(monkeypatch, a3):
     calls.clear()
     assert len(enumerate_positive(word)) == 24
     assert len(calls) == 1
+
+
+def test_enumerate_and_census_read_the_completion_rule_alone(monkeypatch):
+    import weyldiag.verify as verify_mod
+    from test_acceptance import suite_words
+
+    # The lockstep's rules are verify_word's alone: with each of them
+    # raising, enumerate and census return what they return unpatched,
+    # under python and python -O alike.
+    types = [CartanType(f, r) for f, r in
+             [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)]]
+    words = suite_words()
+    unpatched = [enumerate_positive(w) for w in words], [longest_word_census(c) for c in types]
+
+    def raising(*args):
+        raise AssertionError("enumerate or census stepped a lockstep rule")
+
+    for name in ("_ascent_step", "_length_step", "_obstruction_step", "_lockstep_step"):
+        monkeypatch.setattr(verify_mod, name, raising)
+    patched = [enumerate_positive(w) for w in words], [longest_word_census(c) for c in types]
+    assert patched == unpatched
+    assert all(census.ok for census in patched[1])
 
 
 def test_the_three_rules_prune_together_at_every_node():
@@ -927,22 +944,19 @@ def test_checks_fail_on_a_walk_that_drops_its_last_leaf(monkeypatch, a3):
     report = verify_word(word)
     assert (report.positive_count, report.interval_count) == (23, 24)
     assert _verify_flags(report) == {**clean, "bijection_ok": False}
-    if __debug__:
-        # Debug census counts the lockstep walk's leaves by size beside the
-        # sweep: the top diagram, all six positions, is missing.
+    # enumerate walks the completion rule through the same _walk, and loses
+    # the top diagram too.
+    assert len(enumerate_positive(word)) == 23
+    # census does not walk, so the walk's defect leaves it clean; a defect
+    # of the sweep does not.  A joined child left in its parent's lane puts
+    # every diagram at size 0: the total is still |W|, and only the sizes
+    # show it.
+    assert longest_word_census(CartanType("A", 3)).ok
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "_sizes", mutant_sizes(shift=0))
         census = longest_word_census(CartanType("A", 3))
-        assert (census.positive_count, census.ok) == (24, False)
-        assert census.witness == {"size": 6, "count": 0, "expected": 1}
-    else:
-        # Under python -O census no longer walks, so the walk's defect goes
-        # unseen there; a defect of the sweep does not.  A joined child
-        # left in its parent's lane puts every diagram at size 0: the total
-        # is still |W|, and only the sizes show it.
-        with monkeypatch.context() as patch:
-            patch.setattr(verify_mod, "_sizes", mutant_sizes(shift=0))
-            census = longest_word_census(CartanType("A", 3))
-        assert (census.positive_count, census.group_order, census.ok) == (24, 24, False)
-        assert census.witness == {"size": 0, "count": 24, "expected": 1}
+    assert (census.positive_count, census.group_order, census.ok) == (24, 24, False)
+    assert census.witness == {"size": 0, "count": 24, "expected": 1}
     # The order stats look the scans' points up among the leaves the walk
     # gave, and count over those without raising: of 156 nested pairs and
     # 189 Bruhat pairs, the 23 with the top diagram above go.

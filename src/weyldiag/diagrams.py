@@ -23,27 +23,30 @@ quantum nilpotent algebra attached to the word; user-facing names here say
 
 Each positivity test, and the obstruction, is a rule step(word, j, state)
 at one position j that reads only the state built from the members after
-j; the function that builds its start state from the word sits beside it
-(_ascent_start, _length_start, _obstruction_start).  One pruned walk over
-suffixes (_walk) finds the diagrams a step passes at a cost that grows
-with their number, not with 2^t, and yields each one's positions with the
-state it ends with as it is reached; verify_word runs the three rules side
-by side as one step (verify._lockstep_step), so a leaf carries the state
-of each rule that passes it.  The per-diagram tests (is_positive and its
-two halves) follow one rule along the one branch a diagram takes
-(_passes).  The length rule's leaf is zeta(d) as packed image columns
-with len(d), which verify_word turns into its key u(2 rho) on arrival and
-looks up among _interval_points; of the other rules it reads only which
-passed.  Under __debug__ is_positive compares the two positivity tests.
-enumerate_positive walks the completion rule alone (_completion_step),
-under python and python -O alike: the ascent rule's tree cut to the
-branches with a positive leaf below them, by length additivity, one packed
-int per node.  It makes each leaf a Diagram with _leaf_diagram, which sets
-the two slots without Diagram's check, as a walk builds its positions
-strictly increasing in 1..t; only under __debug__ is each leaf checked
-against Diagram(word, positions).  census counts the completion rule's
-leaves by size with _sizes, which sweeps the levels of any rule whose step
-reads only (j, state), merging equal states, and visits no leaf.
+j, and returns the pair (out, joined): the state if j is left out and the
+state if j joins, None for a branch the rule prunes, (None, None) for
+both.  The function that builds its start state from the word sits beside
+it (_ascent_start, _length_start, _obstruction_start, _completion_start).
+One pruned walk over suffixes (_walk) finds the diagrams a step passes at
+a cost that grows with their number, not with 2^t, and yields each one's
+positions with the state it ends with as it is reached; verify_word runs
+the three rules side by side as one step (verify._lockstep_step), so a
+leaf carries the state of each rule that passes it.  The per-diagram tests
+(is_positive and its two halves) follow one rule along the one branch a
+diagram takes (_passes).  The length rule's leaf is zeta(d) as packed
+image columns with len(d), which verify_word turns into its key u(2 rho)
+on arrival and looks up among _interval_points; of the other rules it
+reads only which passed.  Under __debug__ is_positive compares the two
+positivity tests.  enumerate_positive walks the completion rule alone
+(_completion_step), under python and python -O alike: the ascent rule's
+tree cut to the branches with a positive leaf below them, by length
+additivity, one packed int per node.  It makes each leaf a Diagram with
+_leaf_diagram, which sets the two slots without Diagram's one check, as a
+walk builds its positions strictly increasing in 1..t; only under
+__debug__ is each leaf run through that check, Diagram(word, positions).
+census counts the completion rule's leaves by size with _sizes, which
+sweeps the levels of any rule whose step reads only (j, state), merging
+equal states, and visits no leaf.
 
 The length and obstruction rules work on packed integers, with no loop
 over the positive roots.  The length rule carries its product m as packed
@@ -95,20 +98,11 @@ class Diagram:
     positions: tuple[int, ...]
 
     def __post_init__(self):
+        # The one check of API and command-line input: every position an int
+        # in 1..t, the first that is not named, then sorted, the smallest
+        # repeat named.  A walk builds its leaves without it (_leaf_diagram),
+        # which runs it on each leaf under __debug__ alone.
         positions = tuple(self.positions)
-        # One pass accepts strictly increasing ints in 1..t; anything else
-        # takes the checks below, which name the fault.  enumerate_positive
-        # builds its leaves without this method (_leaf_diagram), which runs
-        # it on each leaf under __debug__ alone.
-        last = 0
-        for p in positions:
-            if type(p) is not int or p <= last:
-                break
-            last = p
-        else:
-            if last <= self.word.t:
-                object.__setattr__(self, "positions", positions)
-                return
         _require_ints(positions, 1, self.word.t, "diagram position")
         positions = tuple(sorted(positions))
         if len(set(positions)) < len(positions):
@@ -219,7 +213,7 @@ def _ascent_step(word: Word, j: int, h: tuple[int, ...]):
     # of zeta'(d), the letters right to left.
     a0 = word.letters[j - 1] - 1
     if h[a0] < 0:
-        return None
+        return None, None
     joined = list(h)
     _simple_update(joined, a0, word.system._cartan_rows)
     return h, tuple(joined)
@@ -303,7 +297,7 @@ def _length_step(word: Word, j: int, state: tuple[tuple[int, ...], int, int]):
     H -= p
     mask = system._height_table[1]
     if system.num_positive_roots - ((mask + H) & mask).bit_count() != n + 1:
-        return None
+        return None, None
     return state, (F[:a0] + (F[a0] - p,) + F[a0 + 1 :], H, n + 1)
 
 
@@ -312,9 +306,9 @@ def _walk(word: Word, step, start) -> Iterator[tuple[tuple[int, ...], object]]:
     all t positions, in ascending bitmask order, one leaf as it is reached.
 
     step(word, j, state) sees the state built from the members after j
-    (start when there are none) and returns None when j fails either way,
-    else (state if j is left out, state if j joins); a None entry drops
-    that branch alone.  Depth-first from position t, leaving j out before
+    (start when there are none) and returns the pair (state if j is left
+    out, state if j joins), a None entry dropping that branch alone and
+    (None, None) both.  Depth-first from position t, leaving j out before
     putting it in: where both children pass, the joined one is pushed and
     the walk goes straight on down the out child, kept in hand, and where
     one passes, straight down it, so only the joined children of two-way
@@ -327,9 +321,7 @@ def _walk(word: Word, step, start) -> Iterator[tuple[tuple[int, ...], object]]:
     while stack:
         j, state, members = stack.pop()
         while j:
-            if (pair := step(word, j, state)) is None:
-                break
-            out, joined = pair
+            out, joined = step(word, j, state)
             if out is not None:
                 if joined is not None:
                     stack.append((j - 1, joined, (j,) + members))
@@ -365,12 +357,11 @@ def _sizes(word: Word, step, start) -> list[int]:
         below = {}
         get = below.get
         for state, counts in level.items():
-            if (pair := step(word, j, state)) is not None:
-                out, joined = pair
-                if out is not None:
-                    below[out] = get(out, 0) + counts
-                if joined is not None:
-                    below[joined] = get(joined, 0) + (counts << width)
+            out, joined = step(word, j, state)
+            if out is not None:
+                below[out] = get(out, 0) + counts
+            if joined is not None:
+                below[joined] = get(joined, 0) + (counts << width)
         level = below
     packed = sum(level.values())
     lane = (1 << width) - 1
@@ -383,8 +374,7 @@ def _passes(diagram: Diagram, step, start) -> bool:
     inside = set(diagram.positions)
     state = start
     for j in range(word.t, 0, -1):
-        pair = step(word, j, state)
-        if pair is None or (state := pair[j in inside]) is None:
+        if (state := step(word, j, state)[j in inside]) is None:
             return False
     return True
 
@@ -651,7 +641,7 @@ def _obstruction_step(word: Word, j: int, state):
     for i, c in word.sparse_betas[j - 1]:
         x += c * rows[i]
     if x in ys:
-        return None
+        return None, None
     out = list(rows)
     for i, c in word.coroot_rows[j - 1]:
         out[i] -= c * x

@@ -28,4 +28,6 @@ class NotReducedError(WeylDiagError):
 
 
 class SizeCapError(WeylDiagError):
-    """An exhaustive 2^t sweep was requested beyond the configured cap."""
+    """A command that walks a word's diagrams was given a word longer than
+    the configured cap.  The cap bounds the word length t; the message
+    states it as the 2^t diagrams of such a word."""

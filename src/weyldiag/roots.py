@@ -42,13 +42,13 @@ is its dot product with s.  So the image heights of all N positive roots
 are sum_i s_i E_i, where E_i packs the i-th coefficients of the positive
 roots into one int, one byte per root (_pack, _height_table).  Every
 image height lies in -127..127 (the highest root of B64 and C64 has
-height 127, which the table asserts when it is built), so each byte holds
-its height exactly, and adding 128 to every byte sets its top bit exactly
-where the height is positive: n big-int products and one popcount, no
-loop over the roots.  A caller that carries the packed image columns of
-an element, F_k = sum_i m[i][k] E_i (the k-th coefficients of the images
-of all N roots), has the packed heights as sum_k F_k and needs no
-product at all.
+height 127, which each RootSystem asserts when it is built), so each
+byte holds its height exactly, and adding 128 to every byte sets its top
+bit exactly where the height is positive: n big-int products and one
+popcount, no loop over the roots.  A caller that carries the packed
+image columns of an element, F_k = sum_i m[i][k] E_i (the k-th
+coefficients of the images of all N roots), has the packed heights as
+sum_k F_k and needs no product at all.
 
 Left descents are read without inverting the matrix.  s_i is a left
 descent of u exactly when u^{-1}(alpha_i) < 0, and since 2 rho (the sum of
@@ -299,8 +299,12 @@ class RootSystem:
 
         # Products carry each row packed one signed byte per coordinate
         # (_packed_product); every row is a root, and the highest root bounds
-        # the coefficients of every root, 6 at most (E8).
+        # the coefficients of every root, 6 at most (E8).  The packed image
+        # heights (_height_table) and the completion rule's lanes
+        # (Word.completion_table) hold one root height per signed byte, and
+        # the highest root's height bounds them all, 127 at most (B64, C64).
         assert max(positive[-1]) < 128, "root coefficients must fit a signed byte"
+        assert sum(positive[-1]) < 128, "root heights must fit a signed byte"
         self._packed_identity = tuple(map(_pack, self.simple_roots))
         self._byte_bias = int.from_bytes(b"\x80" * n, "little")
         self._signed_bytes = Struct(f"<{n}b")
@@ -323,7 +327,6 @@ class RootSystem:
         """(E, mask) for the inversion count (see the module docstring):
         E[i] packs the i-th coefficients of the positive roots, one byte per
         root, and mask holds the top bit of every byte."""
-        assert sum(self.positive_roots[-1]) < 128, "image heights must fit a signed byte"
         columns = tuple(int.from_bytes(bytes(col), "little") for col in zip(*self.positive_roots))
         return columns, int.from_bytes(b"\x80" * self.num_positive_roots, "little")
 

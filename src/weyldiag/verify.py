@@ -88,8 +88,8 @@ def sweep_cap() -> int:
 
 
 def _guard_sweep(word: Word) -> None:
-    """The checks before any 2^t sweep of the word: reduced (exit 3 in the
-    command line), then t within the cap (exit 4)."""
+    """The checks before any walk of the word's diagrams: reduced (exit 3
+    in the command line), then t within the cap (exit 4)."""
     require_reduced(word)
     cap = sweep_cap()
     if word.t > cap:
@@ -106,16 +106,16 @@ def _lockstep_start(word: Word) -> tuple:
 def _lockstep_step(word: Word, j: int, states: tuple):
     # The ascent, length and obstruction rules side by side on (a, n, o),
     # each looked up in this module at every call.  An entry turns None
-    # where its rule prunes and stays None below; a branch is dropped only
-    # when all three have pruned, so each leaf carries the states of exactly
-    # the rules that pass it.  A rule's pair is never empty, so a and a[0]
-    # is None exactly where the rule has pruned.
+    # where its rule prunes and stays None below, its rule's pair taken as
+    # (None, None) there; a branch is dropped only when all three have
+    # pruned, so each leaf carries the states of exactly the rules that
+    # pass it.
     a, n, o = states
-    a = None if a is None else _ascent_step(word, j, a)
-    n = None if n is None else _length_step(word, j, n)
-    o = None if o is None else _obstruction_step(word, j, o)
-    out = a and a[0], n and n[0], o and o[0]
-    joined = a and a[1], n and n[1], o and o[1]
+    a = (None, None) if a is None else _ascent_step(word, j, a)
+    n = (None, None) if n is None else _length_step(word, j, n)
+    o = (None, None) if o is None else _obstruction_step(word, j, o)
+    out = a[0], n[0], o[0]
+    joined = a[1], n[1], o[1]
     return (out if out != (None,) * 3 else None), (joined if joined != (None,) * 3 else None)
 
 

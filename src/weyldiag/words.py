@@ -117,12 +117,11 @@ class Word:
         per letter a, p = sum of c C_k over Cartan row a packs the pairings
         of Phi(x_{j-1}) with alpha_a^vee, reflecting lowers C_a by p, and a
         shift makes room for alpha_a.  Every lane is a positive root, and
-        heights fit a signed byte (RootSystem._height_table), so no lane
+        heights fit a signed byte (asserted by RootSystem), so no lane
         borrows from the next.  Built on first read, in O(t deg) big-int
         operations.
         """
         system = self.system
-        assert sum(system.positive_roots[-1]) < 128, "root heights must fit a signed byte"
         rows = system._cartan_rows
         columns = [0] * system.rank
         mask = 0

@@ -163,7 +163,7 @@ def obstruction_step_by_reflection(word, j, state):
     gs, rows = state
     beta = word.betas[j - 1]
     if tuple(-x for x in beta) in gs:
-        return None
+        return None, None
     coroot = word.coroot_rows[j - 1]
     out = []
     for g in gs:

@@ -65,8 +65,9 @@ def test_diagram_validation(w121):
 
 
 def test_diagram_position_errors_are_pinned(w121):
-    # Strictly increasing ints in 1..t pass one loop; everything else takes
-    # the full checks, whose messages these are.
+    # Diagram's one check names the first position that is not an int in
+    # 1..t, else the smallest repeat, in these messages, and keeps the
+    # positions sorted.
     for positions, message in [
         ((2, 1, 1), "diagram position 1 repeated"),
         ((1, 1), "diagram position 1 repeated"),

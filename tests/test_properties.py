@@ -2,9 +2,9 @@
 types, reducedness by heights against the carried length, the inversion
 count against its dot-product reference, the descent pairings against the
 inverse matrix, the ascent walk's heights against dense matrix products, the
-completion, obstruction and Le walks against the ascent walk, and
-palindromic size distributions against Bruhat-regularity and pattern
-avoidance."""
+completion, obstruction and Le walks against the ascent walk, Diagram's
+check of its positions against a reference, and palindromic size
+distributions against Bruhat-regularity and pattern avoidance."""
 
 import sys
 from itertools import combinations
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from weyldiag import (
     Diagram,
+    DomainError,
     GridShape,
     Word,
     diagram_for,
@@ -193,6 +194,46 @@ def grid_shapes(draw):
 @given(grid_shapes())
 def test_le_walk_equals_ascent_walk(shape):
     assert list(_le_walk(shape)) == ascent_walk(quantum_matrices_word(shape))
+
+
+def kept_or_message(positions, t):
+    """Diagram's check written out: the first position that is not an int
+    in 1..t is named; else the smallest repeat is; else the positions are
+    kept sorted."""
+    for x in positions:
+        if type(x) is not int or not 1 <= x <= t:
+            return f"diagram position {x!r} is not an integer in 1..{t}"
+    kept = sorted(positions)
+    repeats = [a for a, b in zip(kept, kept[1:]) if a == b]
+    return f"diagram position {repeats[0]} repeated" if repeats else tuple(kept)
+
+
+@st.composite
+def diagram_inputs(draw):
+    """A word and positions for it in any order: distinct ints in 1..t, ints
+    around 1..t with repeats, or those mixed with bools, floats and
+    strings."""
+    word, _ = draw(words())
+    t = word.t
+    ints = st.integers(-1, t + 1)
+    anything = st.one_of(ints, st.booleans(), st.floats(), st.text(max_size=2))
+    positions = draw(
+        st.lists(st.integers(1, max(t, 1)), unique=True)
+        | st.lists(ints, max_size=t + 2)
+        | st.lists(anything, max_size=t + 2)
+    )
+    return word, positions
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(diagram_inputs(), st.sampled_from([tuple, list, iter]))
+def test_diagram_keeps_sorted_positions_or_names_the_first_fault(inputs, form):
+    word, positions = inputs
+    try:
+        found = Diagram(word, form(positions)).positions
+    except DomainError as exc:
+        found = str(exc)
+    assert found == kept_or_message(positions, word.t), positions
 
 
 # -- palindromic size distributions --------------------------------------------

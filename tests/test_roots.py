@@ -717,8 +717,8 @@ def _length_leaf(diagram):
     inside = set(diagram.positions)
 
     def pinned(word, j, state):
-        pair = _length_step(word, j, state)
-        return pair and ((None, pair[1]) if j in inside else (pair[0], None))
+        out, joined = _length_step(word, j, state)
+        return (None, joined) if j in inside else (out, None)
 
     word = diagram.word
     return dict(_walk(word, pinned, _length_start(word))).get(diagram.positions)

@@ -401,7 +401,7 @@ def test_dual_check_fails_on_an_injected_length_defect(monkeypatch, a3):
 
     def over_counting_w0(word, j, state):
         pair = real(word, j, state)
-        return None if pair and pair[1][1] == -top else pair
+        return (None, None) if pair[1] is not None and pair[1][1] == -top else pair
 
     monkeypatch.setattr(verify_mod, "_length_step", over_counting_w0)
 
@@ -435,7 +435,7 @@ def test_checks_fail_on_an_injected_height_update_defect(monkeypatch, a2):
     def skipping_the_diagonal(word, j, h):
         a0 = word.letters[j - 1] - 1
         if h[a0] < 0:
-            return None
+            return None, None
         joined = list(h)
         for k, c in word.system._cartan_rows[a0]:
             if k != a0:
@@ -568,8 +568,8 @@ def test_obstruction_check_fails_on_an_injected_sweep_defect(monkeypatch, a2):
 
     def plus_keyed(word, j, state):
         pair = real(word, j, state)
-        if pair is None:
-            return None
+        if pair[1] is None:
+            return pair
         out, (rows, ys) = pair
         x = sum(c * rows[i] for i, c in word.sparse_betas[j - 1])
         return out, (rows, state[1] | {x})
@@ -623,8 +623,8 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
 
     def adding_minus_beta(word, j, state):
         pair = real(word, j, state)
-        if pair is None:
-            return None
+        if pair[1] is None:
+            return pair
         out, (rows, ys) = pair
         return out, (rows, ys | {-_pack(word.betas[j - 1])})
 
@@ -686,7 +686,7 @@ def test_obstruction_check_fails_on_an_injected_skipped_reflection(monkeypatch):
 
     def skipping_the_reflection(word, j, state):
         pair = real(word, j, state)
-        return None if pair is None else (state, pair[1])
+        return pair if pair[1] is None else (state, pair[1])
 
     _only_obstruction_fails(monkeypatch, verify_mod, "_obstruction_step", skipping_the_reflection)
 
@@ -702,8 +702,8 @@ def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
 
     def reflecting_members(word, j, state):
         pair = obstruction_step_by_reflection(word, j, state)
-        if pair is None:
-            return None
+        if pair[1] is None:
+            return pair
         (out, rows), (joined, joined_rows) = pair
         return (out, rows), (out + joined[-1:], joined_rows)
 
@@ -786,7 +786,7 @@ def test_checks_fail_on_an_injected_length_count_defect(monkeypatch, a2):
 
     def keeping_the_count(word, j, state):
         pair = real(word, j, state)
-        return pair and (pair[0], (*pair[1][:2], state[2]))
+        return pair if pair[1] is None else (pair[0], (*pair[1][:2], state[2]))
 
     monkeypatch.setattr(verify_mod, "_length_step", keeping_the_count)
     assert _verify_flags(verify_word(word)) == {**clean, "dual_ok": False, "bijection_ok": False}
@@ -808,7 +808,7 @@ def test_checks_fail_when_the_length_step_joins_with_the_parent(monkeypatch, a2)
 
     def joining_the_parent(word, j, state):
         pair = real(word, j, state)
-        return pair and (pair[0], (*state[:2], pair[1][2]))
+        return pair if pair[1] is None else (pair[0], (*state[:2], pair[1][2]))
 
     # The length rule counts s_a m as before but joins with the columns and
     # heights of m, not with the candidate's, so a member's letter never
@@ -838,7 +838,7 @@ def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, 
 
     def heights_alone(word, j, state):
         pair = real(word, j, state)
-        return pair and (pair[0], (state[0], *pair[1][1:]))
+        return pair if pair[1] is None else (pair[0], (state[0], *pair[1][1:]))
 
     # The join lowers the packed heights and the count but leaves column a
     # as it was, so every pairing is read off the identity's columns and the
@@ -921,6 +921,46 @@ def test_the_three_rules_prune_together_at_every_node():
     for word in suite_words() + (longest_word(system_of("F", 4)),):
         leaves = _walk(word, agreeing, ((), _lockstep_start(word)))
         assert sum(1 for _ in leaves) == len(subword_products(word)), word
+
+
+def test_every_step_returns_a_pair_at_every_node(monkeypatch):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+    from weyldiag.grid import _le_step
+    from weyldiag.verify import _lockstep_start, _lockstep_step
+    from test_acceptance import suite_words
+
+    # A step says prune in one form: the pair (out, joined) with None for a
+    # pruned branch, (None, None) for both, never a bare None.  Each rule is
+    # walked alone, and the lockstep walk steps the three it looks up in
+    # verify's namespace, checked there too; pruned counts the pairs with a
+    # None entry per step.
+    pruned = {}
+
+    def pairs_only(step):
+        def checked(word, j, state):
+            pair = step(word, j, state)
+            assert type(pair) is tuple and len(pair) == 2, (step.__name__, j, word, pair)
+            pruned[step.__name__] = pruned.get(step.__name__, 0) + (None in pair)
+            return pair
+        return checked
+
+    rules = [
+        (diagrams._ascent_step, diagrams._ascent_start),
+        (diagrams._length_step, diagrams._length_start),
+        (diagrams._obstruction_step, diagrams._obstruction_start),
+        (diagrams._completion_step, diagrams._completion_start),
+        (_lockstep_step, _lockstep_start),
+    ]
+    for step, _ in rules[:3]:
+        monkeypatch.setattr(verify_mod, step.__name__, pairs_only(step))
+    for word in suite_words() + (longest_word(system_of("F", 4)),):
+        for step, start in rules:
+            assert sum(1 for _ in diagrams._walk(word, pairs_only(step), start(word))), word
+        if detect_grid_shape(word) is not None:
+            assert sum(1 for _ in diagrams._walk(word, pairs_only(_le_step), (0, 0))), word
+    assert sorted(pruned) == sorted(step.__name__ for step, _ in rules + [(_le_step, None)])
+    assert all(pruned.values()), pruned
 
 
 def test_checks_fail_on_a_walk_that_drops_its_last_leaf(monkeypatch, a3):
@@ -1103,7 +1143,7 @@ def test_bijection_check_fails_on_an_injected_carried_length_defect(monkeypatch,
 
     def wrong_side_at_1(word, j, state):
         pair = real(word, j, state)
-        if j != 1 or pair is None:
+        if j != 1 or pair[1] is None:
             return pair
         system = word.system
         m = unpack_image_columns(system, state[0])

@@ -29,14 +29,16 @@ both.  The function that builds its start state from the word sits beside
 it (_ascent_start, _length_start, _obstruction_start, _completion_start).
 One pruned walk over suffixes (_walk) finds the diagrams a step passes at
 a cost that grows with their number, not with 2^t, and yields each one's
-positions with the state it ends with as it is reached; verify_word runs
-the three rules side by side as one step (verify._lockstep_step), so a
-leaf carries the state of each rule that passes it.  The per-diagram tests
+positions with the state it ends with as it is reached; verify_word walks
+the ascent rule's tree with the length and obstruction rules stepped at its
+nodes as followers (verify._lockstep_step), which must keep the children
+the ascent rule keeps at each node, so a leaf carries the state of each
+rule that kept every branch down to it.  The per-diagram tests
 (is_positive and its two halves) follow one rule along the one branch a
 diagram takes (_passes).  The length rule's leaf is zeta(d) as packed
 image columns with len(d), which verify_word turns into its key u(2 rho)
-on arrival and looks up among _interval_points; of the other rules it
-reads only which passed.  Under __debug__ is_positive compares the two
+on arrival and looks up among _interval_points; the other rules' leaf
+states it does not read.  Under __debug__ is_positive compares the two
 positivity tests.  enumerate_positive walks the completion rule alone
 (_completion_step), under python and python -O alike: the ascent rule's
 tree cut to the branches with a positive leaf below them, by length

@@ -1,14 +1,16 @@
 """Diagram walks, counts, and machine-readable verification reports.
 
-verify_word walks the diagrams once (diagrams._walk), with the ascent,
-length and obstruction rules side by side (_lockstep_step), and checks each
-leaf as it arrives, in ascending bitmask order: the rules must pass the
-same leaves, and each length leaf's key (u(2 rho), length) is taken out of
-the interval's, a dict diagrams._interval_points builds afresh from 2 rho
-under left multiplication without any matrix, and sent back to its
-diagram.  Letters are multiplied out only for interval points no leaf
-took.  On a grid word the Le rule walks beside it (grid._le_walk), and
-each of its leaves is compared with the next positive leaf as both arrive.
+verify_word walks the ascent rule's tree once (diagrams._walk): the ascent
+rule leads, and the length and obstruction rules follow it node by node
+(_lockstep_step), each stepped at the leader's nodes alone and required to
+keep the children the leader keeps there.  Each leaf is checked as it
+arrives, in ascending bitmask order: its length state's key (u(2 rho),
+length) is taken out of the interval's, a dict diagrams._interval_points
+builds afresh from 2 rho under left multiplication without any matrix,
+and sent back to its diagram.  Letters are multiplied out only for
+interval points no leaf took.  On a grid word the Le rule walks beside it
+(grid._le_walk), and each of its leaves is compared with the next
+positive leaf as both arrive.
 Only the order stats keep the keys, each with its leaf's bitmask; they
 scan one interval per positive diagram the same way and look each point
 up among the keys, with no loop over pairs of diagrams.
@@ -33,7 +35,7 @@ import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 from .errors import SizeCapError, UsageError
@@ -103,20 +105,28 @@ def _lockstep_start(word: Word) -> tuple:
     return _ascent_start(word), _length_start(word), _obstruction_start(word)
 
 
-def _lockstep_step(word: Word, j: int, states: tuple):
-    # The ascent, length and obstruction rules side by side on (a, n, o),
-    # each looked up in this module at every call.  An entry turns None
-    # where its rule prunes and stays None below, its rule's pair taken as
-    # (None, None) there; a branch is dropped only when all three have
-    # pruned, so each leaf carries the states of exactly the rules that
-    # pass it.
+def _lockstep_step(failed: set, word: Word, j: int, states: tuple):
+    # The ascent rule leads on (a, n, o): its pair alone decides which
+    # children the walk keeps.  The length and obstruction rules follow,
+    # each looked up in this module at every call and stepped only at the
+    # leader's nodes, where the children each keeps, (out is None, joined is
+    # None), must be the leader's; where they are not, the follower's check
+    # goes into failed, the set of one verify_word call.  A follower keeps
+    # its own pair, so its entry is None below a branch it dropped; it is
+    # not stepped there, and its check is in failed already.
     a, n, o = states
-    a = (None, None) if a is None else _ascent_step(word, j, a)
-    n = (None, None) if n is None else _length_step(word, j, n)
-    o = (None, None) if o is None else _obstruction_step(word, j, o)
-    out = a[0], n[0], o[0]
-    joined = a[1], n[1], o[1]
-    return (out if out != (None,) * 3 else None), (joined if joined != (None,) * 3 else None)
+    a_out, a_joined = _ascent_step(word, j, a)
+    n_out, n_joined = (None, None) if n is None else _length_step(word, j, n)
+    o_out, o_joined = (None, None) if o is None else _obstruction_step(word, j, o)
+    kept = a_out is None, a_joined is None
+    if (n_out is None, n_joined is None) != kept:
+        failed.add("dual_ok")
+    if (o_out is None, o_joined is None) != kept:
+        failed.add("obstruction_ok")
+    return (
+        None if a_out is None else (a_out, n_out, o_out),
+        None if a_joined is None else (a_joined, n_joined, o_joined),
+    )
 
 
 def enumerate_positive(word: Word) -> list[Diagram]:
@@ -288,11 +298,13 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     start = time.perf_counter()
 
     # Each verdict below is an AND over j of a rule on j and the members
-    # after j, so each rule's entry survives to exactly the leaves it
-    # passes, and each leaf is checked as it arrives.  The obstruction rule
-    # reads the betas and their coroot rows, the ascent rule the Cartan
-    # rows alone, so each checks the other: exactly the positive diagrams
-    # trip no root-sum obstruction pair.
+    # after j, so a rule that passes a leaf the ascent rule drops, or drops
+    # one it passes, keeps other children than the ascent rule at some node
+    # of the ascent rule's tree, the one tree walked, and _lockstep_step
+    # names its check there; each leaf is checked as it arrives.  The
+    # obstruction rule reads the betas and their coroot rows, the ascent
+    # rule the Cartan rows alone, so each checks the other: exactly the
+    # positive diagrams trip no root-sum obstruction pair.
     system = word.system
     # The leaves take their keys out of the interval dict, so what is left
     # at the end is the points no leaf took.
@@ -305,13 +317,11 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
     le_equivalence_ok = None if le is None else True
     keys = {} if include_order_stats else None
     positive_count = 0
-    bijection_ok = roundtrip_ok = dual_ok = obstruction_ok = True
-    for p, (a, n, o) in _walk(word, _lockstep_step, _lockstep_start(word)):
-        if a is not None:
-            positive_count += 1
-            le_equivalence_ok = le_equivalence_ok and next(le, None) == p
-        dual_ok &= (a is None) == (n is None)
-        obstruction_ok &= (a is None) == (o is None)
+    bijection_ok = roundtrip_ok = True
+    failed = set()
+    for p, (_, n, _) in _walk(word, partial(_lockstep_step, failed), _lockstep_start(word)):
+        positive_count += 1
+        le_equivalence_ok = le_equivalence_ok and next(le, None) == p
         if n is not None:
             x = _orbit_point_of_columns(system, n[0])
             if unmatched.get(x) == n[2]:
@@ -339,8 +349,8 @@ def verify_word(word: Word, include_order_stats: bool = False) -> VerificationRe
         interval_count=interval_count,
         bijection_ok=bijection_ok,
         roundtrip_ok=roundtrip_ok,
-        dual_ok=dual_ok,
-        obstruction_ok=obstruction_ok,
+        dual_ok="dual_ok" not in failed,
+        obstruction_ok="obstruction_ok" not in failed,
         le_equivalence_ok=le_equivalence_ok,
         order_stats=stats,
         elapsed=time.perf_counter() - start,

@@ -593,16 +593,18 @@ def test_obstruction_check_fails_when_the_rule_never_trips(monkeypatch, a2):
     # The rule looks x up in an empty set, so it passes all 2^t diagrams.
     # No positive diagram trips the real rule either, so only a check that
     # the obstruction-free diagrams are exactly the positive ones can notice.
-    word = Word(a2, (1, 2, 1))
-    clean = _verify_flags(verify_word(word))
+    # verify_word steps the rule only at the ascent rule's nodes, so F4 w0
+    # (t = 24) takes as long as it does unpatched.
+    words = [Word(a2, (1, 2, 1)), longest_word(system_of("F", 4))]
+    clean = [_verify_flags(verify_word(word)) for word in words]
     real = diagrams._obstruction_step
 
     def never_trips(word, j, state):
         return real(word, j, (state[0], frozenset()))
 
     monkeypatch.setattr(verify_mod, "_obstruction_step", never_trips)
-    flags = _verify_flags(verify_word(word))
-    assert flags == {**clean, "obstruction_ok": False}
+    for word, flags in zip(words, clean):
+        assert _verify_flags(verify_word(word)) == {**flags, "obstruction_ok": False}, word
     res = run(["verify", "--type", "A", "--rank", "2", "--word", "1,2,1"])
     assert res.exit_code == 1
     assert "obstruction_ok false" in res.stdout.splitlines()
@@ -636,8 +638,10 @@ def test_obstruction_prune_of_an_unviolated_pair_fails(monkeypatch, a3):
 
 
 # Words of t <= 6 over A2, A3, B2 and G2, so that pairings of 2 and 3 are
-# read.  A rule that stops pruning walks all 2^t diagrams, which is out of
-# reach on F4 w0 (t = 24): keep mutant words this short.
+# read.  A mutant of the ascent rule, the leader, that stops pruning walks
+# all 2^t diagrams, out of reach on F4 w0 (t = 24), so skipping_the_diagonal
+# stays on A2.  The length and obstruction rules follow, stepped only at the
+# leader's nodes, so their mutants run on F4 w0 as well.
 BETA_FRAME_WORDS = [
     (("A", 2), (1, 2, 1)),
     (("A", 3), (1, 2, 1, 3, 2, 1)),
@@ -650,6 +654,7 @@ def _only_obstruction_fails(monkeypatch, target, name, mutant):
     # Only the obstruction walk reads the coroot rows or runs
     # _obstruction_step, so every other check must come out as it was.
     words = [Word(system_of(*ctype), letters) for ctype, letters in BETA_FRAME_WORDS]
+    words.append(longest_word(system_of("F", 4)))
     clean = [_verify_flags(verify_word(w)) for w in words]
     monkeypatch.setattr(target, name, mutant)
     for word, flags in zip(words, clean):
@@ -689,6 +694,57 @@ def test_obstruction_check_fails_on_an_injected_skipped_reflection(monkeypatch):
         return pair if pair[1] is None else (state, pair[1])
 
     _only_obstruction_fails(monkeypatch, verify_mod, "_obstruction_step", skipping_the_reflection)
+
+
+# Followers that keep other children than the ascent rule at some node, in a
+# way no comparison of leaves can see: each branch they differ on ends at the
+# next position under the real rule and under the mutant alike.
+_DEAD = object()
+
+
+def keeping_a_dead_child(real):
+    # Where the real rule prunes both children, the joined one is kept, as
+    # _DEAD, and pruned at the next position; at j = 1 it would be a leaf.
+    def step(word, j, state):
+        if state is _DEAD:
+            return None, None
+        pair = real(word, j, state)
+        return (None, _DEAD) if pair == (None, None) and j > 1 else pair
+    return step
+
+
+def dropping_a_child_early(real):
+    # A child that the real rule prunes at the next position is dropped one
+    # position early.
+    def step(word, j, state):
+        pair = real(word, j, state)
+        if j == 1:
+            return pair
+        return tuple(None if c is None or real(word, j - 1, c) == (None, None) else c
+                     for c in pair)
+    return step
+
+
+@pytest.mark.parametrize("mutant", [keeping_a_dead_child, dropping_a_child_early])
+@pytest.mark.parametrize("name,check", [
+    ("_length_step", "dual_ok"), ("_obstruction_step", "obstruction_ok"),
+])
+def test_a_follower_that_differs_at_one_node_fails_its_check(monkeypatch, mutant, name, check):
+    import weyldiag.diagrams as diagrams
+    import weyldiag.verify as verify_mod
+
+    # The mutant, walked alone, passes the real rule's leaves, so only a
+    # comparison at the nodes of the ascent rule's tree sees it, and only
+    # the follower's own check fails.
+    real, start = getattr(diagrams, name), getattr(diagrams, name.replace("_step", "_start"))
+    words = [Word(system_of("A", 3), (1, 2, 1, 3, 2, 1)), longest_word(system_of("F", 4))]
+    clean = [_verify_flags(verify_word(word)) for word in words]
+    for word in words:
+        leaves = [p for p, _ in diagrams._walk(word, real, start(word))]
+        assert [p for p, _ in diagrams._walk(word, mutant(real), start(word))] == leaves
+    monkeypatch.setattr(verify_mod, name, mutant(real))
+    for word, flags in zip(words, clean):
+        assert _verify_flags(verify_word(word)) == {**flags, check: False}, word
 
 
 def test_reflection_oracle_comparison_fails_on_an_injected_defect(a2):
@@ -861,9 +917,10 @@ def test_checks_fail_when_the_length_step_lowers_the_heights_alone(monkeypatch, 
 def test_verify_and_enumerate_walk_the_diagrams_once(monkeypatch, a3):
     import weyldiag.verify as verify_mod
 
-    # verify_word starts one walk per word, the three rules in lockstep,
-    # and enumerate_positive one, the completion rule alone, under python
-    # and python -O alike.
+    # verify_word starts one walk per word, over the ascent rule's tree with
+    # the length and obstruction rules stepped at its nodes, and
+    # enumerate_positive one, the completion rule alone, under python and
+    # python -O alike.
     calls = []
     real = verify_mod._walk
 
@@ -884,9 +941,9 @@ def test_enumerate_and_census_read_the_completion_rule_alone(monkeypatch):
     import weyldiag.verify as verify_mod
     from test_acceptance import suite_words
 
-    # The lockstep's rules are verify_word's alone: with each of them
-    # raising, enumerate and census return what they return unpatched,
-    # under python and python -O alike.
+    # The lockstep step, its leader and its followers are verify_word's
+    # alone: with each of them raising, enumerate and census return what
+    # they return unpatched, under python and python -O alike.
     types = [CartanType(f, r) for f, r in
              [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)]]
     words = suite_words()
@@ -903,63 +960,59 @@ def test_enumerate_and_census_read_the_completion_rule_alone(monkeypatch):
 
 
 def test_the_three_rules_prune_together_at_every_node():
-    from weyldiag.diagrams import _walk
-    from weyldiag.verify import _lockstep_start, _lockstep_step
     from test_acceptance import suite_words
 
-    # Not only at the leaves: at every node the lockstep walk visits, each
-    # branch is kept by all three rules or by none.
-    def agreeing(word, j, node):
-        members, states = node
-        out, joined = _lockstep_step(word, j, states)
-        for branch in (out, joined):
-            assert branch is None or None not in branch, (
-                f"rules split at j={j} over members {members} of {word}"
-            )
-        return out and (members, out), joined and ((j,) + members, joined)
-
+    # Not only at the leaves: verify_word steps the length and obstruction
+    # rules at every node of the ascent rule's tree, and dual_ok and
+    # obstruction_ok hold only where each keeps the ascent rule's children
+    # at every one of them (the per-node mutants below show they can fail).
     for word in suite_words() + (longest_word(system_of("F", 4)),):
-        leaves = _walk(word, agreeing, ((), _lockstep_start(word)))
-        assert sum(1 for _ in leaves) == len(subword_products(word)), word
+        report = verify_word(word)
+        assert report.dual_ok and report.obstruction_ok, word
 
 
 def test_every_step_returns_a_pair_at_every_node(monkeypatch):
     import weyldiag.diagrams as diagrams
     import weyldiag.verify as verify_mod
+    from functools import partial
     from weyldiag.grid import _le_step
     from weyldiag.verify import _lockstep_start, _lockstep_step
     from test_acceptance import suite_words
 
     # A step says prune in one form: the pair (out, joined) with None for a
     # pruned branch, (None, None) for both, never a bare None.  Each rule is
-    # walked alone, and the lockstep walk steps the three it looks up in
-    # verify's namespace, checked there too; pruned counts the pairs with a
-    # None entry per step.
+    # walked alone, and the lockstep walk, bound to a set of failed checks
+    # that must stay empty, steps the three it looks up in verify's
+    # namespace, checked there too; pruned counts the pairs with a None
+    # entry per step.
     pruned = {}
 
-    def pairs_only(step):
+    def pairs_only(step, name):
         def checked(word, j, state):
             pair = step(word, j, state)
-            assert type(pair) is tuple and len(pair) == 2, (step.__name__, j, word, pair)
-            pruned[step.__name__] = pruned.get(step.__name__, 0) + (None in pair)
+            assert type(pair) is tuple and len(pair) == 2, (name, j, word, pair)
+            pruned[name] = pruned.get(name, 0) + (None in pair)
             return pair
         return checked
 
-    rules = [
-        (diagrams._ascent_step, diagrams._ascent_start),
-        (diagrams._length_step, diagrams._length_start),
-        (diagrams._obstruction_step, diagrams._obstruction_start),
-        (diagrams._completion_step, diagrams._completion_start),
-        (_lockstep_step, _lockstep_start),
-    ]
-    for step, _ in rules[:3]:
-        monkeypatch.setattr(verify_mod, step.__name__, pairs_only(step))
+    failed = set()
+    rules = {
+        "_ascent_step": (diagrams._ascent_step, diagrams._ascent_start),
+        "_length_step": (diagrams._length_step, diagrams._length_start),
+        "_obstruction_step": (diagrams._obstruction_step, diagrams._obstruction_start),
+        "_completion_step": (diagrams._completion_step, diagrams._completion_start),
+        "_lockstep_step": (partial(_lockstep_step, failed), _lockstep_start),
+    }
+    for name in list(rules)[:3]:
+        monkeypatch.setattr(verify_mod, name, pairs_only(rules[name][0], name))
     for word in suite_words() + (longest_word(system_of("F", 4)),):
-        for step, start in rules:
-            assert sum(1 for _ in diagrams._walk(word, pairs_only(step), start(word))), word
+        for name, (step, start) in rules.items():
+            assert sum(1 for _ in diagrams._walk(word, pairs_only(step, name), start(word))), word
         if detect_grid_shape(word) is not None:
-            assert sum(1 for _ in diagrams._walk(word, pairs_only(_le_step), (0, 0))), word
-    assert sorted(pruned) == sorted(step.__name__ for step, _ in rules + [(_le_step, None)])
+            walk = diagrams._walk(word, pairs_only(_le_step, "_le_step"), (0, 0))
+            assert sum(1 for _ in walk), word
+    assert not failed
+    assert sorted(pruned) == sorted([*rules, "_le_step"])
     assert all(pruned.values()), pruned
 
 
